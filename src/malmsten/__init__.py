@@ -10,6 +10,7 @@ double-exponential quadrature oracle.
 """
 
 from .closed_form import SpecialCase, malmsten_closed, special_value, zero_limit
+from .dispatch import evaluate
 from .domain import Angle, Classification, Evaluation, Method
 from .errors import (
     DomainError,
@@ -23,13 +24,13 @@ from .kummer import KummerPoint, derived_sum_identity, kummer_closed_eval, kumme
 from .quadrature import (
     QuadConfig,
     QuadResult,
-    Transform,
     integrand_exp,
     integrand_tan,
     integrand_unit,
     quad_eval,
     quad_jn,
     quad_tan_form,
+    quad_unit_eval,
 )
 from .series import (
     CoefficientWitness,

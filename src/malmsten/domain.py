@@ -17,11 +17,13 @@ class Classification(enum.Enum):
 
 
 class Method(enum.Enum):
+    """The evaluation routes, valued by their README and command-line names."""
+
     CLOSED = "closed"
     SERIES = "series"
-    QUAD_UNIT = "quad_unit"
-    QUAD_EXP = "quad_exp"
-    QUAD_TAN = "quad_tan"
+    QUAD = "quad"
+    QUAD_UNIT = "quad-unit"
+    QUAD_TAN = "quad-tan"
     KUMMER = "kummer"
 
 

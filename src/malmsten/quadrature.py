@@ -1,20 +1,19 @@
 """Independent quadrature oracle for every integral representation.
 
-Primary scheme: double-exponential (tanh-sinh) quadrature.  The
-EXP_SUBSTITUTION route integrates e^{-u} ln u / (1 + 2 e^{-u} cos phi + e^{-2u})
-split at u = 1 into a tanh-sinh piece on [0, 1] (ln u endpoint singularity)
-and an exp-sinh piece on [1, inf) (exponential decay).  UNIT_DIRECT applies
+Primary scheme: double-exponential (tanh-sinh) quadrature.  `quad_eval`
+integrates e^{-u} ln u / (1 + 2 e^{-u} cos phi + e^{-2u}) split at u = 1
+into a tanh-sinh piece on [0, 1] (ln u endpoint singularity) and an
+exp-sinh piece on [1, inf) (exponential decay).  `quad_unit_eval` applies
 tanh-sinh straight to ln ln(1/x) on (0, 1) as a structurally different
 second oracle.  Node count doubles per level; termination when two
 successive levels agree within tolerance, est_error = last inter-level
 delta.  Node sums use math.fsum (compensated accumulation).
 """
 
-import enum
 import math
 from dataclasses import dataclass, replace
 
-from .errors import DomainError
+from .errors import DomainError, InternalInconsistencyError
 
 # The integral diverges at |phi| = pi; accuracy claims stop at this band.
 GUARD_BAND = 1e-3
@@ -23,18 +22,11 @@ _T_MAX = 6.5
 _Q_MIN = 1e-280
 
 
-class Transform(enum.Enum):
-    UNIT_DIRECT = "unit"
-    EXP_SUBSTITUTION = "exp"
-    TAN_FORM = "tan"
-
-
 @dataclass(frozen=True)
 class QuadConfig:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-12
     max_level: int = 10
-    transform: Transform = Transform.EXP_SUBSTITUTION
 
     def __post_init__(self):
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
@@ -151,7 +143,8 @@ def _unit_f(phi_val):
         # x + cos(phi) loses digits when cos(phi) ~ -1; regroup via 1 + cos(phi)
         xc = one_plus_c - db if c < -0.5 else x + c
         den = xc * xc + s2
-        assert den > 0.0
+        if not den > 0.0:
+            raise InternalInconsistencyError(f"integrand denominator {den!r} at x = {x!r}")
         return math.log(inner) / den
 
     return f
@@ -166,7 +159,8 @@ def _exp_f(phi_val):
         e = math.exp(-u)
         ec = math.expm1(-u) + one_plus_c if c < -0.5 else e + c
         den = ec * ec + s2
-        assert den > 0.0
+        if not den > 0.0:
+            raise InternalInconsistencyError(f"integrand denominator {den!r} at u = {u!r}")
         return e * math.log(u) / den
 
     return f
@@ -193,19 +187,10 @@ def _check_guard_band(p):
         )
 
 
-def quad_eval(phi, cfg=DEFAULT_CONFIG):
-    """I(phi) by the transform selected in cfg."""
-    p = phi.phi
-    _check_guard_band(p)
-    if cfg.transform is Transform.UNIT_DIRECT:
-        return _tanh_sinh(_unit_f(p), 0.0, 1.0, cfg)
-    if cfg.transform is Transform.TAN_FORM:
-        if abs(p - math.pi / 2) > 1e-12:
-            raise DomainError("TAN_FORM is only defined at phi = pi/2")
-        return quad_tan_form(cfg)
+def _split_at_one(f, cfg):
+    """Integral of f over (0, inf): tanh-sinh on [0, 1], exp-sinh on [1, inf)."""
     # split tolerances so the combined estimate still honours the config
     half_cfg = replace(cfg, abs_tol=0.5 * cfg.abs_tol, rel_tol=0.5 * cfg.rel_tol)
-    f = _exp_f(p)
     left = _tanh_sinh(f, 0.0, 1.0, half_cfg)
     right = _exp_sinh(f, 1.0, half_cfg)
     return QuadResult(
@@ -214,6 +199,18 @@ def quad_eval(phi, cfg=DEFAULT_CONFIG):
         nodes=left.nodes + right.nodes,
         converged=left.converged and right.converged,
     )
+
+
+def quad_eval(phi, cfg=DEFAULT_CONFIG):
+    """I(phi) by the exp-substituted representation on (0, inf)."""
+    _check_guard_band(phi.phi)
+    return _split_at_one(_exp_f(phi.phi), cfg)
+
+
+def quad_unit_eval(phi, cfg=DEFAULT_CONFIG):
+    """I(phi) by tanh-sinh straight on the unit-interval representation."""
+    _check_guard_band(phi.phi)
+    return _tanh_sinh(_unit_f(phi.phi), 0.0, 1.0, cfg)
 
 
 def _tan_f(y, da, db):
@@ -247,12 +244,4 @@ def quad_jn(n, cfg=DEFAULT_CONFIG):
     def f(u, da, db):
         return math.exp(-k * u) * math.log(u)
 
-    half_cfg = replace(cfg, abs_tol=0.5 * cfg.abs_tol, rel_tol=0.5 * cfg.rel_tol)
-    left = _tanh_sinh(f, 0.0, 1.0, half_cfg)
-    right = _exp_sinh(f, 1.0, half_cfg)
-    return QuadResult(
-        value=left.value + right.value,
-        est_error=left.est_error + right.est_error,
-        nodes=left.nodes + right.nodes,
-        converged=left.converged and right.converged,
-    )
+    return _split_at_one(f, cfg)

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 from . import kernels
 from .closed_form import SpecialCase, malmsten_closed, special_value, two_pi_over_3_forms, zero_limit
-from .domain import Angle, Evaluation, Method
+from .dispatch import evaluate
+from .domain import Angle
 from .kummer import derived_sum_identity, kummer_closed_eval, kummer_partial
-from .quadrature import QuadConfig, Transform, quad_eval, quad_jn, quad_tan_form
+from .quadrature import quad_eval, quad_jn, quad_tan_form, quad_unit_eval
 from .series import coeff_a, j_n, sawtooth_partial, series_eval
 from .special_functions import EULER_GAMMA, log_gamma, reflection_product
 
@@ -72,10 +73,7 @@ def _rec(name, lhs, rhs, tol):
 
 
 def _closed_value(phi):
-    angle = Angle(phi)
-    if angle.is_zero:
-        return zero_limit().value
-    return malmsten_closed(angle).value
+    return evaluate(Angle(phi), "closed").value
 
 
 def _fmt(phi):
@@ -92,14 +90,13 @@ def _checks_closed_quad(tol):
 
 def _checks_repr(tol_closed_quad):
     out = []
-    unit_cfg = QuadConfig(transform=Transform.UNIT_DIRECT)
     for k in range(30):
         p = -3.0 + 6.0 * k / 29.0
         a = Angle(p)
         out.append(
             _rec(
                 f"quad_unit_vs_exp[phi={_fmt(p)}]",
-                quad_eval(a, unit_cfg).value,
+                quad_unit_eval(a).value,
                 quad_eval(a).value,
                 tol_closed_quad,
             )
@@ -303,9 +300,8 @@ def comparison_report(tolerance=1e-10, grid=None):
     rows = []
     deltas = []
     for angle in grid_angles:
-        closed = zero_limit() if angle.is_zero else malmsten_closed(angle)
-        q = quad_eval(angle)
-        quad_ev = Evaluation(angle, q.value, Method.QUAD_EXP, q.est_error, q.nodes)
+        closed = evaluate(angle, "closed")
+        quad_ev = evaluate(angle, "quad")
         rows.append([closed, quad_ev])
         deltas.append(abs(closed.value - quad_ev.value))
     max_delta = max(deltas)

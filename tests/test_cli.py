@@ -39,10 +39,11 @@ def test_parse_phi_rejects(bad):
         parse_phi(bad)
 
 
-def test_eval_json(capsys):
-    assert main(["eval", "--phi", "pi/2", "--method", "closed", "--json"]) == 0
+@pytest.mark.parametrize("method", ["closed", "series", "quad", "quad-unit", "quad-tan", "kummer"])
+def test_eval_json(capsys, method):
+    assert main(["eval", "--phi", "pi/2", "--method", method, "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["method"] == "closed"
+    assert out["method"] == method
     assert abs(out["value"] - FROZEN_PI_OVER_2) <= 1e-12
     assert out["est_error"] >= 0.0
     assert out["work"] >= 1
@@ -51,7 +52,7 @@ def test_eval_json(capsys):
 def test_eval_text(capsys):
     assert main(["eval", "--phi", "2.0", "--method", "quad"]) == 0
     line = capsys.readouterr().out
-    assert "method=quad_exp" in line
+    assert "method=quad " in line
     assert "value=-0.554149998261343" in line
 
 
@@ -95,6 +96,13 @@ def test_verify_default_passes(capsys):
     assert main(["verify", "--only", "jn,zero"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_verify_only_skips_the_closed_quad_grid(capsys):
+    assert main(["verify", "--only", "jn", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["max_grid_delta"] is None
+    assert main(["verify", "--only", "jn"]) == 0
+    assert "grid delta" not in capsys.readouterr().out
 
 
 def test_verify_impossible_tolerance_fails(capsys):
@@ -157,6 +165,13 @@ def test_sweep_json(tmp_path, capsys):
 ])
 def test_sweep_bad_usage_exit_2(capsys, argv):
     assert main(argv) == 2
+
+
+def test_sweep_rejects_too_many_points_before_writing(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--from", "-3", "--to", "3", "--step", "1e-12",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_table_text(capsys):

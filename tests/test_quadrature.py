@@ -6,18 +6,19 @@ import math
 
 import pytest
 
+from malmsten import evaluate
 from malmsten.domain import Angle
 from malmsten.errors import DomainError
 from malmsten.quadrature import (
     GUARD_BAND,
     QuadConfig,
-    Transform,
     integrand_exp,
     integrand_tan,
     integrand_unit,
     quad_eval,
     quad_jn,
     quad_tan_form,
+    quad_unit_eval,
 )
 from malmsten.series import j_n
 
@@ -73,18 +74,17 @@ def test_integrand_exp_tan_domain():
 
 @pytest.mark.parametrize("phi, expected", sorted(FROZEN_I.items()))
 def test_quad_frozen_oracle(phi, expected):
-    for transform in (Transform.EXP_SUBSTITUTION, Transform.UNIT_DIRECT):
-        r = quad_eval(Angle(phi), QuadConfig(transform=transform))
+    for route in (quad_eval, quad_unit_eval):
+        r = route(Angle(phi))
         assert r.converged
         assert abs(r.value - expected) <= 1e-11
 
 
 def test_representations_agree():
-    unit_cfg = QuadConfig(transform=Transform.UNIT_DIRECT)
     for k in range(10):
         p = -3.0 + 6.0 * k / 9.0
         a = Angle(p)
-        delta = abs(quad_eval(a, unit_cfg).value - quad_eval(a).value)
+        delta = abs(quad_unit_eval(a).value - quad_eval(a).value)
         assert delta <= 1e-10
 
 
@@ -105,9 +105,9 @@ def test_tan_form():
 
 def test_tan_form_requires_right_angle():
     with pytest.raises(DomainError):
-        quad_eval(Angle(1.0), QuadConfig(transform=Transform.TAN_FORM))
-    # exactly pi/2 is accepted through quad_eval too
-    r = quad_eval(Angle(math.pi / 2), QuadConfig(transform=Transform.TAN_FORM))
+        evaluate(Angle(1.0), "quad-tan")
+    # exactly pi/2 is accepted through the library entry point too
+    r = evaluate(Angle(math.pi / 2), "quad-tan")
     assert abs(r.value - FROZEN_TAN) <= 1e-11
 
 
