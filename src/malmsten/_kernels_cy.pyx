@@ -4,16 +4,17 @@
 from libc.math cimport cos, log, sin
 
 
-def log_sine_partials(double theta, int n_terms, int window):
-    if n_terms < 2:
-        raise ValueError("n_terms must be >= 2")
-    if window > n_terms - 1:
-        window = n_terms - 1
+def log_sine_partials(double theta, int n_terms, int window,
+                      int last=1, double complex total=0j):
+    if n_terms < last + 1:
+        raise ValueError(f"n_terms must be >= {last + 1}")
+    if window > n_terms - last:
+        window = n_terms - last
     cdef int first_kept = n_terms - window + 1
-    cdef double re = 0.0, im = 0.0, c, nt
+    cdef double re = total.real, im = total.imag, c, nt
     cdef int n
     out = []
-    for n in range(2, n_terms + 1):
+    for n in range(last + 1, n_terms + 1):
         c = log(n) / n
         nt = n * theta
         re += c * cos(nt)
@@ -43,9 +44,11 @@ def recip_sine_partials(double theta, int n_terms, int window):
 
 
 def weighted_average_limit(partials, double complex z, int depth):
-    cdef list cur = list(partials)
-    if len(cur) < 2:
+    if len(partials) < 2:
         raise ValueError("need at least two partial sums")
+    # the last two averages after `depth` steps depend on the last depth + 2
+    # partial sums alone
+    cdef list cur = list(partials[-(depth + 2):])
     cdef double complex denom = 1.0 - z
     cdef double complex a, b
     cdef int d, k, m

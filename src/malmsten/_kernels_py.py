@@ -2,8 +2,10 @@
 
 Both backends expose the same three functions:
 
-  log_sine_partials(theta, n_terms, window)
-      last `window` partial sums of  sum_{n=2}^{m} (ln n / n) e^{i n theta}
+  log_sine_partials(theta, n_terms, window, last=1, total=0j)
+      last `window` partial sums of  sum_{n=2}^{m} (ln n / n) e^{i n theta};
+      resumes after index `last` from its running sum `total` (a previous
+      call's final partial sum), summing only n = last+1 .. n_terms
 
   recip_sine_partials(theta, n_terms, window)
       last `window` partial sums of  sum_{n=1}^{m} (1/n) e^{i n theta}
@@ -18,15 +20,15 @@ Both backends expose the same three functions:
 import math
 
 
-def log_sine_partials(theta, n_terms, window):
-    if n_terms < 2:
-        raise ValueError("n_terms must be >= 2")
-    window = min(window, n_terms - 1)
+def log_sine_partials(theta, n_terms, window, last=1, total=0j):
+    if n_terms < last + 1:
+        raise ValueError(f"n_terms must be >= {last + 1}")
+    window = min(window, n_terms - last)
     first_kept = n_terms - window + 1
     out = []
-    re = 0.0
-    im = 0.0
-    for n in range(2, n_terms + 1):
+    re = total.real
+    im = total.imag
+    for n in range(last + 1, n_terms + 1):
         c = math.log(n) / n
         nt = n * theta
         re += c * math.cos(nt)
@@ -55,14 +57,16 @@ def recip_sine_partials(theta, n_terms, window):
 
 
 def weighted_average_limit(partials, z, depth):
-    cur = list(partials)
-    if len(cur) < 2:
+    if len(partials) < 2:
         raise ValueError("need at least two partial sums")
+    # the last two averages after `depth` steps depend on the last depth + 2
+    # partial sums alone; averaging the earlier ones would be discarded work
+    cur = list(partials[-(depth + 2):])
     denom = 1.0 - z
     for _ in range(depth):
         if len(cur) < 2:
             break
-        cur = [(cur[k + 1] - z * cur[k]) / denom for k in range(len(cur) - 1)]
+        cur = [(b - z * a) / denom for a, b in zip(cur, cur[1:])]
     if len(cur) >= 2:
         est = abs(cur[-1] - cur[-2])
     else:

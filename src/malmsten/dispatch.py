@@ -33,12 +33,12 @@ def evaluate(angle, method, tol=None):
         if abs(angle.phi - math.pi / 2) > 1e-12:
             raise DomainError("method quad-tan is only defined at phi = pi/2")
         return _quad_to_evaluation(angle, quad_tan_form(cfg), Method.QUAD_TAN)
+    if method not in ("closed", "series", "kummer"):
+        raise DomainError(f"unknown method {method!r}")
     if angle.is_zero:
         return zero_limit()
     if method == "closed":
         return malmsten_closed(angle)
     if method == "series":
         return series_eval(angle, SeriesConfig(tail_tol=tol) if tol else SeriesConfig())
-    if method == "kummer":
-        return kummer_closed_eval(angle)
-    raise DomainError(f"unknown method {method!r}")
+    return kummer_closed_eval(angle)

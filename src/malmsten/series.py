@@ -22,6 +22,9 @@ from .special_functions import EULER_GAMMA
 # is widened instead of failing hard.
 SERIES_BAND = 2.9
 
+# Terms summed before the first accelerated limit; N then doubles.
+FIRST_TERMS = 64
+
 
 @dataclass(frozen=True)
 class SeriesConfig:
@@ -96,13 +99,37 @@ def sawtooth_partial(phi, n_terms, accel_depth=0):
     return -value.imag
 
 
+def _accumulation_noise(n_terms):
+    """Rounding noise of the raw partial sums: eps * sum_{n<=N} |ln n / n|."""
+    return 2.3e-16 * 0.5 * math.log(n_terms) ** 2
+
+
 def _log_sine_sum_impl(phi, cfg):
+    """Accelerated log-sine sum with adaptive N: (value, est_error, terms).
+
+    Starts at N = FIRST_TERMS and doubles N up to cfg.max_terms, resuming the
+    partial sums where the previous N stopped, until the imaginary parts of
+    two successive accelerated limits agree to within the error estimate at
+    N: the accelerator's own plus the rounding noise of the partial sums.
+    """
     theta = phi.phi + math.pi
-    partials = kernels.log_sine_partials(theta, cfg.max_terms, _window(cfg))
-    value, est, _ = accelerated_limit(partials, cmath.exp(1j * theta), cfg.accel_depth)
-    # accumulation noise of the raw partial sums: eps * sum |ln n / n|
-    est += 2.3e-16 * 0.5 * math.log(cfg.max_terms) ** 2
-    return value.imag, est, cfg.max_terms
+    z = cmath.exp(1j * theta)
+    window = _window(cfg)
+    n = min(FIRST_TERMS, cfg.max_terms)
+    partials = kernels.log_sine_partials(theta, n, window)
+    value, est, _ = accelerated_limit(partials, z, cfg.accel_depth)
+    delta = 0.0
+    while n < cfg.max_terms:
+        last, n = n, min(2 * n, cfg.max_terms)
+        fresh = kernels.log_sine_partials(theta, n, window, last, partials[-1])
+        # a step shorter than the window keeps the newest earlier partials
+        partials = (partials + fresh)[-window:]
+        prev = value
+        value, est, _ = accelerated_limit(partials, z, cfg.accel_depth)
+        delta = abs(value.imag - prev.imag)
+        if delta <= est + _accumulation_noise(n):
+            break
+    return value.imag, max(est, delta) + _accumulation_noise(n), n
 
 
 def log_sine_sum(phi, cfg=DEFAULT_CONFIG):

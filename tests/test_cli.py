@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from malmsten import Angle, Method, evaluate
 from malmsten.cli import main, parse_phi
 
 FROZEN_PI_OVER_2 = -0.26044280630098844554
@@ -61,6 +62,19 @@ def test_eval_zero_angle_falls_back_to_limit(capsys, method):
     assert main(["eval", "--phi", "0", "--method", method, "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert abs(out["value"] - FROZEN_ZERO_LIMIT) <= 1e-13
+
+
+def test_evaluate_rejects_unknown_method_at_zero_angle():
+    from malmsten.errors import DomainError
+
+    with pytest.raises(DomainError):
+        evaluate(Angle(0.0), "bogus")
+
+
+def test_evaluate_series_at_zero_angle_returns_the_limit():
+    ev = evaluate(Angle(0.0), "series")
+    assert ev.method is Method.CLOSED
+    assert abs(ev.value - FROZEN_ZERO_LIMIT) <= 1e-13
 
 
 def test_eval_negative_angle_expression(capsys):

@@ -37,6 +37,16 @@ def test_backend_parity_log_sine(theta):
 
 
 @needs_extension
+def test_backend_parity_log_sine_resumed():
+    theta = 2.0 + math.pi
+    head = _kernels_py.log_sine_partials(theta, 1000, 40)
+    a = _kernels_py.log_sine_partials(theta, 2000, 40, 1000, head[-1])
+    b = _kernels_cy.log_sine_partials(theta, 2000, 40, 1000, head[-1])
+    assert len(a) == len(b) == 40
+    assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-12
+
+
+@needs_extension
 def test_backend_parity_recip_sine():
     theta = 1.1 + math.pi
     a = _kernels_py.recip_sine_partials(theta, 3000, 30)
@@ -111,3 +121,42 @@ def test_window_semantics():
     assert tail == full[-5:]
     single = _kernels_py.log_sine_partials(1.0, 50, 1)
     assert single == [full[-1]]
+
+
+@pytest.mark.parametrize("theta", [0.5 + math.pi, 2.0 + math.pi, 2.9 + math.pi])
+def test_log_sine_resume_is_bitwise_one_call(theta):
+    # the doubling ladder of the series engine: each resumed call sums only
+    # the new terms and must reproduce one call from n = 2 exactly
+    n = 64
+    partials = _kernels_py.log_sine_partials(theta, n, 40)
+    while n < 2000:
+        last, n = n, min(2 * n, 2000)
+        resumed = _kernels_py.log_sine_partials(theta, n, 40, last, partials[-1])
+        whole = _kernels_py.log_sine_partials(theta, n, 40)
+        assert [(x.real.hex(), x.imag.hex()) for x in resumed] == [
+            (x.real.hex(), x.imag.hex()) for x in whole]
+        partials = resumed
+
+
+def test_log_sine_resume_window_and_range():
+    # a step shorter than the window yields only the new partial sums
+    head = _kernels_py.log_sine_partials(1.0, 64, 40)
+    step = _kernels_py.log_sine_partials(1.0, 100, 40, 64, head[-1])
+    assert step == _kernels_py.log_sine_partials(1.0, 100, 36)
+    with pytest.raises(ValueError):
+        _kernels_py.log_sine_partials(1.0, 64, 40, 64, head[-1])
+
+
+@pytest.mark.parametrize("depth", [0, 1, 6, 16, 38, 60])
+def test_averaging_matches_the_full_triangle(depth):
+    # reference: average every partial sum of the window at every step
+    theta = 2.3 + math.pi
+    z = cmath.exp(1j * theta)
+    partials = _kernels_py.log_sine_partials(theta, 500, 40)
+    cur = list(partials)
+    for _ in range(depth):
+        if len(cur) < 2:
+            break
+        cur = [(cur[k + 1] - z * cur[k]) / (1.0 - z) for k in range(len(cur) - 1)]
+    est = abs(cur[-1] - cur[-2]) if len(cur) >= 2 else abs(cur[-1])
+    assert _kernels_py.weighted_average_limit(partials, z, depth) == (cur[-1], est)

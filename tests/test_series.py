@@ -1,15 +1,20 @@
 """Tests for the Cauchy-product series route: coefficients, inner
 integrals, the sawtooth series, and the accelerated full evaluation."""
 
+import cmath
 import math
 import random
 
+import mpmath
 import pytest
 
+from malmsten import kernels
+from malmsten.acceleration import accelerated_limit
 from malmsten.closed_form import malmsten_closed
 from malmsten.domain import Angle, Method
 from malmsten.errors import DomainError, NonConvergenceError, ZeroAngleError
 from malmsten.series import (
+    DEFAULT_CONFIG,
     SERIES_BAND,
     SeriesConfig,
     coeff_a,
@@ -111,6 +116,61 @@ def test_series_nonconvergence_carries_best_estimate():
     truth = malmsten_closed(Angle(2.0)).value
     assert abs(err.best_estimate - truth) <= 1e-7
     assert err.est_error > 1e-16
+
+
+def test_log_sine_sum_nonconvergence_carries_best_estimate():
+    with pytest.raises(NonConvergenceError) as exc_info:
+        log_sine_sum(Angle(2.0), SeriesConfig(tail_tol=1e-16))
+    err = exc_info.value
+    expected = (math.sin(2.0) * malmsten_closed(Angle(2.0)).value
+                + 0.5 * EULER_GAMMA * 2.0)
+    assert abs(err.best_estimate - expected) <= 1e-9
+    assert err.est_error > 1e-16
+
+
+@pytest.mark.parametrize("phi", [0.5, 2.0])
+def test_series_work_adapts_to_the_angle(phi):
+    ev = series_eval(Angle(phi))
+    assert ev.work <= DEFAULT_CONFIG.max_terms // 4
+
+
+def test_series_work_reaches_the_cap_near_pi():
+    assert series_eval(Angle(3.05)).work == DEFAULT_CONFIG.max_terms
+
+
+@pytest.mark.parametrize("max_terms", [100, 18])
+def test_series_honours_caps_off_the_doubling_ladder(max_terms):
+    # 100 is reached from 64 by a step shorter than the averaging window;
+    # 18 = accel_depth + 2 is the smallest cap the config accepts
+    cfg = SeriesConfig(max_terms=max_terms, accel_depth=16, tail_tol=1.0)
+    phi = Angle(2.0)
+    ev = series_eval(phi, cfg)
+    assert ev.work == max_terms
+    assert abs(ev.value - malmsten_closed(phi).value) <= ev.est_error
+    theta = 2.0 + math.pi
+    partials = kernels.log_sine_partials(theta, max_terms, 40)
+    one_shot, _, _ = accelerated_limit(partials, cmath.exp(1j * theta), 16)
+    assert log_sine_sum(phi, cfg) == one_shot.imag
+
+
+def _oracle(phi):
+    with mpmath.workdps(40):
+        p = mpmath.mpf(phi)
+        t = p / (2 * mpmath.pi)
+        return (mpmath.pi / (2 * mpmath.sin(p))) * (
+            2 * t * mpmath.log(2 * mpmath.pi)
+            + mpmath.loggamma(mpmath.mpf(0.5) + t)
+            - mpmath.loggamma(mpmath.mpf(0.5) - t))
+
+
+@pytest.mark.parametrize("phi", GRID + [2.36, -2.36])
+def test_series_error_estimate_holds_against_mpmath(phi):
+    # 2.36 lies in the stretch of the band where summing a fixed 2000
+    # terms raised NonConvergenceError
+    ev = series_eval(Angle(phi))
+    with mpmath.workdps(40):
+        err = abs(mpmath.mpf(ev.value) - _oracle(phi))
+    assert err <= ev.est_error
 
 
 def test_series_band_widens_outside():

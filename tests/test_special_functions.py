@@ -1,6 +1,6 @@
 """Tests for the self-contained log-gamma / digamma implementations.
 
-mpmath is used only here, as an independent high-precision oracle; the
+mpmath serves the tests as an independent high-precision oracle; the
 package itself never imports it.
 """
 
