@@ -22,7 +22,6 @@ from .errors import (
 from .kernels import BACKEND
 from .kummer import KummerPoint, derived_sum_identity, kummer_closed_eval, kummer_partial
 from .quadrature import (
-    QuadConfig,
     QuadResult,
     integrand_exp,
     integrand_tan,
@@ -34,7 +33,6 @@ from .quadrature import (
 )
 from .series import (
     CoefficientWitness,
-    SeriesConfig,
     coeff_a,
     j_n,
     log_sine_sum,

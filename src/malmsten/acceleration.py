@@ -12,31 +12,36 @@ estimate widens honestly.
 import math
 
 from . import kernels
+from .special_functions import EPS
 
 AMP_LIMIT = 1e6
-_EPS = 2.3e-16
+
+# Averaging steps requested of every accelerated sum, and the trailing
+# partial sums its callers keep for it.
+DEPTH = 16
+WINDOW = DEPTH + 24
 
 
-def effective_depth(z, requested_depth, n_partials):
+def effective_depth(z, n_partials):
     gap = abs(1.0 - z)
-    cap = requested_depth
+    cap = DEPTH
     if gap > 0.0 and gap < 2.0:
         ratio = 2.0 / gap
         cap = int(math.log(AMP_LIMIT) / math.log(ratio))
     elif gap == 0.0:
         cap = 0
-    return max(1, min(requested_depth, cap, n_partials - 2))
+    return max(1, min(DEPTH, cap, n_partials - 2))
 
 
-def accelerated_limit(partials, z, requested_depth):
+def accelerated_limit(partials, z):
     """Accelerate a windowed partial-sum sequence with oscillation factor z.
 
     Returns (complex limit, est_error, depth_used); est_error combines the
     last averaging delta with the rounding-amplification budget.
     """
-    depth = effective_depth(z, requested_depth, len(partials))
+    depth = effective_depth(z, len(partials))
     value, est = kernels.weighted_average_limit(partials, z, depth)
     gap = abs(1.0 - z)
     amp = (2.0 / gap) ** depth if 0.0 < gap < 2.0 else 1.0
-    rounding = amp * _EPS * max(1.0, abs(value))
+    rounding = amp * EPS * max(1.0, abs(value))
     return value, est + rounding, depth

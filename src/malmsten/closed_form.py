@@ -12,11 +12,13 @@ import enum
 import math
 
 from .domain import Angle, Evaluation, Method
-from .errors import InternalInconsistencyError, ZeroAngleError
-from .special_functions import LN_TWO_PI, digamma, log_gamma
+from .errors import DomainError, InternalInconsistencyError, ZeroAngleError
+from .special_functions import LN_TWO_PI, digamma, gamma_gap, log_gamma
 
 # Per-call log-gamma error (~1e-13 abs) enters twice and is divided by sin(phi).
 _LG_ERR = 2.5e-13
+
+_ZETA_3 = 1.2020569031595942854  # Apery's constant
 
 
 class SpecialCase(enum.Enum):
@@ -34,19 +36,22 @@ def malmsten_closed(phi):
     p = phi.phi
     t = p / (2.0 * math.pi)
     s = math.sin(p)
-    value = (math.pi / (2.0 * s)) * (
-        2.0 * t * LN_TWO_PI + log_gamma(0.5 + t) - log_gamma(0.5 - t)
-    )
+    # ln Gamma(1/2 + t) - ln Gamma(1/2 - t) is odd in t; gamma_gap(p) = 1/2 - |t|
+    lg = log_gamma(0.5 + abs(t)) - log_gamma(gamma_gap(p))
+    value = (math.pi / (2.0 * s)) * (2.0 * t * LN_TWO_PI + (lg if p > 0.0 else -lg))
     est = _LG_ERR * math.pi / (2.0 * abs(s))
     return Evaluation(phi=phi, value=value, method=Method.CLOSED, est_error=est, work=1)
 
 
-def zero_limit():
-    """lim_{phi -> 0} I(phi) = (ln(2 pi) + psi(1/2))/2 = (ln(pi/2) - gamma)/2."""
-    value = 0.5 * (LN_TWO_PI + digamma(0.5))
-    return Evaluation(
-        phi=Angle(0.0), value=value, method=Method.CLOSED, est_error=1e-15, work=1
-    )
+def zero_limit(phi=Angle(0.0)):
+    """I(phi) at a ZERO-classified angle: I(0) + c2 phi^2, where I(0) =
+    (ln(2 pi) + psi(1/2))/2 = (ln(pi/2) - gamma)/2 and c2 = I(0)/6 -
+    7 zeta(3)/(24 pi^2) ~ -0.046; I is even, so the rest is O(phi^4) < 1e-24."""
+    if not phi.is_zero:
+        raise DomainError(f"zero_limit needs a ZERO-classified angle, got {phi.phi!r}")
+    limit = 0.5 * (LN_TWO_PI + digamma(0.5))
+    c2 = limit / 6.0 - 7.0 * _ZETA_3 / (24.0 * math.pi ** 2)
+    return Evaluation(phi, limit + c2 * phi.phi ** 2, Method.CLOSED, 1e-15, 1)
 
 
 def two_pi_over_3_forms():

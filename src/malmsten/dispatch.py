@@ -6,8 +6,8 @@ from .closed_form import malmsten_closed, zero_limit
 from .domain import Evaluation, Method
 from .errors import DomainError, NonConvergenceError
 from .kummer import kummer_closed_eval
-from .quadrature import DEFAULT_CONFIG, QuadConfig, quad_eval, quad_tan_form, quad_unit_eval
-from .series import SeriesConfig, series_eval
+from .quadrature import quad_eval, quad_tan_form, quad_unit_eval
+from .series import series_eval
 
 
 def _quad_to_evaluation(angle, result, method):
@@ -21,24 +21,24 @@ def _quad_to_evaluation(angle, result, method):
 
 
 def evaluate(angle, method, tol=None):
-    """I(phi) at `angle` by the route named `method`, e.g. "quad-unit"; `tol`
-    overrides the route's tolerance.  ZERO angles route to zero_limit for
-    the non-quadrature methods."""
-    if method == "quad" or method == "quad-unit" or method == "quad-tan":
-        cfg = QuadConfig(abs_tol=tol, rel_tol=tol) if tol else DEFAULT_CONFIG
-        if method == "quad":
-            return _quad_to_evaluation(angle, quad_eval(angle, cfg), Method.QUAD)
-        if method == "quad-unit":
-            return _quad_to_evaluation(angle, quad_unit_eval(angle, cfg), Method.QUAD_UNIT)
+    """I(phi) at `angle` by the route named `method`, e.g. "quad-unit"; `tol`, if
+    given, replaces the series or quadrature route's tolerance.  ZERO angles
+    route to zero_limit for the non-quadrature methods."""
+    given = {} if tol is None else {"tol": tol}
+    if method == "quad":
+        return _quad_to_evaluation(angle, quad_eval(angle, **given), Method.QUAD)
+    if method == "quad-unit":
+        return _quad_to_evaluation(angle, quad_unit_eval(angle, **given), Method.QUAD_UNIT)
+    if method == "quad-tan":
         if abs(angle.phi - math.pi / 2) > 1e-12:
             raise DomainError("method quad-tan is only defined at phi = pi/2")
-        return _quad_to_evaluation(angle, quad_tan_form(cfg), Method.QUAD_TAN)
+        return _quad_to_evaluation(angle, quad_tan_form(**given), Method.QUAD_TAN)
     if method not in ("closed", "series", "kummer"):
         raise DomainError(f"unknown method {method!r}")
     if angle.is_zero:
-        return zero_limit()
+        return zero_limit(angle)
     if method == "closed":
         return malmsten_closed(angle)
     if method == "series":
-        return series_eval(angle, SeriesConfig(tail_tol=tol) if tol else SeriesConfig())
+        return series_eval(angle, **given)
     return kummer_closed_eval(angle)

@@ -18,11 +18,11 @@ import math
 from dataclasses import dataclass
 
 from . import kernels
-from .acceleration import accelerated_limit
+from .acceleration import WINDOW, accelerated_limit
 from .domain import Evaluation, Method
 from .errors import DomainError, ZeroAngleError
-from .series import DEFAULT_CONFIG, log_sine_sum
-from .special_functions import EULER_GAMMA, LN_PI, LN_TWO_PI, log_gamma
+from .series import log_sine_sum
+from .special_functions import EULER_GAMMA, LN_PI, LN_TWO_PI, gamma_gap, log_gamma
 
 # ln sin(pi x) dominates past these endpoints; the identity's useful range
 # is interior.
@@ -42,7 +42,7 @@ class KummerPoint:
             raise DomainError(f"x must lie strictly in (0, 1), got {self.x!r}")
 
 
-def kummer_partial(x, n_terms, accel=True, accel_depth=16):
+def kummer_partial(x, n_terms, accel=True):
     """Truncated Kummer expansion of ln Gamma(x); optionally accelerated."""
     if isinstance(x, KummerPoint):
         x = x.x
@@ -66,9 +66,8 @@ def kummer_partial(x, n_terms, accel=True, accel_depth=16):
         return closed_part
     theta = 2.0 * math.pi * x
     if accel:
-        window = min(n_terms - 1, accel_depth + 24)
-        partials = kernels.log_sine_partials(theta, n_terms, window)
-        value, _, _ = accelerated_limit(partials, cmath.exp(1j * theta), accel_depth)
+        partials = kernels.log_sine_partials(theta, n_terms, WINDOW)
+        value, _, _ = accelerated_limit(partials, cmath.exp(1j * theta))
         series = value.imag
     else:
         series = kernels.log_sine_partials(theta, n_terms, 1)[-1].imag
@@ -78,15 +77,17 @@ def kummer_partial(x, n_terms, accel=True, accel_depth=16):
 def derived_closed_side(phi):
     """Closed side of the log-sine sum identity, via log_gamma."""
     p = phi.phi
+    # the gamma argument tends to 0 as phi -> pi, to 1 as phi -> -pi
+    x = gamma_gap(p) if p > 0.0 else 0.5 - p / (2.0 * math.pi)
     return (
-        math.pi * log_gamma(0.5 - p / (2.0 * math.pi))
+        math.pi * log_gamma(x)
         - 0.5 * p * (EULER_GAMMA + LN_TWO_PI)
         - 0.5 * math.pi * LN_PI
         + 0.5 * math.pi * math.log(math.cos(0.5 * p))
     )
 
 
-def derived_sum_identity(phi, cfg=DEFAULT_CONFIG):
+def derived_sum_identity(phi):
     """Both sides of the identity for sum_{n>=2} ln n sin(n(pi - phi))/n.
 
     Returns (series_side, closed_side).  The series side goes through the
@@ -97,7 +98,7 @@ def derived_sum_identity(phi, cfg=DEFAULT_CONFIG):
     if phi.is_zero:
         series_side = 0.0
     else:
-        series_side = -log_sine_sum(phi, cfg)
+        series_side = -log_sine_sum(phi)
     return series_side, closed_side
 
 

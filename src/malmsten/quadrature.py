@@ -6,36 +6,26 @@ into a tanh-sinh piece on [0, 1] (ln u endpoint singularity) and an
 exp-sinh piece on [1, inf) (exponential decay).  `quad_unit_eval` applies
 tanh-sinh straight to ln ln(1/x) on (0, 1) as a structurally different
 second oracle.  Node count doubles per level; termination when two
-successive levels agree within tolerance, est_error = last inter-level
-delta.  Node sums use math.fsum (compensated accumulation).
+successive levels agree within `tol` (absolute or relative), est_error =
+last inter-level delta.  Node sums use math.fsum (compensated accumulation).
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
+from .domain import require_tol
 from .errors import DomainError, InternalInconsistencyError
+from .special_functions import EPS
 
 # The integral diverges at |phi| = pi; accuracy claims stop at this band.
 GUARD_BAND = 1e-3
 
+# Default tolerance, and the halvings of the step h after the first level.
+TOL = 1e-12
+MAX_LEVEL = 10
+
 _T_MAX = 6.5
 _Q_MIN = 1e-280
-
-
-@dataclass(frozen=True)
-class QuadConfig:
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
-    max_level: int = 10
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if not 1 <= self.max_level <= 14:
-            raise ValueError("max_level must be in [1, 14]")
-
-
-DEFAULT_CONFIG = QuadConfig()
 
 
 @dataclass(frozen=True)
@@ -46,12 +36,13 @@ class QuadResult:
     converged: bool
 
 
-def _refine_levels(node_term, cfg):
+def _refine_levels(node_term, tol):
     """Shared level driver: trapezoid in t, node doubling per level.
 
     node_term(t) returns the weighted integrand value at abscissa t, or
     None once the transform has pushed the node past representable range.
     """
+    require_tol(tol)
     terms = [node_term(0.0)]
     nodes = 1
 
@@ -79,21 +70,21 @@ def _refine_levels(node_term, cfg):
     add_strip(h, 1)
     value = h * math.fsum(terms)
     est = math.inf
-    for _ in range(cfg.max_level):
+    for _ in range(MAX_LEVEL):
         h *= 0.5
         add_strip(h, 2)
         new_value = h * math.fsum(terms)
         est = abs(new_value - value)
         value = new_value
-        if est <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+        if est <= max(tol, tol * abs(value)):
             # never report below ~1 ulp of the value; deeper refinement can
             # still move the last bit even when the inter-level delta is 0
-            est = max(est, 2.3e-16 * max(1.0, abs(value)))
+            est = max(est, EPS * max(1.0, abs(value)))
             return QuadResult(value, est, nodes, True)
     return QuadResult(value, est, nodes, False)
 
 
-def _tanh_sinh(f, a, b, cfg):
+def _tanh_sinh(f, a, b, tol):
     """Tanh-sinh on (a, b); f is called as f(x, dist_a, dist_b)."""
     width = b - a
 
@@ -113,10 +104,10 @@ def _tanh_sinh(f, a, b, cfg):
             x, da, db = a + near, near, far
         return 0.5 * width * w * f(x, da, db)
 
-    return _refine_levels(node_term, cfg)
+    return _refine_levels(node_term, tol)
 
 
-def _exp_sinh(f, a, cfg):
+def _exp_sinh(f, a, tol):
     """Exp-sinh on (a, inf); f is called as f(x, dist_a, None)."""
 
     def node_term(t):
@@ -129,7 +120,7 @@ def _exp_sinh(f, a, cfg):
         w = 0.5 * math.pi * math.cosh(t) * eg
         return w * f(a + eg, eg, None)
 
-    return _refine_levels(node_term, cfg)
+    return _refine_levels(node_term, tol)
 
 
 def _unit_f(phi_val):
@@ -187,12 +178,11 @@ def _check_guard_band(p):
         )
 
 
-def _split_at_one(f, cfg):
+def _split_at_one(f, tol):
     """Integral of f over (0, inf): tanh-sinh on [0, 1], exp-sinh on [1, inf)."""
-    # split tolerances so the combined estimate still honours the config
-    half_cfg = replace(cfg, abs_tol=0.5 * cfg.abs_tol, rel_tol=0.5 * cfg.rel_tol)
-    left = _tanh_sinh(f, 0.0, 1.0, half_cfg)
-    right = _exp_sinh(f, 1.0, half_cfg)
+    # half the tolerance per piece, so the combined estimate still honours tol
+    left = _tanh_sinh(f, 0.0, 1.0, 0.5 * tol)
+    right = _exp_sinh(f, 1.0, 0.5 * tol)
     return QuadResult(
         value=left.value + right.value,
         est_error=left.est_error + right.est_error,
@@ -201,16 +191,16 @@ def _split_at_one(f, cfg):
     )
 
 
-def quad_eval(phi, cfg=DEFAULT_CONFIG):
+def quad_eval(phi, tol=TOL):
     """I(phi) by the exp-substituted representation on (0, inf)."""
     _check_guard_band(phi.phi)
-    return _split_at_one(_exp_f(phi.phi), cfg)
+    return _split_at_one(_exp_f(phi.phi), tol)
 
 
-def quad_unit_eval(phi, cfg=DEFAULT_CONFIG):
+def quad_unit_eval(phi, tol=TOL):
     """I(phi) by tanh-sinh straight on the unit-interval representation."""
     _check_guard_band(phi.phi)
-    return _tanh_sinh(_unit_f(phi.phi), 0.0, 1.0, cfg)
+    return _tanh_sinh(_unit_f(phi.phi), 0.0, 1.0, tol)
 
 
 def _tan_f(y, da, db):
@@ -230,12 +220,12 @@ def integrand_tan(y):
     return _tan_f(y, y - math.pi / 4, math.pi / 2 - y)
 
 
-def quad_tan_form(cfg=DEFAULT_CONFIG):
+def quad_tan_form(tol=TOL):
     """Vardi's tangent form: integral_{pi/4}^{pi/2} ln ln tan y dy."""
-    return _tanh_sinh(_tan_f, math.pi / 4, math.pi / 2, cfg)
+    return _tanh_sinh(_tan_f, math.pi / 4, math.pi / 2, tol)
 
 
-def quad_jn(n, cfg=DEFAULT_CONFIG):
+def quad_jn(n, tol=TOL):
     """J_n = integral_0^1 x^n ln ln(1/x) dx, via the e^{-(n+1)u} ln u form."""
     if n < 0:
         raise DomainError("n must be >= 0")
@@ -244,4 +234,4 @@ def quad_jn(n, cfg=DEFAULT_CONFIG):
     def f(u, da, db):
         return math.exp(-k * u) * math.log(u)
 
-    return _split_at_one(f, cfg)
+    return _split_at_one(f, tol)

@@ -12,36 +12,22 @@ import math
 from dataclasses import dataclass
 
 from . import kernels
-from .acceleration import accelerated_limit
-from .domain import Angle, Evaluation, Method
+from .acceleration import WINDOW, accelerated_limit
+from .domain import Evaluation, Method, require_tol
 from .errors import DomainError, NonConvergenceError, ZeroAngleError
-from .special_functions import EULER_GAMMA
+from .special_functions import EPS, EULER_GAMMA
 
 # |phi| band inside which series_eval advertises its default tolerance; the
 # alternating structure degrades towards |phi| = pi and the error estimate
 # is widened instead of failing hard.
 SERIES_BAND = 2.9
 
-# Terms summed before the first accelerated limit; N then doubles.
+# Terms summed before the first accelerated limit; N then doubles to MAX_TERMS.
 FIRST_TERMS = 64
+MAX_TERMS = 2000
 
-
-@dataclass(frozen=True)
-class SeriesConfig:
-    max_terms: int = 2000
-    accel_depth: int = 16
-    tail_tol: float = 1e-9
-
-    def __post_init__(self):
-        if not 0 <= self.accel_depth <= 30:
-            raise ValueError("accel_depth must be in [0, 30]")
-        if self.max_terms < self.accel_depth + 2:
-            raise ValueError("max_terms must be >= accel_depth + 2")
-        if not self.tail_tol > 0.0:
-            raise ValueError("tail_tol must be positive")
-
-
-DEFAULT_CONFIG = SeriesConfig()
+# Default bound on the estimated error of the log-sine sum.
+TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -76,69 +62,63 @@ def j_n(n):
     return -(EULER_GAMMA + math.log(n + 1)) / (n + 1)
 
 
-def _window(cfg):
-    return cfg.accel_depth + 24
-
-
-def sawtooth_partial(phi, n_terms, accel_depth=0):
+def sawtooth_partial(phi, n_terms, accel=True):
     """Partial sum of sum_{n>=1} (-1)^{n+1} sin(n phi)/n (limit: phi/2).
 
-    accel_depth = 0 returns the raw N-term partial sum; a positive depth
-    applies the Euler averaging to the trailing partial sums.
+    With accel, the Euler averaging is applied to the trailing partial sums;
+    without, the raw N-term partial sum is returned.
     """
     p = phi.phi
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")
     theta = p + math.pi
-    if accel_depth == 0:
+    if not accel:
         s = kernels.recip_sine_partials(theta, n_terms, 1)[-1]
         return -s.imag
-    window = min(n_terms, accel_depth + 24)
-    partials = kernels.recip_sine_partials(theta, n_terms, window)
-    value, _, _ = accelerated_limit(partials, cmath.exp(1j * theta), accel_depth)
+    partials = kernels.recip_sine_partials(theta, n_terms, WINDOW)
+    value, _, _ = accelerated_limit(partials, cmath.exp(1j * theta))
     return -value.imag
 
 
 def _accumulation_noise(n_terms):
     """Rounding noise of the raw partial sums: eps * sum_{n<=N} |ln n / n|."""
-    return 2.3e-16 * 0.5 * math.log(n_terms) ** 2
+    return EPS * 0.5 * math.log(n_terms) ** 2
 
 
-def _log_sine_sum_impl(phi, cfg):
+def _log_sine_sum_impl(phi, tol):
     """Accelerated log-sine sum with adaptive N: (value, est_error, terms).
 
-    Starts at N = FIRST_TERMS and doubles N up to cfg.max_terms, resuming the
+    Starts at N = FIRST_TERMS and doubles N up to MAX_TERMS, resuming the
     partial sums where the previous N stopped, until the imaginary parts of
     two successive accelerated limits agree to within the error estimate at
     N: the accelerator's own plus the rounding noise of the partial sums.
     """
+    _require_regular(phi)
+    require_tol(tol)
     theta = phi.phi + math.pi
     z = cmath.exp(1j * theta)
-    window = _window(cfg)
-    n = min(FIRST_TERMS, cfg.max_terms)
-    partials = kernels.log_sine_partials(theta, n, window)
-    value, est, _ = accelerated_limit(partials, z, cfg.accel_depth)
+    n = FIRST_TERMS
+    partials = kernels.log_sine_partials(theta, n, WINDOW)
+    value, est, _ = accelerated_limit(partials, z)
     delta = 0.0
-    while n < cfg.max_terms:
-        last, n = n, min(2 * n, cfg.max_terms)
-        fresh = kernels.log_sine_partials(theta, n, window, last, partials[-1])
-        # a step shorter than the window keeps the newest earlier partials
-        partials = (partials + fresh)[-window:]
+    while n < MAX_TERMS:
+        last, n = n, min(2 * n, MAX_TERMS)
+        # a step adds >= FIRST_TERMS >= WINDOW terms: the new partials fill the window
+        partials = kernels.log_sine_partials(theta, n, WINDOW, last, partials[-1])
         prev = value
-        value, est, _ = accelerated_limit(partials, z, cfg.accel_depth)
+        value, est, _ = accelerated_limit(partials, z)
         delta = abs(value.imag - prev.imag)
         if delta <= est + _accumulation_noise(n):
             break
     return value.imag, max(est, delta) + _accumulation_noise(n), n
 
 
-def log_sine_sum(phi, cfg=DEFAULT_CONFIG):
+def log_sine_sum(phi, tol=TOL):
     """Accelerated value of sum_{n>=2} (-1)^n ln n sin(n phi)/n."""
-    _require_regular(phi)
-    value, est, _ = _log_sine_sum_impl(phi, cfg)
-    if est > cfg.tail_tol:
+    value, est, _ = _log_sine_sum_impl(phi, tol)
+    if est > tol:
         raise NonConvergenceError(
-            f"log-sine series did not reach tail_tol={cfg.tail_tol} "
+            f"log-sine series did not reach tol={tol} "
             f"(estimated error {est:.3e})",
             best_estimate=value,
             est_error=est,
@@ -146,12 +126,11 @@ def log_sine_sum(phi, cfg=DEFAULT_CONFIG):
     return value
 
 
-def series_eval(phi, cfg=DEFAULT_CONFIG):
+def series_eval(phi, tol=TOL):
     """I(phi) assembled from the sawtooth constant and the log-sine series."""
-    _require_regular(phi)
     p = phi.phi
-    tail, est, work = _log_sine_sum_impl(phi, cfg)
-    if est > cfg.tail_tol and abs(p) <= SERIES_BAND:
+    tail, est, work = _log_sine_sum_impl(phi, tol)
+    if est > tol and abs(p) <= SERIES_BAND:
         raise NonConvergenceError(
             f"series route did not converge at phi={p!r} "
             f"(estimated error {est:.3e})",

@@ -15,6 +15,11 @@ PI = math.pi
 LN_PI = math.log(math.pi)
 LN_TWO_PI = math.log(2.0 * math.pi)
 
+EPS = 2.3e-16  # binary64 machine epsilon 2**-52, rounded up: the error estimates' ulp
+
+# pi - float(pi): the low half of a two-float split of pi
+_PI_LO = 1.2246467991473532e-16
+
 # Lanczos coefficients for g = 7, n = 9 (Godfrey's set, as used by Boost
 # and the GSL).  Relative accuracy of the rational part is ~1e-15.
 _LANCZOS_G = 7.0
@@ -84,6 +89,13 @@ def digamma(x):
         tail += c * p
         p *= inv2
     return acc + math.log(x) - 0.5 / x - tail
+
+
+def gamma_gap(phi):
+    """1/2 - |phi|/(2 pi) = (pi - |phi|)/(2 pi), to full relative accuracy as
+    |phi| -> pi: pi - |phi| is exact there (Sterbenz), and _PI_LO restores the
+    part of pi that the float pi lacks; 0.5 - |phi|/(2 pi) would cancel."""
+    return ((PI - abs(phi)) + _PI_LO) / (2.0 * PI)
 
 
 def reflection_product(t):

@@ -28,12 +28,6 @@ DEFAULT_GRID = sorted(
        for v in (0.1, 0.5, math.pi / 3, 1.2, math.pi / 2, 2.0, 2 * math.pi / 3, 2.9)]
 )
 
-_SPECIAL_ANGLES = {
-    SpecialCase.PI_OVER_2: math.pi / 2,
-    SpecialCase.PI_OVER_3: math.pi / 3,
-    SpecialCase.TWO_PI_OVER_3: 2 * math.pi / 3,
-}
-
 
 @dataclass(frozen=True)
 class CheckRecord:
@@ -106,12 +100,12 @@ def _checks_repr(tol_closed_quad):
 
 def _checks_special(tol_closed_quad):
     out = []
-    for case, p in _SPECIAL_ANGLES.items():
+    for case in SpecialCase:
         sv = special_value(case).value
         out.append(_rec(f"special_vs_closed[{case.name}]", sv,
-                        malmsten_closed(Angle(p)).value, 1e-12))
+                        malmsten_closed(Angle(case.value)).value, 1e-12))
         out.append(_rec(f"special_vs_quad[{case.name}]", sv,
-                        quad_eval(Angle(p)).value, tol_closed_quad))
+                        quad_eval(Angle(case.value)).value, tol_closed_quad))
     form_a, form_b = two_pi_over_3_forms()
     out.append(_rec("two_pi_over_3_printed_forms", form_a, form_b, 1e-12))
     return out
@@ -191,7 +185,7 @@ def _checks_sawtooth():
     for p in DEFAULT_GRID:
         if abs(p) > 2.9:
             continue
-        s = sawtooth_partial(Angle(p), 200, accel_depth=16)
+        s = sawtooth_partial(Angle(p), 200)
         out.append(_rec(f"sawtooth_vs_half_phi[phi={_fmt(p)}]", s, p / 2.0, 1e-8))
     return out
 

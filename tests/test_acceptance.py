@@ -123,7 +123,7 @@ def test_criterion_06_inner_integrals(capsys):
 def test_criterion_07_sawtooth(capsys):
     band = [p for p in DEFAULT_GRID if abs(p) <= 2.9]
     worst = max(
-        abs(sawtooth_partial(Angle(p), 200, accel_depth=16) - p / 2.0) for p in band
+        abs(sawtooth_partial(Angle(p), 200) - p / 2.0) for p in band
     )
     _report(capsys, 7, worst <= 1e-8,
             f"sawtooth series, 200 terms accelerated: max |S - phi/2| "

@@ -9,6 +9,7 @@ import pytest
 
 from malmsten import Angle, Method, evaluate
 from malmsten.cli import main, parse_phi
+from malmsten.errors import DomainError
 
 FROZEN_PI_OVER_2 = -0.26044280630098844554
 FROZEN_ZERO_LIMIT = -0.06281647980603899794
@@ -34,8 +35,6 @@ def test_parse_phi(expr, expected):
 
 @pytest.mark.parametrize("bad", ["pi/0", "phi", "2pi", "pi/2/3", ""])
 def test_parse_phi_rejects(bad):
-    from malmsten.errors import DomainError
-
     with pytest.raises(DomainError):
         parse_phi(bad)
 
@@ -65,8 +64,6 @@ def test_eval_zero_angle_falls_back_to_limit(capsys, method):
 
 
 def test_evaluate_rejects_unknown_method_at_zero_angle():
-    from malmsten.errors import DomainError
-
     with pytest.raises(DomainError):
         evaluate(Angle(0.0), "bogus")
 
@@ -99,6 +96,15 @@ def test_eval_quad_tan(capsys):
 ])
 def test_eval_domain_errors_exit_2(capsys, argv):
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-9", "inf", "nan"])
+@pytest.mark.parametrize("method", ["series", "quad", "quad-unit"])
+def test_eval_rejects_a_tol_that_is_not_finite_and_positive(capsys, method, tol):
+    assert main(["eval", "--phi", "1", "--method", method, f"--tol={tol}"]) == 2
+    assert "tol must be finite and > 0" in capsys.readouterr().err
+    with pytest.raises(DomainError):
+        evaluate(Angle(1.0), method, float(tol))
 
 
 def test_eval_nonconvergence_exit_3(capsys):

@@ -83,6 +83,9 @@ def test_zero_threshold_redirect():
         malmsten_closed(Angle(1e-9))
     with pytest.raises(ZeroAngleError):
         malmsten_closed(Angle(0.0))
+    # and the limit, which carries only the phi^2 term, serves ZERO angles alone
+    with pytest.raises(DomainError):
+        zero_limit(Angle(1e-6))
 
 
 @pytest.mark.parametrize("bad", [math.pi, -math.pi, 3.5, -10.0, math.inf])

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from malmsten import _kernels_py
-from malmsten.acceleration import accelerated_limit, effective_depth
+from malmsten.acceleration import DEPTH, accelerated_limit, effective_depth
 from malmsten.kernels import BACKEND
 
 try:
@@ -90,18 +90,18 @@ def test_raw_partial_sums_converge_slowly():
 
 def test_effective_depth_caps_near_unit_gap():
     # as z -> 1 the averaging amplifies noise and the depth must collapse
-    deep = effective_depth(cmath.exp(1j * (math.pi / 2)), 16, 100)
-    shallow = effective_depth(cmath.exp(1j * 0.01), 16, 100)
-    assert deep == 16
+    deep = effective_depth(cmath.exp(1j * (math.pi / 2)), 100)
+    shallow = effective_depth(cmath.exp(1j * 0.01), 100)
+    assert deep == DEPTH == 16
     assert shallow < 4
-    assert effective_depth(1.0 + 0.0j, 16, 100) == 1
+    assert effective_depth(1.0 + 0.0j, 100) == 1
 
 
 def test_accelerated_limit_reports_wider_error_near_gap():
     theta = 0.05  # z close to 1: little acceleration is possible
     partials = _kernels_py.log_sine_partials(theta, 2000, 40)
-    _, est_narrow, depth = accelerated_limit(partials, cmath.exp(1j * theta), 16)
-    assert depth < 16
+    _, est_narrow, depth = accelerated_limit(partials, cmath.exp(1j * theta))
+    assert depth < DEPTH
     assert est_narrow > 1e-10
 
 

@@ -11,7 +11,6 @@ from malmsten.domain import Angle
 from malmsten.errors import DomainError
 from malmsten.quadrature import (
     GUARD_BAND,
-    QuadConfig,
     integrand_exp,
     integrand_tan,
     integrand_unit,
@@ -89,10 +88,10 @@ def test_representations_agree():
 
 
 def test_error_estimate_is_honest():
-    deep = QuadConfig(abs_tol=1e-14, rel_tol=1e-14, max_level=12)
     for p in (0.0, 0.5, 2.0, 2.9):
         r = quad_eval(Angle(p))
-        refined = quad_eval(Angle(p), deep)
+        refined = quad_eval(Angle(p), 1e-14)
+        assert refined.converged
         assert r.est_error > 0.0
         assert abs(r.value - refined.value) <= 10.0 * r.est_error
 
@@ -134,15 +133,20 @@ def test_quad_jn_domain():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"abs_tol": 0.0},
-        {"rel_tol": -1e-12},
-        {"max_level": 0},
-        {"max_level": 15},
+        {"tol": 0.0},
+        {"tol": -1e-12},
+        {"tol": math.inf},
+        {"tol": math.nan},
     ],
 )
 def test_config_validation(kwargs):
-    with pytest.raises(ValueError):
-        QuadConfig(**kwargs)
+    # the tolerance is the quadrature's one setting, checked by every route
+    with pytest.raises(DomainError):
+        quad_eval(Angle(1.0), **kwargs)
+    with pytest.raises(DomainError):
+        quad_unit_eval(Angle(1.0), **kwargs)
+    with pytest.raises(DomainError):
+        quad_tan_form(**kwargs)
 
 
 def test_result_metadata():

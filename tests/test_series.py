@@ -1,22 +1,19 @@
 """Tests for the Cauchy-product series route: coefficients, inner
 integrals, the sawtooth series, and the accelerated full evaluation."""
 
-import cmath
 import math
 import random
 
 import mpmath
 import pytest
+from test_oracle import oracle
 
-from malmsten import kernels
-from malmsten.acceleration import accelerated_limit
 from malmsten.closed_form import malmsten_closed
 from malmsten.domain import Angle, Method
 from malmsten.errors import DomainError, NonConvergenceError, ZeroAngleError
 from malmsten.series import (
-    DEFAULT_CONFIG,
+    MAX_TERMS,
     SERIES_BAND,
-    SeriesConfig,
     coeff_a,
     j_n,
     log_sine_sum,
@@ -71,13 +68,13 @@ def test_jn_closed_values():
 
 @pytest.mark.parametrize("phi", GRID)
 def test_sawtooth_accelerated(phi):
-    s = sawtooth_partial(Angle(phi), 200, accel_depth=16)
+    s = sawtooth_partial(Angle(phi), 200)
     assert abs(s - phi / 2.0) <= 1e-8
 
 
 def test_sawtooth_raw_misses():
     # 200 raw terms of the conditionally convergent sum are nowhere near 1e-8
-    raw = sawtooth_partial(Angle(math.pi / 2), 200, accel_depth=0)
+    raw = sawtooth_partial(Angle(math.pi / 2), 200, accel=False)
     assert abs(raw - math.pi / 4.0) > 1e-4
 
 
@@ -109,9 +106,8 @@ def test_series_error_estimate_is_honest():
 
 
 def test_series_nonconvergence_carries_best_estimate():
-    cfg = SeriesConfig(tail_tol=1e-16)
     with pytest.raises(NonConvergenceError) as exc_info:
-        series_eval(Angle(2.0), cfg)
+        series_eval(Angle(2.0), 1e-16)
     err = exc_info.value
     truth = malmsten_closed(Angle(2.0)).value
     assert abs(err.best_estimate - truth) <= 1e-7
@@ -120,7 +116,7 @@ def test_series_nonconvergence_carries_best_estimate():
 
 def test_log_sine_sum_nonconvergence_carries_best_estimate():
     with pytest.raises(NonConvergenceError) as exc_info:
-        log_sine_sum(Angle(2.0), SeriesConfig(tail_tol=1e-16))
+        log_sine_sum(Angle(2.0), 1e-16)
     err = exc_info.value
     expected = (math.sin(2.0) * malmsten_closed(Angle(2.0)).value
                 + 0.5 * EULER_GAMMA * 2.0)
@@ -131,36 +127,11 @@ def test_log_sine_sum_nonconvergence_carries_best_estimate():
 @pytest.mark.parametrize("phi", [0.5, 2.0])
 def test_series_work_adapts_to_the_angle(phi):
     ev = series_eval(Angle(phi))
-    assert ev.work <= DEFAULT_CONFIG.max_terms // 4
+    assert ev.work <= MAX_TERMS // 4
 
 
 def test_series_work_reaches_the_cap_near_pi():
-    assert series_eval(Angle(3.05)).work == DEFAULT_CONFIG.max_terms
-
-
-@pytest.mark.parametrize("max_terms", [100, 18])
-def test_series_honours_caps_off_the_doubling_ladder(max_terms):
-    # 100 is reached from 64 by a step shorter than the averaging window;
-    # 18 = accel_depth + 2 is the smallest cap the config accepts
-    cfg = SeriesConfig(max_terms=max_terms, accel_depth=16, tail_tol=1.0)
-    phi = Angle(2.0)
-    ev = series_eval(phi, cfg)
-    assert ev.work == max_terms
-    assert abs(ev.value - malmsten_closed(phi).value) <= ev.est_error
-    theta = 2.0 + math.pi
-    partials = kernels.log_sine_partials(theta, max_terms, 40)
-    one_shot, _, _ = accelerated_limit(partials, cmath.exp(1j * theta), 16)
-    assert log_sine_sum(phi, cfg) == one_shot.imag
-
-
-def _oracle(phi):
-    with mpmath.workdps(40):
-        p = mpmath.mpf(phi)
-        t = p / (2 * mpmath.pi)
-        return (mpmath.pi / (2 * mpmath.sin(p))) * (
-            2 * t * mpmath.log(2 * mpmath.pi)
-            + mpmath.loggamma(mpmath.mpf(0.5) + t)
-            - mpmath.loggamma(mpmath.mpf(0.5) - t))
+    assert series_eval(Angle(3.05)).work == MAX_TERMS
 
 
 @pytest.mark.parametrize("phi", GRID + [2.36, -2.36])
@@ -169,7 +140,7 @@ def test_series_error_estimate_holds_against_mpmath(phi):
     # terms raised NonConvergenceError
     ev = series_eval(Angle(phi))
     with mpmath.workdps(40):
-        err = abs(mpmath.mpf(ev.value) - _oracle(phi))
+        err = abs(mpmath.mpf(ev.value) - oracle(phi))
     assert err <= ev.est_error
 
 
@@ -191,13 +162,16 @@ def test_series_zero_angle():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"accel_depth": 31},
-        {"accel_depth": -1},
-        {"max_terms": 5, "accel_depth": 16},
-        {"tail_tol": 0.0},
-        {"tail_tol": -1e-9},
+        {"tol": 0.0},
+        {"tol": -1e-9},
+        {"tol": -math.inf},
+        {"tol": math.inf},
+        {"tol": math.nan},
     ],
 )
 def test_config_validation(kwargs):
-    with pytest.raises(ValueError):
-        SeriesConfig(**kwargs)
+    # the tolerance is the series engine's one setting
+    with pytest.raises(DomainError):
+        series_eval(Angle(1.0), **kwargs)
+    with pytest.raises(DomainError):
+        log_sine_sum(Angle(1.0), **kwargs)
