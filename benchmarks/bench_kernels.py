@@ -1,8 +1,13 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled summation kernels against the pure-Python fallback.
+"""Benchmark the compiled summation kernels against the pure-Python fallback,
+and the quadrature routes with cold and warm node tables.
 
 Times the two hot loops behind every series-route evaluation: generation of
 windowed complex partial sums and the phase-weighted averaging cascade.
+Then times quad_eval and quad_unit_eval per point, once with the node tables
+emptied before each call (cold) and once with them filled (warm): the gap is
+the cost of generating the nodes, the warm time that of the integrand calls
+and the level driver.
 
 Usage: python benchmarks/bench_kernels.py [--terms N] [--repeat R]
 """
@@ -12,7 +17,8 @@ import cmath
 import math
 import timeit
 
-from malmsten import _kernels_py
+from malmsten import _kernels_py, quadrature
+from malmsten.domain import Angle
 
 try:
     from malmsten import _kernels_cy
@@ -24,6 +30,24 @@ def bench(label, fn, repeat):
     best = min(timeit.repeat(fn, number=1, repeat=repeat))
     print(f"  {label:<28} {best * 1e3:9.3f} ms")
     return best
+
+
+def bench_quadrature(repeat):
+    print("quadrature: us per point with empty (cold) and filled (warm) node tables")
+    for name, route in (("quad_eval", quadrature.quad_eval),
+                        ("quad_unit_eval", quadrature.quad_unit_eval)):
+        for phi in (0.5, 2.0, 2.9):
+            angle = Angle(phi)
+
+            def cold(route=route, angle=angle):
+                quadrature._NODES.clear()
+                route(angle)
+
+            t_cold = min(timeit.repeat(cold, number=1, repeat=repeat))
+            t_warm = min(timeit.repeat(lambda: route(angle), number=1, repeat=repeat))
+            nodes = route(angle).nodes
+            print(f"  {name:<15} phi={phi:<4} nodes={nodes:<4}"
+                  f" cold {t_cold * 1e6:8.1f} us  warm {t_warm * 1e6:8.1f} us")
 
 
 def main():
@@ -65,6 +89,8 @@ def main():
         sp = results["python"][0] / results["cython"][0]
         sa = results["python"][1] / results["cython"][1]
         print(f"speedup: partial sums x{sp:.1f}, averaging x{sa:.1f}")
+
+    bench_quadrature(args.repeat)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 import math
 
 from .closed_form import malmsten_closed, zero_limit
-from .domain import Evaluation, Method
+from .domain import Evaluation, Method, require_tol
 from .errors import DomainError, NonConvergenceError
 from .kummer import kummer_closed_eval
 from .quadrature import quad_eval, quad_tan_form, quad_unit_eval
@@ -22,9 +22,13 @@ def _quad_to_evaluation(angle, result, method):
 
 def evaluate(angle, method, tol=None):
     """I(phi) at `angle` by the route named `method`, e.g. "quad-unit"; `tol`, if
-    given, replaces the series or quadrature route's tolerance.  ZERO angles
-    route to zero_limit for the non-quadrature methods."""
-    given = {} if tol is None else {"tol": tol}
+    given, replaces the series or quadrature route's tolerance, and is checked
+    whatever the route.  ZERO angles route to zero_limit for the
+    non-quadrature methods."""
+    given = {}
+    if tol is not None:
+        require_tol(tol)
+        given["tol"] = tol
     if method == "quad":
         return _quad_to_evaluation(angle, quad_eval(angle, **given), Method.QUAD)
     if method == "quad-unit":

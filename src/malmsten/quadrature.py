@@ -8,10 +8,24 @@ tanh-sinh straight to ln ln(1/x) on (0, 1) as a structurally different
 second oracle.  Node count doubles per level; termination when two
 successive levels agree within `tol` (absolute or relative), est_error =
 last inter-level delta.  Node sums use math.fsum (compensated accumulation).
+
+Node tables.  The abscissae and weights do not depend on phi, so each node
+is computed once per process and kept in `_NODES`, keyed by transform and
+interval: ("ts", a, b) for tanh-sinh on (a, b), ("es", a) for exp-sinh on
+(a, inf).  A table holds the centre node and, per level and per sign of t,
+one strip: that level's nodes in order of j, each a tuple (weight, x,
+dist_a, dist_b), ended by None where the transform leaves representable
+range.  A strip grows by one node only when an evaluation walks past its
+stored end, so no node is computed that no evaluation asked for, and under
+a lock, so no node is computed twice and no reader sees a part-built node.
+Every angle, route and tolerance reads the same tables, and a node's value
+does not depend on which evaluation stored it, so neither does a result.
 """
 
 import math
+import threading
 from dataclasses import dataclass
+from functools import partial
 
 from .domain import require_tol
 from .errors import DomainError, InternalInconsistencyError
@@ -27,6 +41,10 @@ MAX_LEVEL = 10
 _T_MAX = 6.5
 _Q_MIN = 1e-280
 
+# key -> (centre node, [(strip for t > 0, strip for t < 0) per level])
+_NODES = {}
+_NODES_LOCK = threading.Lock()
+
 
 @dataclass(frozen=True)
 class QuadResult:
@@ -36,122 +54,162 @@ class QuadResult:
     converged: bool
 
 
-def _refine_levels(node_term, tol):
+def _node_table(key, node):
+    table = _NODES.get(key)
+    if table is None:
+        with _NODES_LOCK:
+            table = _NODES.get(key)
+            if table is None:
+                table = (node(0.0), [([], []) for _ in range(MAX_LEVEL + 1)])
+                _NODES[key] = table
+    return table
+
+
+def _grow(strip, n, node, sign, h, step_j):
+    """Store node n of a strip (None past its end), unless already stored."""
+    with _NODES_LOCK:
+        if len(strip) == n:
+            j = 1 + n * step_j
+            strip.append(node(sign * j * h) if j * h <= _T_MAX else None)
+
+
+def _refine_levels(key, node, f, tol):
     """Shared level driver: trapezoid in t, node doubling per level.
 
-    node_term(t) returns the weighted integrand value at abscissa t, or
-    None once the transform has pushed the node past representable range.
+    node(t) returns the phi-free (weight, x, dist_a, dist_b) at abscissa t,
+    or None once the transform has pushed the node past representable
+    range; each node's term is weight * f(x, dist_a, dist_b).  The nodes
+    are read from the table stored under `key`, computed there on first use.
     """
     require_tol(tol)
-    terms = [node_term(0.0)]
-    nodes = 1
+    centre, strips = _node_table(key, node)
+    weight, x, da, db = centre
+    terms = [weight * f(x, da, db)]
 
-    def add_strip(h, step_j):
-        nonlocal nodes
-        scale = max(abs(math.fsum(terms)), 1.0)
-        for sign in (1.0, -1.0):
+    def add_strip(level, h, step_j, total):
+        scale = max(abs(total), 1.0)
+        for sign, strip in zip((1.0, -1.0), strips[level]):
             small = 0
-            j = 1
-            while j * h <= _T_MAX:
-                v = node_term(sign * j * h)
-                if v is None:
-                    break
-                terms.append(v)
-                nodes += 1
-                if abs(v) <= 1e-20 * scale:
-                    small += 1
-                    if small >= 2:
+            first = len(terms)
+            stored = strip
+            while True:
+                for entry in stored:
+                    if entry is None:
                         break
+                    weight, x, da, db = entry
+                    v = weight * f(x, da, db)
+                    terms.append(v)
+                    if abs(v) <= 1e-20 * scale:
+                        small += 1
+                        if small >= 2:
+                            break
+                    else:
+                        small = 0
                 else:
-                    small = 0
-                j += step_j
+                    # walked past the stored end: store the next node, go on
+                    n = len(terms) - first
+                    _grow(strip, n, node, sign, h, step_j)
+                    stored = strip[n:]
+                    continue
+                break
 
+    # one fsum per level serves both that level's value and the next scale
     h = 1.0
-    add_strip(h, 1)
-    value = h * math.fsum(terms)
+    add_strip(0, h, 1, terms[0])
+    total = math.fsum(terms)
+    value = h * total
     est = math.inf
-    for _ in range(MAX_LEVEL):
+    for level in range(1, MAX_LEVEL + 1):
         h *= 0.5
-        add_strip(h, 2)
-        new_value = h * math.fsum(terms)
+        add_strip(level, h, 2, total)
+        total = math.fsum(terms)
+        new_value = h * total
         est = abs(new_value - value)
         value = new_value
         if est <= max(tol, tol * abs(value)):
             # never report below ~1 ulp of the value; deeper refinement can
             # still move the last bit even when the inter-level delta is 0
             est = max(est, EPS * max(1.0, abs(value)))
-            return QuadResult(value, est, nodes, True)
-    return QuadResult(value, est, nodes, False)
+            return QuadResult(value, est, len(terms), True)
+    return QuadResult(value, est, len(terms), False)
+
+
+def _tanh_sinh_node(a, b, t):
+    width = b - a
+    g = 0.5 * math.pi * math.sinh(abs(t))
+    if g > 320.0:
+        return None
+    q = math.exp(-2.0 * g)
+    if q < _Q_MIN:
+        return None
+    w = 0.5 * math.pi * math.cosh(t) * 4.0 * q / ((1.0 + q) * (1.0 + q))
+    near = width * q / (1.0 + q)
+    far = width - near
+    if t >= 0.0:
+        return 0.5 * width * w, b - near, far, near
+    return 0.5 * width * w, a + near, near, far
 
 
 def _tanh_sinh(f, a, b, tol):
     """Tanh-sinh on (a, b); f is called as f(x, dist_a, dist_b)."""
-    width = b - a
+    return _refine_levels(("ts", a, b), partial(_tanh_sinh_node, a, b), f, tol)
 
-    def node_term(t):
-        g = 0.5 * math.pi * math.sinh(abs(t))
-        if g > 320.0:
-            return None
-        q = math.exp(-2.0 * g)
-        if q < _Q_MIN:
-            return None
-        w = 0.5 * math.pi * math.cosh(t) * 4.0 * q / ((1.0 + q) * (1.0 + q))
-        near = width * q / (1.0 + q)
-        far = width - near
-        if t >= 0.0:
-            x, da, db = b - near, far, near
-        else:
-            x, da, db = a + near, near, far
-        return 0.5 * width * w * f(x, da, db)
 
-    return _refine_levels(node_term, tol)
+def _exp_sinh_node(a, t):
+    g = 0.5 * math.pi * math.sinh(t)
+    if g > 690.0:
+        return None
+    eg = math.exp(g)
+    if eg < _Q_MIN:
+        return None
+    return 0.5 * math.pi * math.cosh(t) * eg, a + eg, eg, None
 
 
 def _exp_sinh(f, a, tol):
     """Exp-sinh on (a, inf); f is called as f(x, dist_a, None)."""
+    return _refine_levels(("es", a), partial(_exp_sinh_node, a), f, tol)
 
-    def node_term(t):
-        g = 0.5 * math.pi * math.sinh(t)
-        if g > 690.0:
-            return None
-        eg = math.exp(g)
-        if eg < _Q_MIN:
-            return None
-        w = 0.5 * math.pi * math.cosh(t) * eg
-        return w * f(a + eg, eg, None)
 
-    return _refine_levels(node_term, tol)
+def _denominator_parts(phi_val):
+    """cos(phi), sin(phi)^2 and 1 + cos(phi), for both integrands.
+
+    Both write 1 + 2 y cos(phi) + y^2 as (y + cos phi)^2 + sin^2 phi, with
+    y = x or e^{-u}.  Where cos(phi) < -0.5, y + cos(phi) loses digits, so
+    each regroups it as (1 + cos phi) - (1 - y), with 1 + cos(phi) formed
+    here from the half angle and 1 - y from its own endpoint distance.  The
+    denominator stays inline in each integrand: it runs once per node.
+    """
+    return math.cos(phi_val), math.sin(phi_val) ** 2, 2.0 * math.cos(0.5 * phi_val) ** 2
+
+
+def _denominator_error(den, at):
+    return InternalInconsistencyError(f"integrand denominator {den!r} at {at}")
 
 
 def _unit_f(phi_val):
-    c = math.cos(phi_val)
-    s2 = math.sin(phi_val) ** 2
-    one_plus_c = 2.0 * math.cos(0.5 * phi_val) ** 2
+    c, s2, one_plus_c = _denominator_parts(phi_val)
 
     def f(x, da, db):
         # ln(1/x) near x = 1 via log1p of the endpoint distance
         inner = -math.log1p(-db) if x > 0.5 else -math.log(da)
-        # x + cos(phi) loses digits when cos(phi) ~ -1; regroup via 1 + cos(phi)
         xc = one_plus_c - db if c < -0.5 else x + c
         den = xc * xc + s2
         if not den > 0.0:
-            raise InternalInconsistencyError(f"integrand denominator {den!r} at x = {x!r}")
+            raise _denominator_error(den, f"x = {x!r}")
         return math.log(inner) / den
 
     return f
 
 
 def _exp_f(phi_val):
-    c = math.cos(phi_val)
-    s2 = math.sin(phi_val) ** 2
-    one_plus_c = 2.0 * math.cos(0.5 * phi_val) ** 2
+    c, s2, one_plus_c = _denominator_parts(phi_val)
 
     def f(u, da, db):
         e = math.exp(-u)
         ec = math.expm1(-u) + one_plus_c if c < -0.5 else e + c
         den = ec * ec + s2
         if not den > 0.0:
-            raise InternalInconsistencyError(f"integrand denominator {den!r} at u = {u!r}")
+            raise _denominator_error(den, f"u = {u!r}")
         return e * math.log(u) / den
 
     return f

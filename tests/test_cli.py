@@ -107,6 +107,16 @@ def test_eval_rejects_a_tol_that_is_not_finite_and_positive(capsys, method, tol)
         evaluate(Angle(1.0), method, float(tol))
 
 
+@pytest.mark.parametrize("tol", ["0", "inf", "nan"])
+@pytest.mark.parametrize("method", ["closed", "series", "kummer"])
+def test_eval_rejects_a_bad_tol_at_a_zero_angle(capsys, method, tol):
+    # a ZERO angle is served by zero_limit, but the tolerance is still checked
+    assert main(["eval", "--phi", "0", "--method", method, f"--tol={tol}"]) == 2
+    assert "tol must be finite and > 0" in capsys.readouterr().err
+    with pytest.raises(DomainError):
+        evaluate(Angle(0.0), method, float(tol))
+
+
 def test_eval_nonconvergence_exit_3(capsys):
     assert main(["eval", "--phi", "2.0", "--method", "series",
                  "--tol", "1e-16"]) == 3

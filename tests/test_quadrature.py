@@ -1,12 +1,14 @@
 """Tests for the double-exponential quadrature oracle: both integral
-representations, the tangent form, the inner integrals, and the error
-estimate contract."""
+representations, the tangent form, the inner integrals, the error
+estimate contract, and the node tables shared by every evaluation."""
 
 import math
+import sys
+import threading
 
 import pytest
 
-from malmsten import evaluate
+from malmsten import evaluate, quadrature
 from malmsten.domain import Angle
 from malmsten.errors import DomainError
 from malmsten.quadrature import (
@@ -154,3 +156,129 @@ def test_result_metadata():
     assert r.nodes > 50
     assert r.converged
     assert r.est_error <= 1e-11
+
+
+# (value, est_error) as float.hex() and node count, from before the node
+# tables were added: the tables must leave every result bitwise unchanged
+FROZEN_HEX = {
+    ("quad", 0.5): ("-0x1.32d5f1b233fdcp-4", "0x1.092c04a82e8ccp-51", 305),
+    ("quad-unit", 0.5): ("-0x1.32d5f1b233fdcp-4", "0x1.092c04a82e8ccp-52", 132),
+    ("quad", 2.0): ("-0x1.1bb98c6f38cb4p-1", "0x1.092c04a82e8ccp-51", 305),
+    ("quad-unit", 2.0): ("-0x1.1bb98c6f38cb5p-1", "0x1.0000000000000p-51", 132),
+    ("quad", 2.9): ("-0x1.3ecd2369460c8p+3", "0x1.74c3826e44c82p-49", 407),
+    ("quad-unit", 2.9): ("-0x1.3ecd2369460c8p+3", "0x1.4a392ab6b4c00p-49", 245),
+    ("quad", -3.1): ("-0x1.e305697eb5a91p+6", "0x1.2084960254174p-43", 405),
+    ("quad-unit", -3.1): ("-0x1.e305697eb5a91p+6", "0x1.e000000000000p-43", 243),
+    ("quad-tan", None): ("-0x1.0ab184de2a327p-2", "0x1.8530000000000p-42", 72),
+    ("jn", 0): ("-0x1.2788cfc6fb618p-1", "0x1.092c04a82e8ccp-51", 305),
+    ("jn", 7): ("-0x1.540d57e5798fap-2", "0x1.42b40f09505d2p-45", 167),
+    ("jn", 20): ("-0x1.6134a88cbe7c2p-3", "0x1.208d9a6f14c00p-45", 125),
+}
+DEEP_PHI = math.pi - 1.0001e-3  # just inside the guard band: the deepest tables
+
+
+def _run(route, arg):
+    if route == "quad":
+        return quad_eval(Angle(arg))
+    if route == "quad-unit":
+        return quad_unit_eval(Angle(arg))
+    if route == "quad-tan":
+        return quad_tan_form()
+    return quad_jn(arg)
+
+
+def _bits(r):
+    return r.value.hex(), r.est_error.hex(), r.nodes
+
+
+@pytest.fixture
+def empty_tables():
+    quadrature._NODES.clear()
+    yield quadrature._NODES
+
+
+@pytest.fixture
+def node_calls(monkeypatch):
+    """Count the calls to the node functions behind the tables."""
+    calls = []
+    for name in ("_tanh_sinh_node", "_exp_sinh_node"):
+        original = getattr(quadrature, name)
+
+        def counted(*args, original=original):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(quadrature, name, counted)
+    return calls
+
+
+def _stored(tables):
+    # the centre node of each table, plus every stored strip entry
+    return sum(1 + sum(len(s) for pair in strips for s in pair)
+               for _, strips in tables.values())
+
+
+@pytest.mark.parametrize("key", sorted(FROZEN_HEX, key=repr))
+def test_frozen_bits(empty_tables, key):
+    # cold tables, then warm tables after the deepest evaluation
+    assert _bits(_run(*key)) == FROZEN_HEX[key]
+    quad_eval(Angle(DEEP_PHI))
+    quad_unit_eval(Angle(-DEEP_PHI))
+    assert _bits(_run(*key)) == FROZEN_HEX[key]
+
+
+def test_result_does_not_depend_on_evaluation_order(empty_tables):
+    first = [_bits(quad_eval(Angle(0.5))), _bits(quad_unit_eval(Angle(0.5)))]
+    deep = [_bits(quad_eval(Angle(DEEP_PHI))), _bits(quad_unit_eval(Angle(DEEP_PHI)))]
+    again = [_bits(quad_eval(Angle(0.5))), _bits(quad_unit_eval(Angle(0.5)))]
+    assert again == first
+    empty_tables.clear()
+    assert [_bits(quad_eval(Angle(DEEP_PHI))), _bits(quad_unit_eval(Angle(DEEP_PHI)))] == deep
+
+
+def test_each_node_is_computed_once(empty_tables, node_calls):
+    quad_eval(Angle(2.9))
+    quad_unit_eval(Angle(2.9))
+    computed = len(node_calls)
+    assert computed == _stored(empty_tables) > 0
+    # these reach no deeper level and no further along any strip
+    for route in (quad_eval, quad_unit_eval):
+        for p in (2.9, 0.5, -1.0):
+            route(Angle(p))
+    assert len(node_calls) == computed
+    # a deeper evaluation adds only the nodes it walks to
+    quad_eval(Angle(DEEP_PHI))
+    assert len(node_calls) == _stored(empty_tables) > computed
+    assert len(set(node_calls)) == len(node_calls)
+
+
+def test_tables_shared_by_threads(empty_tables, node_calls):
+    # threads that fill the same cold tables at once store each node once
+    # and see the same results as one thread
+    angles = [DEEP_PHI, 0.5, -2.9, 2.0, -DEEP_PHI, 1e-3]
+    expected = [_bits(quad_eval(Angle(p))) for p in angles]
+    n_threads = 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            empty_tables.clear()
+            node_calls.clear()
+            start = threading.Barrier(n_threads)
+            results = {}
+
+            def work(i):
+                start.wait()
+                results[i] = [_bits(quad_eval(Angle(p))) for p in angles[i:] + angles[:i]]
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+            assert not any(t.is_alive() for t in threads)
+            for i in range(n_threads):
+                assert results[i] == expected[i:] + expected[:i]
+            assert len(node_calls) == _stored(empty_tables)
+    finally:
+        sys.setswitchinterval(interval)
