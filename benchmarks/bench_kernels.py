@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled summation kernels against the pure-Python fallback,
-and the quadrature routes with cold and warm node tables.
+"""Benchmark the summation kernels, and the quadrature routes with cold and
+warm node tables.
 
 Times the two hot loops behind every series-route evaluation: generation of
 windowed complex partial sums and the phase-weighted averaging cascade.
@@ -17,19 +17,13 @@ import cmath
 import math
 import timeit
 
-from malmsten import _kernels_py, quadrature
+from malmsten import kernels, quadrature
 from malmsten.domain import Angle
-
-try:
-    from malmsten import _kernels_cy
-except ImportError:
-    _kernels_cy = None
 
 
 def bench(label, fn, repeat):
     best = min(timeit.repeat(fn, number=1, repeat=repeat))
     print(f"  {label:<28} {best * 1e3:9.3f} ms")
-    return best
 
 
 def bench_quadrature(repeat):
@@ -61,34 +55,20 @@ def main():
     window = 40
     depth = 16
 
-    backends = [("python", _kernels_py)]
-    if _kernels_cy is not None:
-        backends.append(("cython", _kernels_cy))
-    else:
-        print("cython extension not built; timing the fallback only")
-
-    results = {}
-    for name, mod in backends:
-        print(f"backend: {name}")
-        partials = mod.log_sine_partials(theta, args.terms, window)
-        t_part = bench(
-            f"log_sine_partials(N={args.terms})",
-            lambda m=mod: m.log_sine_partials(theta, args.terms, window),
-            args.repeat,
-        )
-        t_avg = bench(
-            f"weighted_average_limit(d={depth})",
-            lambda m=mod, p=partials: m.weighted_average_limit(p, z, depth),
-            args.repeat,
-        )
-        results[name] = (t_part, t_avg)
-        value, est = mod.weighted_average_limit(partials, z, depth)
-        print(f"  accelerated limit Im = {value.imag:.15f} (est {est:.2e})")
-
-    if len(results) == 2:
-        sp = results["python"][0] / results["cython"][0]
-        sa = results["python"][1] / results["cython"][1]
-        print(f"speedup: partial sums x{sp:.1f}, averaging x{sa:.1f}")
+    print("summation kernels: best time per call")
+    partials = kernels.log_sine_partials(theta, args.terms, window)
+    bench(
+        f"log_sine_partials(N={args.terms})",
+        lambda: kernels.log_sine_partials(theta, args.terms, window),
+        args.repeat,
+    )
+    bench(
+        f"weighted_average_limit(d={depth})",
+        lambda: kernels.weighted_average_limit(partials, z, depth),
+        args.repeat,
+    )
+    value, est = kernels.weighted_average_limit(partials, z, depth)
+    print(f"  accelerated limit Im = {value.imag:.15f} (est {est:.2e})")
 
     bench_quadrature(args.repeat)
 

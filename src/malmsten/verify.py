@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import kernels
 from .closed_form import SpecialCase, malmsten_closed, special_value, two_pi_over_3_forms, zero_limit
 from .dispatch import evaluate
-from .domain import Angle
+from .domain import Angle, require_tol
 from .kummer import derived_sum_identity, kummer_closed_eval, kummer_partial
 from .quadrature import quad_eval, quad_jn, quad_tan_form, quad_unit_eval
 from .series import coeff_a, j_n, sawtooth_partial, series_eval
@@ -267,6 +267,8 @@ def run_checks(only=None, tol_closed_quad=1e-10, tol_series=1e-8, tol_kummer=1e-
     unknown = set(selected) - set(GROUPS)
     if unknown:
         raise ValueError(f"unknown check group(s): {sorted(unknown)}")
+    for tol in (tol_closed_quad, tol_series, tol_kummer):
+        require_tol(tol)
     producers = {
         "closed_quad": lambda: _checks_closed_quad(tol_closed_quad),
         "repr": lambda: _checks_repr(tol_closed_quad),

@@ -10,6 +10,7 @@ import pytest
 from malmsten import Angle, Method, evaluate
 from malmsten.cli import main, parse_phi
 from malmsten.errors import DomainError
+from malmsten.verify import run_checks
 
 FROZEN_PI_OVER_2 = -0.26044280630098844554
 FROZEN_ZERO_LIMIT = -0.06281647980603899794
@@ -144,6 +145,17 @@ def test_verify_impossible_tolerance_fails(capsys):
     failed = [c for c in report["checks"] if not c["pass"]]
     assert failed
     assert set(failed[0]) == {"name", "lhs", "rhs", "residual", "tolerance", "pass"}
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-9", "inf", "nan"])
+@pytest.mark.parametrize("flag", ["closed-quad", "series", "kummer"])
+def test_verify_rejects_a_tol_that_is_not_finite_and_positive(capsys, flag, tol):
+    # a usage error, not a failed check: an infinite tolerance passes
+    # every check and a NaN one fails every check
+    assert main(["verify", "--only", "jn", f"--tol-{flag}={tol}"]) == 2
+    assert "tol must be finite and > 0" in capsys.readouterr().err
+    with pytest.raises(DomainError):
+        run_checks(only=["jn"], **{f"tol_{flag.replace('-', '_')}": float(tol)})
 
 
 def test_verify_unknown_group(capsys):

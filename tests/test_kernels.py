@@ -1,68 +1,18 @@
-"""Tests for the summation kernels: pure-Python / compiled parity, the
-phase-weighted averaging on sums with known limits, and backend selection."""
+"""Tests for the summation kernels: window and resume semantics of the
+partial sums, and the phase-weighted averaging on sums with known limits."""
 
 import cmath
 import math
-import os
-import subprocess
-import sys
 
 import pytest
 
-from malmsten import _kernels_py
+from malmsten import kernels
 from malmsten.acceleration import DEPTH, accelerated_limit, effective_depth
 from malmsten.kernels import BACKEND
 
-try:
-    from malmsten import _kernels_cy
-except ImportError:
-    _kernels_cy = None
-
-needs_extension = pytest.mark.skipif(
-    _kernels_cy is None, reason="compiled extension not built"
-)
-
 
 def test_backend_name():
-    assert BACKEND in ("python", "cython")
-
-
-@needs_extension
-@pytest.mark.parametrize("theta", [0.5, math.pi / 2 + math.pi, 2.9 + math.pi])
-def test_backend_parity_log_sine(theta):
-    a = _kernels_py.log_sine_partials(theta, 5000, 40)
-    b = _kernels_cy.log_sine_partials(theta, 5000, 40)
-    assert len(a) == len(b) == 40
-    assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-12
-
-
-@needs_extension
-def test_backend_parity_log_sine_resumed():
-    theta = 2.0 + math.pi
-    head = _kernels_py.log_sine_partials(theta, 1000, 40)
-    a = _kernels_py.log_sine_partials(theta, 2000, 40, 1000, head[-1])
-    b = _kernels_cy.log_sine_partials(theta, 2000, 40, 1000, head[-1])
-    assert len(a) == len(b) == 40
-    assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-12
-
-
-@needs_extension
-def test_backend_parity_recip_sine():
-    theta = 1.1 + math.pi
-    a = _kernels_py.recip_sine_partials(theta, 3000, 30)
-    b = _kernels_cy.recip_sine_partials(theta, 3000, 30)
-    assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-12
-
-
-@needs_extension
-def test_backend_parity_averaging():
-    theta = 2.0 + math.pi
-    z = cmath.exp(1j * theta)
-    partials = _kernels_py.log_sine_partials(theta, 2000, 40)
-    va, ea = _kernels_py.weighted_average_limit(partials, z, 16)
-    vb, eb = _kernels_cy.weighted_average_limit(partials, z, 16)
-    assert abs(va - vb) <= 1e-13
-    assert abs(ea - eb) <= 1e-13
+    assert BACKEND == "python"
 
 
 def test_averaging_alternating_harmonic():
@@ -73,7 +23,7 @@ def test_averaging_alternating_harmonic():
     for n in range(1, 201):
         s += (-1.0) ** (n + 1) / n
         partials.append(complex(s, 0.0))
-    value, est = _kernels_py.weighted_average_limit(partials[-40:], -1.0 + 0.0j, 12)
+    value, est = kernels.weighted_average_limit(partials[-40:], -1.0 + 0.0j, 12)
     assert abs(value.real - math.log(2.0)) <= 1e-12
     assert abs(value.imag) <= 1e-15
 
@@ -99,28 +49,25 @@ def test_effective_depth_caps_near_unit_gap():
 
 def test_accelerated_limit_reports_wider_error_near_gap():
     theta = 0.05  # z close to 1: little acceleration is possible
-    partials = _kernels_py.log_sine_partials(theta, 2000, 40)
+    partials = kernels.log_sine_partials(theta, 2000, 40)
     _, est_narrow, depth = accelerated_limit(partials, cmath.exp(1j * theta))
     assert depth < DEPTH
     assert est_narrow > 1e-10
 
 
-def test_pure_python_env_override():
-    code = "import malmsten; print(malmsten.BACKEND)"
-    env = dict(os.environ, MALMSTEN_PURE_PYTHON="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0
-    assert out.stdout.strip() == "python"
-
-
 def test_window_semantics():
-    full = _kernels_py.log_sine_partials(1.0, 50, 49)
-    tail = _kernels_py.log_sine_partials(1.0, 50, 5)
-    assert tail == full[-5:]
-    single = _kernels_py.log_sine_partials(1.0, 50, 1)
-    assert single == [full[-1]]
+    for partial_sums in (kernels.log_sine_partials, kernels.recip_sine_partials):
+        full = partial_sums(1.0, 50, 49)
+        tail = partial_sums(1.0, 50, 5)
+        assert tail == full[-5:]
+        single = partial_sums(1.0, 50, 1)
+        assert single == [full[-1]]
+
+
+def test_recip_sine_needs_one_term():
+    assert kernels.recip_sine_partials(1.0, 1, 40) == [complex(math.cos(1.0), math.sin(1.0))]
+    with pytest.raises(ValueError):
+        kernels.recip_sine_partials(1.0, 0, 40)
 
 
 @pytest.mark.parametrize("theta", [0.5 + math.pi, 2.0 + math.pi, 2.9 + math.pi])
@@ -128,11 +75,11 @@ def test_log_sine_resume_is_bitwise_one_call(theta):
     # the doubling ladder of the series engine: each resumed call sums only
     # the new terms and must reproduce one call from n = 2 exactly
     n = 64
-    partials = _kernels_py.log_sine_partials(theta, n, 40)
+    partials = kernels.log_sine_partials(theta, n, 40)
     while n < 2000:
         last, n = n, min(2 * n, 2000)
-        resumed = _kernels_py.log_sine_partials(theta, n, 40, last, partials[-1])
-        whole = _kernels_py.log_sine_partials(theta, n, 40)
+        resumed = kernels.log_sine_partials(theta, n, 40, last, partials[-1])
+        whole = kernels.log_sine_partials(theta, n, 40)
         assert [(x.real.hex(), x.imag.hex()) for x in resumed] == [
             (x.real.hex(), x.imag.hex()) for x in whole]
         partials = resumed
@@ -140,11 +87,11 @@ def test_log_sine_resume_is_bitwise_one_call(theta):
 
 def test_log_sine_resume_window_and_range():
     # a step shorter than the window yields only the new partial sums
-    head = _kernels_py.log_sine_partials(1.0, 64, 40)
-    step = _kernels_py.log_sine_partials(1.0, 100, 40, 64, head[-1])
-    assert step == _kernels_py.log_sine_partials(1.0, 100, 36)
+    head = kernels.log_sine_partials(1.0, 64, 40)
+    step = kernels.log_sine_partials(1.0, 100, 40, 64, head[-1])
+    assert step == kernels.log_sine_partials(1.0, 100, 36)
     with pytest.raises(ValueError):
-        _kernels_py.log_sine_partials(1.0, 64, 40, 64, head[-1])
+        kernels.log_sine_partials(1.0, 64, 40, 64, head[-1])
 
 
 @pytest.mark.parametrize("depth", [0, 1, 6, 16, 38, 60])
@@ -152,11 +99,11 @@ def test_averaging_matches_the_full_triangle(depth):
     # reference: average every partial sum of the window at every step
     theta = 2.3 + math.pi
     z = cmath.exp(1j * theta)
-    partials = _kernels_py.log_sine_partials(theta, 500, 40)
+    partials = kernels.log_sine_partials(theta, 500, 40)
     cur = list(partials)
     for _ in range(depth):
         if len(cur) < 2:
             break
         cur = [(cur[k + 1] - z * cur[k]) / (1.0 - z) for k in range(len(cur) - 1)]
     est = abs(cur[-1] - cur[-2]) if len(cur) >= 2 else abs(cur[-1])
-    assert _kernels_py.weighted_average_limit(partials, z, depth) == (cur[-1], est)
+    assert kernels.weighted_average_limit(partials, z, depth) == (cur[-1], est)
