@@ -7,7 +7,9 @@ windowed complex partial sums and the phase-weighted averaging cascade.
 Then times quad_eval and quad_unit_eval per point, once with the node tables
 emptied before each call (cold) and once with them filled (warm): the gap is
 the cost of generating the nodes, the warm time that of the integrand calls
-and the level driver.
+and the level driver.  Each point also prints the nodes its evaluation used
+and the nodes a cold call left stored: a strip is stored whole the first
+time an evaluation reaches it, so the tables hold more nodes than it used.
 
 Usage: python benchmarks/bench_kernels.py [--terms N] [--repeat R]
 """
@@ -27,7 +29,8 @@ def bench(label, fn, repeat):
 
 
 def bench_quadrature(repeat):
-    print("quadrature: us per point with empty (cold) and filled (warm) node tables")
+    print("quadrature: us per point with empty (cold) and filled (warm) node tables,\n"
+          "nodes used, and nodes stored by one cold call")
     for name, route in (("quad_eval", quadrature.quad_eval),
                         ("quad_unit_eval", quadrature.quad_unit_eval)):
         for phi in (0.5, 2.0, 2.9):
@@ -38,9 +41,11 @@ def bench_quadrature(repeat):
                 route(angle)
 
             t_cold = min(timeit.repeat(cold, number=1, repeat=repeat))
+            stored = sum(len(entry) if isinstance(name[0], tuple) else 1
+                         for name, entry in quadrature._NODES.items())
             t_warm = min(timeit.repeat(lambda: route(angle), number=1, repeat=repeat))
             nodes = route(angle).nodes
-            print(f"  {name:<15} phi={phi:<4} nodes={nodes:<4}"
+            print(f"  {name:<15} phi={phi:<4} nodes={nodes:<4} stored={stored:<5}"
                   f" cold {t_cold * 1e6:8.1f} us  warm {t_warm * 1e6:8.1f} us")
 
 

@@ -12,14 +12,15 @@ last inter-level delta.  Node sums use math.fsum (compensated accumulation).
 Node tables.  The abscissae and weights do not depend on phi, so each node
 is computed once per process and kept in `_NODES`, keyed by transform and
 interval: ("ts", a, b) for tanh-sinh on (a, b), ("es", a) for exp-sinh on
-(a, inf).  A table holds the centre node and, per level and per sign of t,
-one strip: that level's nodes in order of j, each a tuple (weight, x,
-dist_a, dist_b), ended by None where the transform leaves representable
-range.  A strip grows by one node only when an evaluation walks past its
-stored end, so no node is computed that no evaluation asked for, and under
-a lock, so no node is computed twice and no reader sees a part-built node.
-Every angle, route and tolerance reads the same tables, and a node's value
-does not depend on which evaluation stored it, so neither does a result.
+(a, inf).  Under that key sits the centre node; under (key, level, sign)
+sits one whole strip, that level's nodes for the sign of t as a tuple of
+(weight, x, dist_a, dist_b) in order of j, up to where the transform leaves
+representable range or t passes _T_MAX.  The first evaluation to reach a
+strip builds all of it, under a lock, so no node is computed twice and no
+reader sees a part-built strip; an evaluation then walks only as far along
+it as its terms stay large.  Every angle, route and tolerance reads the
+same tables, and a node's value does not depend on which evaluation stored
+it, so neither does a result.
 """
 
 import math
@@ -41,7 +42,7 @@ MAX_LEVEL = 10
 _T_MAX = 6.5
 _Q_MIN = 1e-280
 
-# key -> (centre node, [(strip for t > 0, strip for t < 0) per level])
+# key -> centre node, (key, level, sign) -> strip
 _NODES = {}
 _NODES_LOCK = threading.Lock()
 
@@ -54,23 +55,29 @@ class QuadResult:
     converged: bool
 
 
-def _node_table(key, node):
-    table = _NODES.get(key)
-    if table is None:
+def _build_once(name, build, *args):
+    """The entry stored under `name`, built as build(*args) on first use."""
+    entry = _NODES.get(name)
+    if entry is None:
         with _NODES_LOCK:
-            table = _NODES.get(key)
-            if table is None:
-                table = (node(0.0), [([], []) for _ in range(MAX_LEVEL + 1)])
-                _NODES[key] = table
-    return table
+            entry = _NODES.get(name)
+            if entry is None:
+                entry = _NODES[name] = build(*args)
+    return entry
 
 
-def _grow(strip, n, node, sign, h, step_j):
-    """Store node n of a strip (None past its end), unless already stored."""
-    with _NODES_LOCK:
-        if len(strip) == n:
-            j = 1 + n * step_j
-            strip.append(node(sign * j * h) if j * h <= _T_MAX else None)
+def _strip(node, sign, h, step_j):
+    """The nodes at t = sign * j * h, j = 1, 1 + step_j, ..., while j * h <=
+    _T_MAX, up to the first None."""
+    strip = []
+    j = 1
+    while j * h <= _T_MAX:
+        entry = node(sign * j * h)
+        if entry is None:
+            break
+        strip.append(entry)
+        j += step_j
+    return tuple(strip)
 
 
 def _refine_levels(key, node, f, tol):
@@ -79,39 +86,26 @@ def _refine_levels(key, node, f, tol):
     node(t) returns the phi-free (weight, x, dist_a, dist_b) at abscissa t,
     or None once the transform has pushed the node past representable
     range; each node's term is weight * f(x, dist_a, dist_b).  The nodes
-    are read from the table stored under `key`, computed there on first use.
+    are read from the tables stored under `key`, built there on first use.
     """
     require_tol(tol)
-    centre, strips = _node_table(key, node)
-    weight, x, da, db = centre
+    weight, x, da, db = _build_once(key, node, 0.0)
     terms = [weight * f(x, da, db)]
 
     def add_strip(level, h, step_j, total):
         scale = max(abs(total), 1.0)
-        for sign, strip in zip((1.0, -1.0), strips[level]):
+        for sign in (1.0, -1.0):
+            strip = _build_once((key, level, sign), _strip, node, sign, h, step_j)
             small = 0
-            first = len(terms)
-            stored = strip
-            while True:
-                for entry in stored:
-                    if entry is None:
+            for weight, x, da, db in strip:
+                v = weight * f(x, da, db)
+                terms.append(v)
+                if abs(v) <= 1e-20 * scale:
+                    small += 1
+                    if small >= 2:
                         break
-                    weight, x, da, db = entry
-                    v = weight * f(x, da, db)
-                    terms.append(v)
-                    if abs(v) <= 1e-20 * scale:
-                        small += 1
-                        if small >= 2:
-                            break
-                    else:
-                        small = 0
                 else:
-                    # walked past the stored end: store the next node, go on
-                    n = len(terms) - first
-                    _grow(strip, n, node, sign, h, step_j)
-                    stored = strip[n:]
-                    continue
-                break
+                    small = 0
 
     # one fsum per level serves both that level's value and the next scale
     h = 1.0

@@ -17,7 +17,7 @@ from .dispatch import evaluate
 from .domain import Angle, require_tol
 from .kummer import derived_sum_identity, kummer_closed_eval, kummer_partial
 from .quadrature import quad_eval, quad_jn, quad_tan_form, quad_unit_eval
-from .series import coeff_a, j_n, sawtooth_partial, series_eval
+from .series import SERIES_BAND, coeff_a, j_n, sawtooth_partial, series_eval
 from .special_functions import EULER_GAMMA, log_gamma, reflection_product
 
 # covers the special values, generic points, the zero limit, and the
@@ -77,7 +77,8 @@ def _fmt(phi):
 def _checks_closed_quad(tol):
     out = []
     for p in DEFAULT_GRID:
-        q = quad_eval(Angle(p))
+        # through evaluate, so that an unconverged grid point raises
+        q = evaluate(Angle(p), "quad")
         out.append(_rec(f"closed_vs_quad[phi={_fmt(p)}]", _closed_value(p), q.value, tol))
     return out
 
@@ -125,11 +126,12 @@ def _checks_vardi():
 def _checks_series(tol_series):
     out = []
     for p in DEFAULT_GRID:
-        if abs(p) < 1e-6 or abs(p) > 2.9:
+        a = Angle(p)
+        if a.is_zero or abs(p) > SERIES_BAND:
             continue
         out.append(
             _rec(f"series_vs_closed[phi={_fmt(p)}]",
-                 series_eval(Angle(p)).value, _closed_value(p), tol_series)
+                 series_eval(a).value, _closed_value(p), tol_series)
         )
     # the unaccelerated partial sum at 10^4 terms must MISS 1e-5 at pi/2:
     # residual is (threshold - raw_error), negative when the demonstration holds
@@ -183,7 +185,7 @@ def _checks_jn():
 def _checks_sawtooth():
     out = []
     for p in DEFAULT_GRID:
-        if abs(p) > 2.9:
+        if abs(p) > SERIES_BAND:
             continue
         s = sawtooth_partial(Angle(p), 200)
         out.append(_rec(f"sawtooth_vs_half_phi[phi={_fmt(p)}]", s, p / 2.0, 1e-8))
@@ -209,15 +211,16 @@ def _checks_identity(tol_kummer):
     out = []
     for k in range(25):
         p = -2.88 + 2.0 * 2.88 * k / 24.0
-        series_side, closed_side = derived_sum_identity(Angle(p))
+        a = Angle(p)
+        series_side, closed_side = derived_sum_identity(a)
         out.append(
             _rec(f"derived_identity[phi={_fmt(p)}]", series_side, closed_side, tol_kummer)
         )
-        if abs(p) >= 1e-6:
+        if not a.is_zero:
             assembled = -(0.5 * EULER_GAMMA * p + series_side) / math.sin(p)
             out.append(
                 _rec(f"i3_assembly_vs_closed[phi={_fmt(p)}]",
-                     assembled, malmsten_closed(Angle(p)).value, tol_kummer)
+                     assembled, malmsten_closed(a).value, tol_kummer)
             )
     return out
 
@@ -231,12 +234,12 @@ def _checks_reflection():
     out = [CheckRecord("reflection_relative_residual_max", worst, 0.0,
                        worst, 1e-11, worst <= 1e-11)]
     for p in DEFAULT_GRID:
-        if abs(p) < 1e-6:
+        a = Angle(p)
+        if a.is_zero:
             continue
         out.append(
             _rec(f"reflected_form_vs_closed[phi={_fmt(p)}]",
-                 kummer_closed_eval(Angle(p)).value,
-                 malmsten_closed(Angle(p)).value, 1e-12)
+                 kummer_closed_eval(a).value, malmsten_closed(a).value, 1e-12)
         )
     return out
 

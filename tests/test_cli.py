@@ -7,9 +7,10 @@ import math
 
 import pytest
 
-from malmsten import Angle, Method, evaluate
+from malmsten import Angle, Method, cli, dispatch, evaluate, verify
 from malmsten.cli import main, parse_phi
 from malmsten.errors import DomainError
+from malmsten.quadrature import QuadResult
 from malmsten.verify import run_checks
 
 FROZEN_PI_OVER_2 = -0.26044280630098844554
@@ -134,6 +135,28 @@ def test_verify_only_skips_the_closed_quad_grid(capsys):
     assert json.loads(capsys.readouterr().out)["max_grid_delta"] is None
     assert main(["verify", "--only", "jn"]) == 0
     assert "grid delta" not in capsys.readouterr().out
+
+
+def test_verify_takes_the_grid_delta_from_its_records(capsys, monkeypatch):
+    # verify evaluates the closed-vs-quad grid once, in the closed_quad group
+    expected = verify.comparison_report().max_delta
+
+    def no_second_pass(*args, **kwargs):
+        raise AssertionError("verify evaluated the grid a second time")
+
+    monkeypatch.setattr(verify, "comparison_report", no_second_pass)
+    monkeypatch.setattr(cli, "comparison_report", no_second_pass, raising=False)
+    assert main(["verify", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is True
+    assert report["max_grid_delta"] == expected
+
+
+def test_verify_unconverged_grid_point_exit_3(capsys, monkeypatch):
+    unconverged = QuadResult(-0.5, 1.0, 10, False)
+    monkeypatch.setattr(dispatch, "quad_eval", lambda angle, **kw: unconverged)
+    assert main(["verify", "--only", "closed_quad", "--json"]) == 3
+    assert "nonconvergence" in capsys.readouterr().err
 
 
 def test_verify_impossible_tolerance_fails(capsys):

@@ -5,6 +5,7 @@ estimate contract, and the node tables shared by every evaluation."""
 import math
 import sys
 import threading
+from functools import partial
 
 import pytest
 
@@ -212,10 +213,27 @@ def node_calls(monkeypatch):
     return calls
 
 
+def _strips(tables):
+    # (key, level, sign) -> strip; the other entries are the centre nodes
+    return {name: strip for name, strip in tables.items() if isinstance(name[0], tuple)}
+
+
+def _spacing(level):
+    # a strip's step h and stride in j: level 0 takes every j, a deeper
+    # level only the odd j, the nodes the levels before it lack
+    return 0.5 ** level, (1 if level == 0 else 2)
+
+
 def _stored(tables):
-    # the centre node of each table, plus every stored strip entry
-    return sum(1 + sum(len(s) for pair in strips for s in pair)
-               for _, strips in tables.values())
+    # the node-function calls behind the tables: one per centre node and per
+    # strip entry, plus the None that ended each strip that left range
+    # before its t passed _T_MAX
+    calls = len(tables) - len(_strips(tables))
+    for (_, level, _), strip in _strips(tables).items():
+        h, step_j = _spacing(level)
+        left_range = (1 + len(strip) * step_j) * h <= quadrature._T_MAX
+        calls += len(strip) + left_range
+    return calls
 
 
 @pytest.mark.parametrize("key", sorted(FROZEN_HEX, key=repr))
@@ -246,7 +264,7 @@ def test_each_node_is_computed_once(empty_tables, node_calls):
         for p in (2.9, 0.5, -1.0):
             route(Angle(p))
     assert len(node_calls) == computed
-    # a deeper evaluation adds only the nodes it walks to
+    # a deeper evaluation adds only the strips of the levels it reaches
     quad_eval(Angle(DEEP_PHI))
     assert len(node_calls) == _stored(empty_tables) > computed
     assert len(set(node_calls)) == len(node_calls)
@@ -282,3 +300,24 @@ def test_tables_shared_by_threads(empty_tables, node_calls):
             assert len(node_calls) == _stored(empty_tables)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_strips_are_whole(empty_tables):
+    # each stored strip holds every node of its level and sign, up to the
+    # first None or t past _T_MAX, not only the nodes its first walk used
+    quad_eval(Angle(DEEP_PHI))
+    quad_unit_eval(Angle(0.5))
+    quad_tan_form()
+    node_of = {"ts": quadrature._tanh_sinh_node, "es": quadrature._exp_sinh_node}
+    strips = _strips(empty_tables)
+    assert {key for key, _, _ in strips} == {
+        ("ts", 0.0, 1.0), ("es", 1.0), ("ts", math.pi / 4, math.pi / 2)}
+    for (key, level, sign), strip in strips.items():
+        node = partial(node_of[key[0]], *key[1:])
+        h, step_j = _spacing(level)
+        expected = []
+        j = 1
+        while j * h <= quadrature._T_MAX and node(sign * j * h) is not None:
+            expected.append(node(sign * j * h))
+            j += step_j
+        assert strip == tuple(expected)
