@@ -11,7 +11,7 @@ double-exponential quadrature oracle.
 
 from .closed_form import SpecialCase, malmsten_closed, special_value, zero_limit
 from .dispatch import evaluate
-from .domain import Angle, Classification, Evaluation, Method
+from .domain import Angle, Evaluation, Method
 from .errors import (
     DomainError,
     InternalInconsistencyError,
@@ -20,7 +20,7 @@ from .errors import (
     ZeroAngleError,
 )
 from .kernels import BACKEND
-from .kummer import KummerPoint, derived_sum_identity, kummer_closed_eval, kummer_partial
+from .kummer import derived_sum_identity, kummer_closed_eval, kummer_partial
 from .quadrature import (
     QuadResult,
     integrand_exp,

@@ -80,12 +80,9 @@ def cmd_eval(args):
 
 def cmd_verify(args):
     only = args.only.split(",") if args.only else None
-    records = run_checks(
-        only=only,
-        tol_closed_quad=args.tol_closed_quad,
-        tol_series=args.tol_series,
-        tol_kummer=args.tol_kummer,
-    )
+    # a --tol-* flag not given is not passed on: run_checks holds the defaults
+    tols = {k: v for k, v in vars(args).items() if k.startswith("tol_") and v is not None}
+    records = run_checks(only=only, **tols)
     # the closed_quad group's records are the closed-vs-quad grid
     deltas = [r.residual for r in records if r.name.startswith("closed_vs_quad[")]
     max_delta = max(deltas) if deltas else None
@@ -124,6 +121,10 @@ def _atomic_write(path, text):
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        # mkstemp makes the file 0600; give it the mode open() gives a new file
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -175,17 +176,17 @@ def cmd_sweep(args):
 
 
 _TABLE_ROWS = (
-    ("pi/3", SpecialCase.PI_OVER_3, math.pi / 3),
-    ("pi/2", SpecialCase.PI_OVER_2, math.pi / 2),
-    ("2*pi/3", SpecialCase.TWO_PI_OVER_3, 2 * math.pi / 3),
+    ("pi/3", SpecialCase.PI_OVER_3),
+    ("pi/2", SpecialCase.PI_OVER_2),
+    ("2*pi/3", SpecialCase.TWO_PI_OVER_3),
 )
 
 
 def cmd_table(args):
     rows = []
     failed = False
-    for label, case, p in _TABLE_ROWS:
-        angle = Angle(p)
+    for label, case in _TABLE_ROWS:
+        angle = Angle(case.value)
         row = {"phi": label, "tabulated_rhs": special_value(case).value}
         for m in ("closed", "series", "quad"):
             try:
@@ -235,9 +236,9 @@ def build_parser():
     p_eval.set_defaults(func=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="run the full cross-validation suite")
-    p_verify.add_argument("--tol-closed-quad", type=float, default=1e-10)
-    p_verify.add_argument("--tol-series", type=float, default=1e-8)
-    p_verify.add_argument("--tol-kummer", type=float, default=1e-7)
+    p_verify.add_argument("--tol-closed-quad", type=float)
+    p_verify.add_argument("--tol-series", type=float)
+    p_verify.add_argument("--tol-kummer", type=float)
     p_verify.add_argument("--only", default=None,
                           help=f"comma-separated check groups from: {','.join(GROUPS)}")
     p_verify.add_argument("--json", action="store_true")

@@ -11,8 +11,8 @@ log-space (sums of log-gammas), never through Gamma ratios.
 import enum
 import math
 
-from .domain import Angle, Evaluation, Method
-from .errors import DomainError, InternalInconsistencyError, ZeroAngleError
+from .domain import Angle, Evaluation, Method, require_regular
+from .errors import DomainError, InternalInconsistencyError
 from .special_functions import LN_TWO_PI, digamma, gamma_gap, log_gamma
 
 # Per-call log-gamma error (~1e-13 abs) enters twice and is divided by sin(phi).
@@ -29,10 +29,7 @@ class SpecialCase(enum.Enum):
 
 def malmsten_closed(phi):
     """Generic closed form; REGULAR angles only (use zero_limit at phi ~ 0)."""
-    if phi.is_zero:
-        raise ZeroAngleError(
-            "phi is below the zero threshold; call zero_limit() instead"
-        )
+    require_regular(phi)
     p = phi.phi
     t = p / (2.0 * math.pi)
     s = math.sin(p)

@@ -1,7 +1,5 @@
 """The library entry point: I(phi) by any route, named by its `Method` value."""
 
-import math
-
 from .closed_form import malmsten_closed, zero_limit
 from .domain import Evaluation, Method, require_tol
 from .errors import DomainError, NonConvergenceError
@@ -34,8 +32,7 @@ def evaluate(angle, method, tol=None):
     if method == "quad-unit":
         return _quad_to_evaluation(angle, quad_unit_eval(angle, **given), Method.QUAD_UNIT)
     if method == "quad-tan":
-        if abs(angle.phi - math.pi / 2) > 1e-12:
-            raise DomainError("method quad-tan is only defined at phi = pi/2")
+        # Evaluation refuses the method at any angle but pi/2
         return _quad_to_evaluation(angle, quad_tan_form(**given), Method.QUAD_TAN)
     if method not in ("closed", "series", "kummer"):
         raise DomainError(f"unknown method {method!r}")

@@ -4,7 +4,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, ZeroAngleError
 
 # Below this |phi| the generic closed form loses ~6 digits to cancellation
 # in sin(phi); such angles are classified ZERO and served by zero_limit.
@@ -18,9 +18,12 @@ def require_tol(tol):
         raise DomainError("tol must be finite and > 0")
 
 
-class Classification(enum.Enum):
-    ZERO = "zero"
-    REGULAR = "regular"
+def require_regular(angle):
+    """Reject a ZERO angle, where a route divides by sin(phi)."""
+    if angle.is_zero:
+        raise ZeroAngleError(
+            f"|phi| is below the zero threshold {ZERO_THRESHOLD}; call zero_limit() instead"
+        )
 
 
 class Method(enum.Enum):
@@ -47,14 +50,8 @@ class Angle:
             )
 
     @property
-    def classification(self):
-        if abs(self.phi) < ZERO_THRESHOLD:
-            return Classification.ZERO
-        return Classification.REGULAR
-
-    @property
     def is_zero(self):
-        return self.classification is Classification.ZERO
+        return abs(self.phi) < ZERO_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -73,4 +70,4 @@ class Evaluation:
         if self.work < 1:
             raise ValueError("work must be >= 1")
         if self.method is Method.QUAD_TAN and abs(self.phi.phi - math.pi / 2) > 1e-12:
-            raise ValueError("QUAD_TAN evaluations are only defined at phi = pi/2")
+            raise DomainError("method quad-tan is only defined at phi = pi/2")

@@ -10,10 +10,10 @@ class DomainError(MalmstenError, ValueError):
 
 
 class ZeroAngleError(DomainError):
-    """The generic closed form was called at a ZERO-classified angle.
+    """A route that divides by sin(phi) was called at a ZERO-classified angle.
 
-    Callers must use ``closed_form.zero_limit`` instead; the generic formula
-    loses accuracy to cancellation in sin(phi) below the zero threshold.
+    Callers must use ``closed_form.zero_limit`` instead; the generic formulas
+    lose accuracy to cancellation in sin(phi) below the zero threshold.
     """
 
 

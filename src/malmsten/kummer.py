@@ -15,12 +15,11 @@ the acceleration guarantees of the series engine apply.
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from . import kernels
 from .acceleration import WINDOW, accelerated_limit
-from .domain import Evaluation, Method
-from .errors import DomainError, ZeroAngleError
+from .domain import Evaluation, Method, require_regular
+from .errors import DomainError
 from .series import log_sine_sum
 from .special_functions import EULER_GAMMA, LN_PI, LN_TWO_PI, gamma_gap, log_gamma
 
@@ -31,21 +30,8 @@ ENDPOINT_GUARD = 1e-6
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class KummerPoint:
-    """An abscissa strictly inside (0, 1) for the Fourier expansion."""
-
-    x: float
-
-    def __post_init__(self):
-        if not 0.0 < self.x < 1.0:
-            raise DomainError(f"x must lie strictly in (0, 1), got {self.x!r}")
-
-
 def kummer_partial(x, n_terms, accel=True):
     """Truncated Kummer expansion of ln Gamma(x); optionally accelerated."""
-    if isinstance(x, KummerPoint):
-        x = x.x
     if not ENDPOINT_GUARD < x < 1.0 - ENDPOINT_GUARD:
         raise DomainError(
             f"kummer_partial requires {ENDPOINT_GUARD} < x < {1 - ENDPOINT_GUARD}"
@@ -109,10 +95,7 @@ def kummer_closed_eval(phi):
     log-gamma at 1/2 - phi/(2 pi) plus ln cos(phi/2), and must agree with
     the reflected two-gamma closed form.
     """
-    if phi.is_zero:
-        raise ZeroAngleError(
-            "phi is below the zero threshold; call zero_limit() instead"
-        )
+    require_regular(phi)
     p = phi.phi
     value = -(0.5 * EULER_GAMMA * p + derived_closed_side(phi)) / math.sin(p)
     est = 5e-13 * math.pi / abs(math.sin(p))

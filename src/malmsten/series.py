@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from . import kernels
 from .acceleration import WINDOW, accelerated_limit
-from .domain import Evaluation, Method, require_tol
-from .errors import DomainError, NonConvergenceError, ZeroAngleError
+from .domain import Evaluation, Method, require_regular, require_tol
+from .errors import DomainError, NonConvergenceError
 from .special_functions import EPS, EULER_GAMMA
 
 # |phi| band inside which series_eval advertises its default tolerance; the
@@ -39,16 +39,11 @@ class CoefficientWitness:
     brute: float
 
 
-def _require_regular(phi):
-    if phi.is_zero:
-        raise ZeroAngleError("operation requires a REGULAR angle (|phi| >= 1e-6)")
-
-
 def coeff_a(n, phi):
     """a_n = sin((n+1) phi)/sin(phi), with its brute-force trigonometric twin."""
     if n < 0:
         raise DomainError("n must be >= 0")
-    _require_regular(phi)
+    require_regular(phi)
     p = phi.phi
     closed = math.sin((n + 1) * p) / math.sin(p)
     brute = math.fsum(math.cos((n - 2 * k) * p) for k in range(n + 1))
@@ -93,7 +88,7 @@ def _log_sine_sum_impl(phi, tol):
     two successive accelerated limits agree to within the error estimate at
     N: the accelerator's own plus the rounding noise of the partial sums.
     """
-    _require_regular(phi)
+    require_regular(phi)
     require_tol(tol)
     theta = phi.phi + math.pi
     z = cmath.exp(1j * theta)
@@ -130,18 +125,14 @@ def series_eval(phi, tol=TOL):
     """I(phi) assembled from the sawtooth constant and the log-sine series."""
     p = phi.phi
     tail, est, work = _log_sine_sum_impl(phi, tol)
+    value = (-EULER_GAMMA * p / 2.0 + tail) / math.sin(p)
+    est_error = est / abs(math.sin(p))
     if est > tol and abs(p) <= SERIES_BAND:
         raise NonConvergenceError(
             f"series route did not converge at phi={p!r} "
             f"(estimated error {est:.3e})",
-            best_estimate=(-EULER_GAMMA * p / 2.0 + tail) / math.sin(p),
-            est_error=est / abs(math.sin(p)),
+            best_estimate=value,
+            est_error=est_error,
         )
-    value = (-EULER_GAMMA * p / 2.0 + tail) / math.sin(p)
-    return Evaluation(
-        phi=phi,
-        value=value,
-        method=Method.SERIES,
-        est_error=est / abs(math.sin(p)),
-        work=work,
-    )
+    return Evaluation(phi=phi, value=value, method=Method.SERIES,
+                      est_error=est_error, work=work)

@@ -49,18 +49,6 @@ class CheckRecord:
         }
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Grid-level method comparison: closed form against the quadrature oracle."""
-
-    grid: list
-    rows: list
-    deltas: list
-    max_delta: float
-    tolerance: float
-    passed: bool
-
-
 def _rec(name, lhs, rhs, tol):
     residual = abs(lhs - rhs)
     return CheckRecord(name, lhs, rhs, residual, tol, residual <= tol)
@@ -293,22 +281,7 @@ def run_checks(only=None, tol_closed_quad=1e-10, tol_series=1e-8, tol_kummer=1e-
     return records
 
 
-def comparison_report(tolerance=1e-10, grid=None):
-    """Closed form vs quadrature oracle over a phi grid, as a ComparisonReport."""
-    grid_angles = [Angle(p) for p in (grid if grid is not None else DEFAULT_GRID)]
-    rows = []
-    deltas = []
-    for angle in grid_angles:
-        closed = evaluate(angle, "closed")
-        quad_ev = evaluate(angle, "quad")
-        rows.append([closed, quad_ev])
-        deltas.append(abs(closed.value - quad_ev.value))
-    max_delta = max(deltas)
-    return ComparisonReport(
-        grid=grid_angles,
-        rows=rows,
-        deltas=deltas,
-        max_delta=max_delta,
-        tolerance=tolerance,
-        passed=max_delta <= tolerance,
-    )
+def comparison_report():
+    """The closed-vs-quad grid: closed form against the quadrature oracle over
+    DEFAULT_GRID, as the records of the closed_quad group."""
+    return run_checks(only=["closed_quad"])

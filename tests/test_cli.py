@@ -4,6 +4,8 @@ exit-code contract, and the CSV/JSON report formats."""
 import csv
 import json
 import math
+import os
+import stat
 
 import pytest
 
@@ -139,17 +141,37 @@ def test_verify_only_skips_the_closed_quad_grid(capsys):
 
 def test_verify_takes_the_grid_delta_from_its_records(capsys, monkeypatch):
     # verify evaluates the closed-vs-quad grid once, in the closed_quad group
-    expected = verify.comparison_report().max_delta
+    expected = max(r.residual for r in run_checks(only=["closed_quad"]))
+    grid_passes = []
+    checks_closed_quad = verify._checks_closed_quad
 
-    def no_second_pass(*args, **kwargs):
-        raise AssertionError("verify evaluated the grid a second time")
+    def counted(tol):
+        grid_passes.append(tol)
+        return checks_closed_quad(tol)
 
-    monkeypatch.setattr(verify, "comparison_report", no_second_pass)
-    monkeypatch.setattr(cli, "comparison_report", no_second_pass, raising=False)
+    monkeypatch.setattr(verify, "_checks_closed_quad", counted)
     assert main(["verify", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["pass"] is True
     assert report["max_grid_delta"] == expected
+    assert len(grid_passes) == 1
+
+
+def test_comparison_report_is_the_closed_quad_group():
+    assert verify.comparison_report() == run_checks(only=["closed_quad"])
+
+
+def test_verify_without_tolerance_flags_gives_the_records_of_run_checks(capsys):
+    assert main(["verify", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"] == [r.as_dict() for r in run_checks()]
+
+
+def test_verify_passes_on_only_the_tolerance_flags_given(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run_checks", lambda **kw: seen.append(kw) or [])
+    assert main(["verify", "--only", "jn", "--tol-series", "1e-7"]) == 0
+    assert seen == [{"only": ["jn"], "tol_series": 1e-7}]
 
 
 def test_verify_unconverged_grid_point_exit_3(capsys, monkeypatch):
@@ -230,6 +252,22 @@ def test_sweep_json(tmp_path, capsys):
 ])
 def test_sweep_bad_usage_exit_2(capsys, argv):
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["umask022", "umask027"])
+def test_sweep_file_mode_follows_the_umask(tmp_path, capsys, umask):
+    fresh, existing = tmp_path / "fresh.csv", tmp_path / "existing.csv"
+    existing.write_text("")
+    os.chmod(existing, 0o644)
+    old = os.umask(umask)
+    try:
+        for out in (fresh, existing):
+            assert main(["sweep", "--from", "0.5", "--to", "1.0", "--step", "0.5",
+                         "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    for out in (fresh, existing):
+        assert stat.S_IMODE(os.stat(out).st_mode) == 0o666 & ~umask
 
 
 def test_sweep_rejects_too_many_points_before_writing(tmp_path, capsys):

@@ -16,8 +16,10 @@ from malmsten.closed_form import (
     two_pi_over_3_forms,
     zero_limit,
 )
-from malmsten.domain import Angle, Method
+from malmsten.domain import ZERO_THRESHOLD, Angle, Method
 from malmsten.errors import DomainError, ZeroAngleError
+from malmsten.kummer import kummer_closed_eval
+from malmsten.series import coeff_a, log_sine_sum, series_eval
 from malmsten.special_functions import EULER_GAMMA
 
 FROZEN_I = {
@@ -86,6 +88,17 @@ def test_zero_threshold_redirect():
     # and the limit, which carries only the phi^2 term, serves ZERO angles alone
     with pytest.raises(DomainError):
         zero_limit(Angle(1e-6))
+
+
+@pytest.mark.parametrize("route", [
+    malmsten_closed, kummer_closed_eval, series_eval, log_sine_sum,
+    lambda angle: coeff_a(3, angle),
+], ids=["malmsten_closed", "kummer_closed_eval", "series_eval", "log_sine_sum", "coeff_a"])
+def test_routes_dividing_by_sin_refuse_a_zero_angle(route):
+    # one guard, domain.require_regular, words every refusal
+    with pytest.raises(ZeroAngleError) as exc:
+        route(Angle(5e-7))
+    assert str(ZERO_THRESHOLD) in str(exc.value)
 
 
 @pytest.mark.parametrize("bad", [math.pi, -math.pi, 3.5, -10.0, math.inf])

@@ -8,12 +8,7 @@ import pytest
 from malmsten.closed_form import malmsten_closed
 from malmsten.domain import Angle, Method
 from malmsten.errors import DomainError, ZeroAngleError
-from malmsten.kummer import (
-    KummerPoint,
-    derived_sum_identity,
-    kummer_closed_eval,
-    kummer_partial,
-)
+from malmsten.kummer import derived_sum_identity, kummer_closed_eval, kummer_partial
 from malmsten.special_functions import EULER_GAMMA, log_gamma
 
 IDENTITY_GRID = [-2.88 + 2.0 * 2.88 * k / 24.0 for k in range(25)]
@@ -40,25 +35,12 @@ def test_unaccelerated_partial_misses():
     assert err > 1e-5
 
 
-def test_kummer_point_validation():
-    assert KummerPoint(0.25).x == 0.25
-    for bad in (0.0, 1.0, -0.3, 1.5):
-        with pytest.raises(DomainError):
-            KummerPoint(bad)
-
-
 def test_endpoint_guard():
     for bad in (0.0, 1e-7, 1.0 - 1e-7, 1.0):
         with pytest.raises(DomainError):
             kummer_partial(bad, 100)
     with pytest.raises(DomainError):
         kummer_partial(0.3, 0)
-
-
-def test_kummer_point_argument_accepted():
-    direct = kummer_partial(0.25, 500)
-    wrapped = kummer_partial(KummerPoint(0.25), 500)
-    assert direct == wrapped
 
 
 @pytest.mark.parametrize("phi", IDENTITY_GRID)

@@ -10,7 +10,7 @@ from functools import partial
 import pytest
 
 from malmsten import evaluate, quadrature
-from malmsten.domain import Angle
+from malmsten.domain import Angle, Evaluation, Method
 from malmsten.errors import DomainError
 from malmsten.quadrature import (
     GUARD_BAND,
@@ -111,6 +111,9 @@ def test_tan_form_requires_right_angle():
     # exactly pi/2 is accepted through the library entry point too
     r = evaluate(Angle(math.pi / 2), "quad-tan")
     assert abs(r.value - FROZEN_TAN) <= 1e-11
+    # the rule lives in Evaluation, which refuses a quad-tan result elsewhere
+    with pytest.raises(DomainError):
+        Evaluation(Angle(1.0), r.value, Method.QUAD_TAN, r.est_error, r.work)
 
 
 def test_guard_band():
