@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Benchmark the summation kernels, and the quadrature routes with cold and
-warm node tables.
+"""Benchmark the summation kernels, the series engine, and the quadrature
+routes with cold and warm node tables.
 
-Times the two hot loops behind every series-route evaluation: generation of
+Times the two hot loops behind the Kummer and sawtooth sums: generation of
 windowed complex partial sums and the phase-weighted averaging cascade.
-Then times quad_eval and quad_unit_eval per point, once with the node tables
+Then times the series route's engine at a few angles: the sampled
+alternating partial sums plus the Levin t-transform, with the terms N it
+sums and the transform's stability index Gamma.  Then times quad_eval and quad_unit_eval per point, once with the node tables
 emptied before each call (cold) and once with them filled (warm): the gap is
 the cost of generating the nodes, the warm time that of the integrand calls
 and the level driver.  Each point also prints the nodes its evaluation used
@@ -19,13 +21,29 @@ import cmath
 import math
 import timeit
 
-from malmsten import kernels, quadrature
+from malmsten import kernels, quadrature, series
 from malmsten.domain import Angle
 
 
 def bench(label, fn, repeat):
     best = min(timeit.repeat(fn, number=1, repeat=repeat))
     print(f"  {label:<28} {best * 1e3:9.3f} ms")
+
+
+def bench_series(repeat):
+    print("series engine: best time per call of the sampled partial sums plus the\n"
+          "Levin transform, the terms N summed and the stability index Gamma")
+    count = series.LEVIN_K + 1
+    for phi in (0.5, 2.0, 2.9, 3.1):
+        stride = min(series.sampling_stride(phi), series.MAX_STRIDE)
+
+        def engine(phi=phi, stride=stride):
+            return series.levin_t(*kernels.alternating_log_sine_samples(phi, stride, count))
+
+        best = min(timeit.repeat(engine, number=1, repeat=repeat))
+        gamma = engine()[2]
+        print(f"  phi={phi:<4} N={stride * count + 1:<5} Gamma={gamma:<8.3g}"
+              f" {best * 1e6:8.1f} us")
 
 
 def bench_quadrature(repeat):
@@ -75,6 +93,7 @@ def main():
     value, est = kernels.weighted_average_limit(partials, z, depth)
     print(f"  accelerated limit Im = {value.imag:.15f} (est {est:.2e})")
 
+    bench_series(args.repeat)
     bench_quadrature(args.repeat)
 
 

@@ -4,7 +4,7 @@
     -pi < phi < pi.
 
 Four independent routes are implemented and cross-validated: the gamma
-closed form, the Cauchy-product series with Euler-style acceleration, the
+closed form, the Cauchy-product series with Levin-t extrapolation, the
 assembly through Kummer's Fourier expansion of ln Gamma, and a
 double-exponential quadrature oracle.
 """

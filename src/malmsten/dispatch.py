@@ -1,7 +1,7 @@
 """The library entry point: I(phi) by any route, named by its `Method` value."""
 
 from .closed_form import malmsten_closed, zero_limit
-from .domain import Evaluation, Method, require_tol
+from .domain import Evaluation, Method, require_quad_tan_angle, require_tol
 from .errors import DomainError, NonConvergenceError
 from .kummer import kummer_closed_eval
 from .quadrature import quad_eval, quad_tan_form, quad_unit_eval
@@ -32,7 +32,7 @@ def evaluate(angle, method, tol=None):
     if method == "quad-unit":
         return _quad_to_evaluation(angle, quad_unit_eval(angle, **given), Method.QUAD_UNIT)
     if method == "quad-tan":
-        # Evaluation refuses the method at any angle but pi/2
+        require_quad_tan_angle(angle)
         return _quad_to_evaluation(angle, quad_tan_form(**given), Method.QUAD_TAN)
     if method not in ("closed", "series", "kummer"):
         raise DomainError(f"unknown method {method!r}")

@@ -26,6 +26,12 @@ def require_regular(angle):
         )
 
 
+def require_quad_tan_angle(angle):
+    """Reject any angle but pi/2 for quad-tan, whose tangent form is I(pi/2) alone."""
+    if abs(angle.phi - math.pi / 2) > 1e-12:
+        raise DomainError("method quad-tan is only defined at phi = pi/2")
+
+
 class Method(enum.Enum):
     """The evaluation routes, valued by their README and command-line names."""
 
@@ -69,5 +75,5 @@ class Evaluation:
             raise ValueError("est_error must be nonnegative")
         if self.work < 1:
             raise ValueError("work must be >= 1")
-        if self.method is Method.QUAD_TAN and abs(self.phi.phi - math.pi / 2) > 1e-12:
-            raise DomainError("method quad-tan is only defined at phi = pi/2")
+        if self.method is Method.QUAD_TAN:
+            require_quad_tan_angle(self.phi)

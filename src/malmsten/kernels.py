@@ -1,9 +1,13 @@
 """Summation kernels: the hot loops behind the series and Kummer routes.
 
-  log_sine_partials(theta, n_terms, window, last=1, total=0j)
-      last `window` partial sums of  sum_{n=2}^{m} (ln n / n) e^{i n theta};
-      resumes after index `last` from its running sum `total` (a previous
-      call's final partial sum), summing only n = last+1 .. n_terms
+  log_sine_partials(theta, n_terms, window)
+      last `window` partial sums of  sum_{n=2}^{m} (ln n / n) e^{i n theta}
+
+  alternating_log_sine_samples(phi, stride, count)
+      the partial sums S_m of  sum_{n=2}^{m} (-1)^n (ln n / n) e^{i n phi}
+      and the terms a_m at m = stride (l + 1) + 1, l = 0 .. count - 1, as
+      two lists; the phase is n phi and the sign the parity of n, so no
+      rounding of phi + pi enters the phase; m <= ALTERNATING_TERMS
 
   recip_sine_partials(theta, n_terms, window)
       last `window` partial sums of  sum_{n=1}^{m} (1/n) e^{i n theta}
@@ -15,21 +19,28 @@
       alternating series.
 """
 
+import cmath
 import math
 
 # kept for the metadata of benchmark runs; the kernels are plain Python
 BACKEND = "python"
 
+# The largest n that alternating_log_sine_samples sums, and its weights
+# (-1)^n ln n / n for n <= ALTERNATING_TERMS, computed once at import.
+ALTERNATING_TERMS = 2000
+_ALTERNATING_WEIGHTS = [0.0, 0.0] + [(-1.0 if n & 1 else 1.0) * (math.log(n) / n)
+                                     for n in range(2, ALTERNATING_TERMS + 1)]
 
-def log_sine_partials(theta, n_terms, window, last=1, total=0j):
-    if n_terms < last + 1:
-        raise ValueError(f"n_terms must be >= {last + 1}")
-    window = min(window, n_terms - last)
+
+def log_sine_partials(theta, n_terms, window):
+    if n_terms < 2:
+        raise ValueError("n_terms must be >= 2")
+    window = min(window, n_terms - 1)
     first_kept = n_terms - window + 1
     out = []
-    re = total.real
-    im = total.imag
-    for n in range(last + 1, n_terms + 1):
+    re = 0.0
+    im = 0.0
+    for n in range(2, n_terms + 1):
         c = math.log(n) / n
         nt = n * theta
         re += c * math.cos(nt)
@@ -37,6 +48,28 @@ def log_sine_partials(theta, n_terms, window, last=1, total=0j):
         if n >= first_kept:
             out.append(complex(re, im))
     return out
+
+
+def alternating_log_sine_samples(phi, stride, count):
+    last = stride * count + 1
+    if stride < 1 or count < 1 or last > ALTERNATING_TERMS:
+        raise ValueError(
+            f"need stride, count >= 1 and stride * count + 1 <= {ALTERNATING_TERMS}")
+    weights = _ALTERNATING_WEIGHTS
+    exp = cmath.exp
+    sums = []
+    terms = []
+    total = 0j
+    sample = stride + 1
+    for n in range(2, last + 1):
+        # w_n e^{i n phi} with e^{i n phi} = cos(n phi) + i sin(n phi) exactly
+        a = weights[n] * exp(1j * (n * phi))
+        total += a
+        if n == sample:
+            sums.append(total)
+            terms.append(a)
+            sample += stride
+    return sums, terms
 
 
 def recip_sine_partials(theta, n_terms, window):

@@ -91,11 +91,17 @@ def digamma(x):
     return acc + math.log(x) - 0.5 / x - tail
 
 
+def pi_gap(phi):
+    """pi - |phi|, to full relative accuracy as |phi| -> pi: PI - |phi| is
+    exact there (Sterbenz), and _PI_LO restores the part of pi that the
+    float PI lacks."""
+    return (PI - abs(phi)) + _PI_LO
+
+
 def gamma_gap(phi):
     """1/2 - |phi|/(2 pi) = (pi - |phi|)/(2 pi), to full relative accuracy as
-    |phi| -> pi: pi - |phi| is exact there (Sterbenz), and _PI_LO restores the
-    part of pi that the float pi lacks; 0.5 - |phi|/(2 pi) would cancel."""
-    return ((PI - abs(phi)) + _PI_LO) / (2.0 * PI)
+    |phi| -> pi; 0.5 - |phi|/(2 pi) would cancel."""
+    return pi_gap(phi) / (2.0 * PI)
 
 
 def reflection_product(t):

@@ -1,5 +1,6 @@
-"""Tests for the summation kernels: window and resume semantics of the
-partial sums, and the phase-weighted averaging on sums with known limits."""
+"""Tests for the summation kernels: window semantics of the partial sums,
+the sampled alternating partial sums against math.fsum, and the
+phase-weighted averaging on sums with known limits."""
 
 import cmath
 import math
@@ -70,28 +71,47 @@ def test_recip_sine_needs_one_term():
         kernels.recip_sine_partials(1.0, 0, 40)
 
 
-@pytest.mark.parametrize("theta", [0.5 + math.pi, 2.0 + math.pi, 2.9 + math.pi])
-def test_log_sine_resume_is_bitwise_one_call(theta):
-    # the doubling ladder of the series engine: each resumed call sums only
-    # the new terms and must reproduce one call from n = 2 exactly
-    n = 64
-    partials = kernels.log_sine_partials(theta, n, 40)
-    while n < 2000:
-        last, n = n, min(2 * n, 2000)
-        resumed = kernels.log_sine_partials(theta, n, 40, last, partials[-1])
-        whole = kernels.log_sine_partials(theta, n, 40)
-        assert [(x.real.hex(), x.imag.hex()) for x in resumed] == [
-            (x.real.hex(), x.imag.hex()) for x in whole]
-        partials = resumed
-
-
-def test_log_sine_resume_window_and_range():
-    # a step shorter than the window yields only the new partial sums
-    head = kernels.log_sine_partials(1.0, 64, 40)
-    step = kernels.log_sine_partials(1.0, 100, 40, 64, head[-1])
-    assert step == kernels.log_sine_partials(1.0, 100, 36)
+def test_log_sine_partials_start_at_two():
+    assert kernels.log_sine_partials(1.0, 2, 40) == [complex(0.5 * math.log(2.0) * math.cos(2.0),
+                                                          0.5 * math.log(2.0) * math.sin(2.0))]
     with pytest.raises(ValueError):
-        kernels.log_sine_partials(1.0, 64, 40, 64, head[-1])
+        kernels.log_sine_partials(1.0, 1, 40)
+
+
+@pytest.mark.parametrize("phi, stride, count", [
+    (0.5, 1, 21), (-2.0, 2, 21), (2.9, 10, 21), (-3.1, 95, 21), (1e-6, 3, 7)])
+def test_alternating_samples_match_fsum_partial_sums(phi, stride, count):
+    sums, terms = kernels.alternating_log_sine_samples(phi, stride, count)
+    assert len(sums) == len(terms) == count
+
+    def term(n):
+        c = (-1) ** n * math.log(n) / n
+        return c * math.cos(n * phi), c * math.sin(n * phi)
+
+    # the terms are formed as the kernel forms them; each of its additions
+    # rounds by at most 2**-53 of each part of the running sum, so the sum
+    # after m terms is within 2**-52 sum_{n <= m} |S_n| of the exact one
+    parts = []
+    running = 0j
+    bound = 0.0
+    samples = iter(zip(sums, terms))
+    for n in range(2, stride * count + 2):
+        parts.append(term(n))
+        running += complex(*parts[-1])
+        bound += 2.0 ** -52 * abs(running)
+        if (n - 1) % stride == 0:
+            s, a = next(samples)
+            exact = complex(math.fsum(x for x, _ in parts), math.fsum(y for _, y in parts))
+            assert abs(s - exact) <= bound
+            assert a == complex(*parts[-1])
+
+
+def test_alternating_samples_refuse_bad_sizes():
+    for stride, count in ((0, 5), (1, 0), (100, 20)):
+        with pytest.raises(ValueError):
+            kernels.alternating_log_sine_samples(1.0, stride, count)
+    assert len(kernels.alternating_log_sine_samples(1.0, 1, kernels.ALTERNATING_TERMS - 1)[0]) == (
+        kernels.ALTERNATING_TERMS - 1)
 
 
 @pytest.mark.parametrize("depth", [0, 1, 6, 16, 38, 60])

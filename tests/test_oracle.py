@@ -1,12 +1,24 @@
 """Routes against a 40-digit mpmath oracle at the edges of the domain: the
-ZERO-classified angles next to phi = 0, and angles within 1e-12 of +-pi."""
+ZERO-classified angles next to phi = 0, and angles within 1e-12 of +-pi;
+and the series route over the whole domain, where its estimate must hold
+everywhere and be tight inside."""
 
 import math
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from malmsten import Angle, evaluate
+from malmsten.special_functions import EPS
+
+# Inside (1e-3 <= |phi| <= 2.9) the series estimate may exceed the larger of
+# its true error and one ulp of I by at most this factor.
+F_SERIES = 1e4
+
+# Reproducible examples, and no example database left in the checkout.
+ORACLE_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
 def oracle(phi):
@@ -44,3 +56,41 @@ def test_closed_forms_keep_full_accuracy_near_pi(method, sign, d):
     err = _error(ev.value, phi)
     assert err <= ev.est_error
     assert err <= 1e-15 * abs(ev.value)
+
+
+def _series_error(phi):
+    """(|value - I|, est_error, |I|) of the series route at phi."""
+    ev = evaluate(Angle(phi), "series")
+    with mpmath.workdps(40):
+        exact = oracle(phi)
+        return float(abs(mpmath.mpf(ev.value) - exact)), ev.est_error, float(abs(exact))
+
+
+@ORACLE_SETTINGS
+@given(st.floats(min_value=1e-6, max_value=math.pi, exclude_max=True), st.sampled_from([1.0, -1.0]))
+def test_series_estimate_holds_everywhere(magnitude, sign):
+    err, est, _ = _series_error(sign * magnitude)
+    assert err <= est
+
+
+@pytest.mark.parametrize("phi", [1e-6, 2e-6, 1e-5, 1e-4, 1e-3, 3e-3, 1e-2])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_series_estimate_holds_near_zero(sign, phi):
+    err, est, _ = _series_error(sign * phi)
+    assert err <= est
+
+
+@pytest.mark.parametrize("d", [1e-12, 1e-8, 1e-4, 1e-3, 1e-2, 0.25])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_series_estimate_holds_near_pi(sign, d):
+    # at pi - 1e-8 the Euler-averaged series returned -3.8e13 where
+    # I = -2.9e9, with an estimate of 3.0e13
+    err, est, _ = _series_error(sign * (math.pi - d))
+    assert err <= est
+
+
+@ORACLE_SETTINGS
+@given(st.floats(min_value=1e-3, max_value=2.9), st.sampled_from([1.0, -1.0]))
+def test_series_estimate_is_tight_inside(magnitude, sign):
+    err, est, exact = _series_error(sign * magnitude)
+    assert err <= est <= F_SERIES * max(err, EPS * exact)

@@ -9,7 +9,7 @@ from functools import partial
 
 import pytest
 
-from malmsten import evaluate, quadrature
+from malmsten import dispatch, evaluate, quadrature
 from malmsten.domain import Angle, Evaluation, Method
 from malmsten.errors import DomainError
 from malmsten.quadrature import (
@@ -111,9 +111,20 @@ def test_tan_form_requires_right_angle():
     # exactly pi/2 is accepted through the library entry point too
     r = evaluate(Angle(math.pi / 2), "quad-tan")
     assert abs(r.value - FROZEN_TAN) <= 1e-11
-    # the rule lives in Evaluation, which refuses a quad-tan result elsewhere
+    # Evaluation applies the same rule to a quad-tan result elsewhere
     with pytest.raises(DomainError):
         Evaluation(Angle(1.0), r.value, Method.QUAD_TAN, r.est_error, r.work)
+
+
+def test_quad_tan_refuses_the_angle_before_it_integrates(monkeypatch):
+    def must_not_run(**kwargs):
+        raise RuntimeError("quad_tan_form ran at an angle quad-tan refuses")
+
+    monkeypatch.setattr(dispatch, "quad_tan_form", must_not_run)
+    with pytest.raises(DomainError):
+        evaluate(Angle(1.0), "quad-tan")
+    with pytest.raises(RuntimeError):
+        evaluate(Angle(math.pi / 2), "quad-tan")
 
 
 def test_guard_band():

@@ -12,11 +12,14 @@ from malmsten.closed_form import malmsten_closed
 from malmsten.domain import Angle, Method
 from malmsten.errors import DomainError, NonConvergenceError, ZeroAngleError
 from malmsten.series import (
+    LEVIN_K,
+    MAX_STRIDE,
     MAX_TERMS,
     SERIES_BAND,
     coeff_a,
     j_n,
     log_sine_sum,
+    sampling_stride,
     sawtooth_partial,
     series_eval,
 )
@@ -130,8 +133,17 @@ def test_series_work_adapts_to_the_angle(phi):
     assert ev.work <= MAX_TERMS // 4
 
 
-def test_series_work_reaches_the_cap_near_pi():
-    assert series_eval(Angle(3.05)).work == MAX_TERMS
+def test_series_work_follows_the_sampling_stride():
+    kappa = sampling_stride(3.05)
+    assert 1 < kappa <= MAX_STRIDE
+    assert series_eval(Angle(3.05)).work == kappa * (LEVIN_K + 1) + 1
+
+
+@pytest.mark.parametrize("d", [1e-12, 1e-3, 0.02])
+def test_series_work_stays_at_the_cap_past_it(d):
+    phi = math.pi - d
+    assert sampling_stride(phi) > MAX_STRIDE
+    assert series_eval(Angle(phi)).work == MAX_STRIDE * (LEVIN_K + 1) + 1 <= MAX_TERMS
 
 
 @pytest.mark.parametrize("phi", GRID + [2.36, -2.36])
