@@ -6,12 +6,14 @@ Times the two hot loops behind the Kummer and sawtooth sums: generation of
 windowed complex partial sums and the phase-weighted averaging cascade.
 Then times the series route's engine at a few angles: the sampled
 alternating partial sums plus the Levin t-transform, with the terms N it
-sums and the transform's stability index Gamma.  Then times quad_eval and quad_unit_eval per point, once with the node tables
-emptied before each call (cold) and once with them filled (warm): the gap is
-the cost of generating the nodes, the warm time that of the integrand calls
-and the level driver.  Each point also prints the nodes its evaluation used
-and the nodes a cold call left stored: a strip is stored whole the first
-time an evaluation reaches it, so the tables hold more nodes than it used.
+sums and the transform's stability index Gamma.  Then times quad_eval and
+quad_unit_eval per point: with every table emptied before each call (cold),
+with only the integrand tables emptied (numerators: the cost of filling them
+from stored nodes), and with every table filled (warm: one denominator and
+one divide per node, plus the level driver).  Each point also prints the
+nodes its evaluation used and the entries a cold call left stored in each
+node table and each integrand table: a strip is stored whole the first time
+an evaluation reaches it, so the tables hold more nodes than it used.
 
 Usage: python benchmarks/bench_kernels.py [--terms N] [--repeat R]
 """
@@ -46,9 +48,26 @@ def bench_series(repeat):
               f" {best * 1e6:8.1f} us")
 
 
+def _stored():
+    """Entries stored per table: node tables by key, integrand tables by
+    (integrand, node table key)."""
+    stored = {}
+    for (table, _, _), strip in quadrature._NODES.items():
+        stored[table] = stored.get(table, 0) + len(strip)
+    return stored
+
+
+def _table_name(table):
+    if table[0] in ("ts", "es"):
+        return f"{table[0]}{table[1:]}"
+    return f"{table[0]}:{_table_name(table[1])}"
+
+
 def bench_quadrature(repeat):
-    print("quadrature: us per point with empty (cold) and filled (warm) node tables,\n"
-          "nodes used, and nodes stored by one cold call")
+    print("quadrature: us per point with empty tables (cold), with the node\n"
+          "tables filled but the integrand tables empty (numerators), and with\n"
+          "every table filled (warm); the nodes used, and the entries one cold\n"
+          "call left stored in each table")
     for name, route in (("quad_eval", quadrature.quad_eval),
                         ("quad_unit_eval", quadrature.quad_unit_eval)):
         for phi in (0.5, 2.0, 2.9):
@@ -58,13 +77,21 @@ def bench_quadrature(repeat):
                 quadrature._NODES.clear()
                 route(angle)
 
+            def numerators(route=route, angle=angle):
+                for entry in [e for e in quadrature._NODES if e[0][0] not in ("ts", "es")]:
+                    del quadrature._NODES[entry]
+                route(angle)
+
             t_cold = min(timeit.repeat(cold, number=1, repeat=repeat))
-            stored = sum(len(entry) if isinstance(name[0], tuple) else 1
-                         for name, entry in quadrature._NODES.items())
+            stored = _stored()
+            t_num = min(timeit.repeat(numerators, number=1, repeat=repeat))
+            route(angle)
             t_warm = min(timeit.repeat(lambda: route(angle), number=1, repeat=repeat))
             nodes = route(angle).nodes
-            print(f"  {name:<15} phi={phi:<4} nodes={nodes:<4} stored={stored:<5}"
-                  f" cold {t_cold * 1e6:8.1f} us  warm {t_warm * 1e6:8.1f} us")
+            print(f"  {name:<15} phi={phi:<4} nodes={nodes:<4} cold {t_cold * 1e6:8.1f} us"
+                  f"  numerators {t_num * 1e6:8.1f} us  warm {t_warm * 1e6:8.1f} us")
+            print("    stored: " + ", ".join(f"{_table_name(table)} {n}"
+                                          for table, n in stored.items()))
 
 
 def main():

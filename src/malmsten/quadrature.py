@@ -6,27 +6,40 @@ into a tanh-sinh piece on [0, 1] (ln u endpoint singularity) and an
 exp-sinh piece on [1, inf) (exponential decay).  `quad_unit_eval` applies
 tanh-sinh straight to ln ln(1/x) on (0, 1) as a structurally different
 second oracle.  Node count doubles per level; termination when two
-successive levels agree within `tol` (absolute or relative), est_error =
-last inter-level delta.  Node sums use math.fsum (compensated accumulation).
+successive levels agree within `tol` (absolute or relative).  est_error is
+the larger of the last inter-level delta and a rounding floor of 2 EPS per
+term, 2 EPS h sum|terms|, which also covers cancellation in the node sum.
+Node sums use math.fsum (compensated accumulation).
 
-Node tables.  The abscissae and weights do not depend on phi, so each node
-is computed once per process and kept in `_NODES`, keyed by transform and
-interval: ("ts", a, b) for tanh-sinh on (a, b), ("es", a) for exp-sinh on
-(a, inf).  Under that key sits the centre node; under (key, level, sign)
-sits one whole strip, that level's nodes for the sign of t as a tuple of
-(weight, x, dist_a, dist_b) in order of j, up to where the transform leaves
-representable range or t passes _T_MAX.  The first evaluation to reach a
-strip builds all of it, under a lock, so no node is computed twice and no
-reader sees a part-built strip; an evaluation then walks only as far along
-it as its terms stay large.  Every angle, route and tolerance reads the
-same tables, and a node's value does not depend on which evaluation stored
-it, so neither does a result.
+Node tables.  The abscissae and weights do not depend on phi, and neither
+does the numerator of either integrand: only the denominator
+(y + cos phi)^2 + sin^2 phi does.  So each node is computed once per process
+and kept in `_NODES`, one strip at a time: under (table, level, sign) sits
+that level's nodes for the sign of t, in order of j, up to where the
+transform leaves representable range or t passes _T_MAX; sign 0 holds the
+centre node alone.  There are two kinds of table:
+- a node table, keyed by transform and interval: ("ts", a, b) for
+  tanh-sinh on (a, b), ("es", a) for exp-sinh on (a, inf).  Its entries are
+  (weight, x, dist_a, dist_b).  `quad_jn` reads it and computes its terms
+  per call;
+- an integrand table, keyed (integrand, node table): ("unit", ts(0, 1)) for
+  quad-unit, ("exp", ts(0, 1)) and ("exp", es(1)) for quad's two pieces,
+  ("tan", ts(pi/4, pi/2)) for quad-tan.  Its entries are the phi-free
+  triples (weight * numerator, y, 1 - y): y = x with numerator ln ln(1/x)
+  for quad-unit, y = e^{-u} with numerator e^{-u} ln u for quad, and y = 0
+  for quad-tan, whose denominator is then exactly 1.
+A warm node so costs one denominator and one divide, with no log or exp.
+The first evaluation to reach a strip builds all of it, under a lock, so
+no node is computed twice and no reader sees a part-built strip; an
+evaluation then walks only as far along it as its terms stay large.  Every
+angle, route and tolerance reads the same tables, and a stored entry does
+not depend on which evaluation stored it, so neither does a result.
 """
 
 import math
 import threading
 from dataclasses import dataclass
-from functools import partial
+from itertools import starmap
 
 from .domain import require_tol
 from .errors import DomainError, InternalInconsistencyError
@@ -42,9 +55,14 @@ MAX_LEVEL = 10
 _T_MAX = 6.5
 _Q_MIN = 1e-280
 
-# key -> centre node, (key, level, sign) -> strip
+# (table, level, sign) -> strip; reentrant, as an integrand strip's build
+# reaches for the node strip it is built from
 _NODES = {}
-_NODES_LOCK = threading.Lock()
+_NODES_LOCK = threading.RLock()
+
+# Denominator parts (c, s^2, 1 + c) that make every denominator exactly 1.0,
+# for the integrands with no phi: x / 1.0 == x bitwise.
+_NO_PHI = (1.0, 0.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -55,20 +73,15 @@ class QuadResult:
     converged: bool
 
 
-def _build_once(name, build, *args):
-    """The entry stored under `name`, built as build(*args) on first use."""
-    entry = _NODES.get(name)
-    if entry is None:
-        with _NODES_LOCK:
-            entry = _NODES.get(name)
-            if entry is None:
-                entry = _NODES[name] = build(*args)
-    return entry
-
-
-def _strip(node, sign, h, step_j):
-    """The nodes at t = sign * j * h, j = 1, 1 + step_j, ..., while j * h <=
-    _T_MAX, up to the first None."""
+def _strip(node, level, sign):
+    """node(t) at t = sign * j * h, h = 2^-level: the centre alone for sign 0,
+    else j = 1, 1 + step_j, ... while j * h <= _T_MAX, up to the first None;
+    level 0 takes every j, a deeper level only the odd j the levels before
+    it lack."""
+    if not sign:
+        return (node(0.0),)
+    h = 0.5 ** level
+    step_j = 1 if level == 0 else 2
     strip = []
     j = 1
     while j * h <= _T_MAX:
@@ -80,50 +93,87 @@ def _strip(node, sign, h, step_j):
     return tuple(strip)
 
 
-def _refine_levels(key, node, f, tol):
+def _table(table, build, *args):
+    """strip_at(level, sign) of the stored table `table`: the strip stored
+    under (table, level, sign), built as build(*args, level, sign) on first
+    use."""
+    get = _NODES.get
+
+    def strip_at(level, sign):
+        name = (table, level, sign)
+        strip = get(name)
+        if strip is None:
+            with _NODES_LOCK:
+                strip = get(name)
+                if strip is None:
+                    strip = _NODES[name] = build(*args, level, sign)
+        return strip
+
+    return strip_at
+
+
+def _integrand_strip(numerator, key, node, level, sign):
+    """numerator(weight, x, dist_a, dist_b) at each entry of a node strip."""
+    return tuple(starmap(numerator, _table(key, _strip, node)(level, sign)))
+
+
+def _stored(name, numerator, key, node):
+    """strip_at(level, sign) of the integrand table (name, key)."""
+    return _table((name, key), _integrand_strip, numerator, key, node)
+
+
+def _refine_levels(strip_at, parts, tol):
     """Shared level driver: trapezoid in t, node doubling per level.
 
-    node(t) returns the phi-free (weight, x, dist_a, dist_b) at abscissa t,
-    or None once the transform has pushed the node past representable
-    range; each node's term is weight * f(x, dist_a, dist_b).  The nodes
-    are read from the tables stored under `key`, built there on first use.
+    strip_at(level, sign) gives the phi-free (weight * numerator, y, 1 - y)
+    triples of one level on one side of the centre (sign 0: the centre
+    alone); parts = (c, s^2, 1 + c) of `_denominator_parts`, and each term
+    is weight * numerator / _denominator(y, 1 - y, parts).
     """
     require_tol(tol)
-    weight, x, da, db = _build_once(key, node, 0.0)
-    terms = [weight * f(x, da, db)]
+    c, s2, one_plus_c = parts
+    regroup = c < -0.5
+    terms = []
+    append = terms.append
 
-    def add_strip(level, h, step_j, total):
-        scale = max(abs(total), 1.0)
-        for sign in (1.0, -1.0):
-            strip = _build_once((key, level, sign), _strip, node, sign, h, step_j)
+    def add_level(level, signs, total):
+        small_at = 1e-20 * max(abs(total), 1.0)
+        for sign in signs:
             small = 0
-            for weight, x, da, db in strip:
-                v = weight * f(x, da, db)
-                terms.append(v)
-                if abs(v) <= 1e-20 * scale:
+            for wn, y, one_minus_y in strip_at(level, sign):
+                # _denominator, inline: this loop runs once per node
+                yc = one_plus_c - one_minus_y if regroup else y + c
+                den = yc * yc + s2
+                if not den > 0.0:
+                    raise _denominator_error(den, y)
+                v = wn / den
+                append(v)
+                if abs(v) <= small_at:
                     small += 1
                     if small >= 2:
                         break
                 else:
                     small = 0
 
+    add_level(0, (0.0,), 0.0)
+    add_level(0, (1.0, -1.0), terms[0])
     # one fsum per level serves both that level's value and the next scale
     h = 1.0
-    add_strip(0, h, 1, terms[0])
     total = math.fsum(terms)
     value = h * total
     est = math.inf
     for level in range(1, MAX_LEVEL + 1):
         h *= 0.5
-        add_strip(level, h, 2, total)
+        add_level(level, (1.0, -1.0), total)
         total = math.fsum(terms)
         new_value = h * total
         est = abs(new_value - value)
         value = new_value
         if est <= max(tol, tol * abs(value)):
-            # never report below ~1 ulp of the value; deeper refinement can
-            # still move the last bit even when the inter-level delta is 0
-            est = max(est, EPS * max(1.0, abs(value)))
+            # each term carries a few ulps of rounding, and the node sum
+            # can cancel: a floor of 2 EPS per term bounds both, where the
+            # inter-level delta (which can be 0) does not
+            est = max(est, 2.0 * EPS * h * sum(map(abs, terms)))
             return QuadResult(value, est, len(terms), True)
     return QuadResult(value, est, len(terms), False)
 
@@ -144,11 +194,6 @@ def _tanh_sinh_node(a, b, t):
     return 0.5 * width * w, a + near, near, far
 
 
-def _tanh_sinh(f, a, b, tol):
-    """Tanh-sinh on (a, b); f is called as f(x, dist_a, dist_b)."""
-    return _refine_levels(("ts", a, b), partial(_tanh_sinh_node, a, b), f, tol)
-
-
 def _exp_sinh_node(a, t):
     g = 0.5 * math.pi * math.sinh(t)
     if g > 690.0:
@@ -159,9 +204,11 @@ def _exp_sinh_node(a, t):
     return 0.5 * math.pi * math.cosh(t) * eg, a + eg, eg, None
 
 
-def _exp_sinh(f, a, tol):
-    """Exp-sinh on (a, inf); f is called as f(x, dist_a, None)."""
-    return _refine_levels(("es", a), partial(_exp_sinh_node, a), f, tol)
+# The node tables: (key, node function of t)
+_UNIT_NODES = (("ts", 0.0, 1.0), lambda t: _tanh_sinh_node(0.0, 1.0, t))
+_TAIL_NODES = (("es", 1.0), lambda t: _exp_sinh_node(1.0, t))
+_TAN_NODES = (("ts", math.pi / 4, math.pi / 2),
+              lambda t: _tanh_sinh_node(math.pi / 4, math.pi / 2, t))
 
 
 def _denominator_parts(phi_val):
@@ -170,57 +217,69 @@ def _denominator_parts(phi_val):
     Both write 1 + 2 y cos(phi) + y^2 as (y + cos phi)^2 + sin^2 phi, with
     y = x or e^{-u}.  Where cos(phi) < -0.5, y + cos(phi) loses digits, so
     each regroups it as (1 + cos phi) - (1 - y), with 1 + cos(phi) formed
-    here from the half angle and 1 - y from its own endpoint distance.  The
-    denominator stays inline in each integrand: it runs once per node.
+    here from the half angle and 1 - y stored beside y, from its own
+    endpoint distance.
     """
     return math.cos(phi_val), math.sin(phi_val) ** 2, 2.0 * math.cos(0.5 * phi_val) ** 2
 
 
-def _denominator_error(den, at):
-    return InternalInconsistencyError(f"integrand denominator {den!r} at {at}")
+def _denominator(y, one_minus_y, parts):
+    """1 + 2 y cos(phi) + y^2 from `_denominator_parts`."""
+    c, s2, one_plus_c = parts
+    yc = one_plus_c - one_minus_y if c < -0.5 else y + c
+    return yc * yc + s2
 
 
-def _unit_f(phi_val):
-    c, s2, one_plus_c = _denominator_parts(phi_val)
-
-    def f(x, da, db):
-        # ln(1/x) near x = 1 via log1p of the endpoint distance
-        inner = -math.log1p(-db) if x > 0.5 else -math.log(da)
-        xc = one_plus_c - db if c < -0.5 else x + c
-        den = xc * xc + s2
-        if not den > 0.0:
-            raise _denominator_error(den, f"x = {x!r}")
-        return math.log(inner) / den
-
-    return f
+def _denominator_error(den, y):
+    return InternalInconsistencyError(f"integrand denominator {den!r} at y = {y!r}")
 
 
-def _exp_f(phi_val):
-    c, s2, one_plus_c = _denominator_parts(phi_val)
+def _unit_numerator(weight, x, da, db):
+    """(weight * ln ln(1/x), x, 1 - x) at a node of (0, 1)."""
+    # ln(1/x) near x = 1 via log1p of the endpoint distance
+    inner = -math.log1p(-db) if x > 0.5 else -math.log(da)
+    return weight * math.log(inner), x, db
 
-    def f(u, da, db):
-        e = math.exp(-u)
-        ec = math.expm1(-u) + one_plus_c if c < -0.5 else e + c
-        den = ec * ec + s2
-        if not den > 0.0:
-            raise _denominator_error(den, f"u = {u!r}")
-        return e * math.log(u) / den
 
-    return f
+def _exp_numerator(weight, u, da, db):
+    """(weight * e^{-u} ln u, e^{-u}, 1 - e^{-u}) at a node u > 0."""
+    e = math.exp(-u)
+    return weight * (e * math.log(u)), e, -math.expm1(-u)
+
+
+def _tan_numerator(weight, y, da, db):
+    """(weight * ln ln tan y, 0, 1) at a node of (pi/4, pi/2): da = y - pi/4,
+    db = pi/2 - y, and y = 0 makes the denominator 1."""
+    # tan(y) = (1 + tan da)/(1 - tan da) = cot(db)
+    if da <= math.pi / 8:
+        td = math.tan(da)
+        lntan = math.log1p(td) - math.log1p(-td)
+    else:
+        lntan = -math.log(math.tan(db))
+    return weight * math.log(lntan), 0.0, 1.0
 
 
 def integrand_unit(x, phi):
     """ln ln(1/x) / (1 + 2 x cos phi + x^2), pointwise."""
     if not 0.0 < x < 1.0:
         raise DomainError(f"x must lie strictly in (0, 1), got {x!r}")
-    return _unit_f(phi.phi)(x, x, 1.0 - x)
+    num, y, one_minus_y = _unit_numerator(1.0, x, x, 1.0 - x)
+    return num / _denominator(y, one_minus_y, _denominator_parts(phi.phi))
 
 
 def integrand_exp(u, phi):
     """e^{-u} ln u / (1 + 2 e^{-u} cos phi + e^{-2u}), pointwise."""
     if not u > 0.0:
         raise DomainError(f"u must be positive, got {u!r}")
-    return _exp_f(phi.phi)(u, u, None)
+    num, y, one_minus_y = _exp_numerator(1.0, u, u, None)
+    return num / _denominator(y, one_minus_y, _denominator_parts(phi.phi))
+
+
+def integrand_tan(y):
+    """ln ln tan y on (pi/4, pi/2), pointwise (zero crossing at y = arctan e)."""
+    if not math.pi / 4 < y < math.pi / 2:
+        raise DomainError(f"y must lie strictly in (pi/4, pi/2), got {y!r}")
+    return _tan_numerator(1.0, y, y - math.pi / 4, math.pi / 2 - y)[0]
 
 
 def _check_guard_band(p):
@@ -230,11 +289,12 @@ def _check_guard_band(p):
         )
 
 
-def _split_at_one(f, tol):
-    """Integral of f over (0, inf): tanh-sinh on [0, 1], exp-sinh on [1, inf)."""
+def _split_at_one(left, right, parts, tol):
+    """Integral over (0, inf) of the integrand whose strips are left(level,
+    sign) on [0, 1] (tanh-sinh) and right(level, sign) on [1, inf) (exp-sinh)."""
     # half the tolerance per piece, so the combined estimate still honours tol
-    left = _tanh_sinh(f, 0.0, 1.0, 0.5 * tol)
-    right = _exp_sinh(f, 1.0, 0.5 * tol)
+    left = _refine_levels(left, parts, 0.5 * tol)
+    right = _refine_levels(right, parts, 0.5 * tol)
     return QuadResult(
         value=left.value + right.value,
         est_error=left.est_error + right.est_error,
@@ -246,44 +306,41 @@ def _split_at_one(f, tol):
 def quad_eval(phi, tol=TOL):
     """I(phi) by the exp-substituted representation on (0, inf)."""
     _check_guard_band(phi.phi)
-    return _split_at_one(_exp_f(phi.phi), tol)
+    return _split_at_one(_stored("exp", _exp_numerator, *_UNIT_NODES),
+                         _stored("exp", _exp_numerator, *_TAIL_NODES),
+                         _denominator_parts(phi.phi), tol)
 
 
 def quad_unit_eval(phi, tol=TOL):
     """I(phi) by tanh-sinh straight on the unit-interval representation."""
     _check_guard_band(phi.phi)
-    return _tanh_sinh(_unit_f(phi.phi), 0.0, 1.0, tol)
-
-
-def _tan_f(y, da, db):
-    # da = y - pi/4, db = pi/2 - y; tan(y) = (1 + tan da)/(1 - tan da) = cot(db)
-    if da <= math.pi / 8:
-        td = math.tan(da)
-        lntan = math.log1p(td) - math.log1p(-td)
-    else:
-        lntan = -math.log(math.tan(db))
-    return math.log(lntan)
-
-
-def integrand_tan(y):
-    """ln ln tan y on (pi/4, pi/2), pointwise (zero crossing at y = arctan e)."""
-    if not math.pi / 4 < y < math.pi / 2:
-        raise DomainError(f"y must lie strictly in (pi/4, pi/2), got {y!r}")
-    return _tan_f(y, y - math.pi / 4, math.pi / 2 - y)
+    return _refine_levels(_stored("unit", _unit_numerator, *_UNIT_NODES),
+                          _denominator_parts(phi.phi), tol)
 
 
 def quad_tan_form(tol=TOL):
     """Vardi's tangent form: integral_{pi/4}^{pi/2} ln ln tan y dy."""
-    return _tanh_sinh(_tan_f, math.pi / 4, math.pi / 2, tol)
+    return _refine_levels(_stored("tan", _tan_numerator, *_TAN_NODES), _NO_PHI, tol)
 
 
 def quad_jn(n, tol=TOL):
-    """J_n = integral_0^1 x^n ln ln(1/x) dx, via the e^{-(n+1)u} ln u form."""
+    """J_n = integral_0^1 x^n ln ln(1/x) dx, via the e^{-(n+1)u} ln u form.
+
+    Its terms are computed per call from the node tables: a stored table per
+    n would cost more to fill than the few calls of each n save.
+    """
     if n < 0:
         raise DomainError("n must be >= 0")
     k = n + 1
+    exp, log = math.exp, math.log
 
-    def f(u, da, db):
-        return math.exp(-k * u) * math.log(u)
+    def per_call(key, node):
+        nodes = _table(key, _strip, node)
 
-    return _split_at_one(f, tol)
+        def strip_at(level, sign):
+            return ((weight * (exp(-k * u) * log(u)), 0.0, 1.0)
+                    for weight, u, _, _ in nodes(level, sign))
+
+        return strip_at
+
+    return _split_at_one(per_call(*_UNIT_NODES), per_call(*_TAIL_NODES), _NO_PHI, tol)

@@ -1,7 +1,8 @@
 """Routes against a 40-digit mpmath oracle at the edges of the domain: the
 ZERO-classified angles next to phi = 0, and angles within 1e-12 of +-pi;
-and the series route over the whole domain, where its estimate must hold
-everywhere and be tight inside."""
+the series route over the whole domain, where its estimate must hold
+everywhere and be tight inside; and the quad and quad-unit routes up to the
+quadrature guard band, where their estimates must hold."""
 
 import math
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malmsten import Angle, evaluate
+from malmsten.quadrature import GUARD_BAND
 from malmsten.special_functions import EPS
 
 # Inside (1e-3 <= |phi| <= 2.9) the series estimate may exceed the larger of
@@ -22,8 +24,15 @@ ORACLE_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, da
 
 
 def oracle(phi):
-    """I(phi) at 40 digits from the gamma closed form, at the exact binary64 phi."""
-    with mpmath.workdps(40):
+    """I(phi) at 40 digits from the gamma closed form, at the exact binary64 phi.
+
+    The difference of the log-gammas cancels about log10(1/|phi|) digits, so
+    those are added to the working precision; phi = 0 takes the exact limit.
+    """
+    lost = max(0, -math.floor(math.log10(abs(phi)))) if phi else 0
+    with mpmath.workdps(40 + lost):
+        if phi == 0.0:
+            return (mpmath.log(mpmath.pi / 2) - mpmath.euler) / 2
         p = mpmath.mpf(phi)
         t = p / (2 * mpmath.pi)
         return (mpmath.pi / (2 * mpmath.sin(p))) * (
@@ -94,3 +103,41 @@ def test_series_estimate_holds_near_pi(sign, d):
 def test_series_estimate_is_tight_inside(magnitude, sign):
     err, est, exact = _series_error(sign * magnitude)
     assert err <= est <= F_SERIES * max(err, EPS * exact)
+
+
+QUADRATURE = ["quad", "quad-unit"]
+QUAD_EDGE = math.pi - GUARD_BAND
+
+
+def _quad_error(method, phi):
+    """(|value - I|, est_error) of a quadrature route at phi."""
+    ev = evaluate(Angle(phi), method)
+    return _error(ev.value, phi), ev.est_error
+
+
+@ORACLE_SETTINGS
+@given(st.floats(min_value=0.0, max_value=QUAD_EDGE), st.sampled_from([1.0, -1.0]),
+       st.sampled_from(QUADRATURE))
+def test_quadrature_estimate_holds_everywhere(magnitude, sign, method):
+    err, est = _quad_error(method, sign * magnitude)
+    assert err <= est
+
+
+# Angles where a route's estimate once fell short of its error: with the
+# rounding floor EPS * max(1, |value|), or with the numerators stored before
+# the floor counted every term (2.8061223861205504).
+@pytest.mark.parametrize("phi", [
+    2.7698011298506855, 2.8061223861205504, 3.12955, -3.12955, 3.13964889296543,
+    -3.1403210616229793, math.pi - 1.0001e-3, -(math.pi - 1.0001e-3)])
+@pytest.mark.parametrize("method", QUADRATURE)
+def test_quadrature_estimate_holds_where_it_missed(method, phi):
+    err, est = _quad_error(method, phi)
+    assert err <= est
+
+
+@pytest.mark.parametrize("phi", [0.0, 1e-12, 5e-7, 1e-4, 1e-2])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("method", QUADRATURE)
+def test_quadrature_estimate_holds_near_zero(method, sign, phi):
+    err, est = _quad_error(method, sign * phi)
+    assert err <= est

@@ -7,6 +7,7 @@ import sys
 import threading
 from functools import partial
 
+import mpmath
 import pytest
 
 from malmsten import dispatch, evaluate, quadrature
@@ -23,6 +24,7 @@ from malmsten.quadrature import (
     quad_unit_eval,
 )
 from malmsten.series import j_n
+from test_oracle import oracle
 
 FROZEN_I = {
     math.pi / 2: -0.26044280630098844554,
@@ -173,23 +175,33 @@ def test_result_metadata():
     assert r.est_error <= 1e-11
 
 
-# (value, est_error) as float.hex() and node count, from before the node
-# tables were added: the tables must leave every result bitwise unchanged
+# (value, est_error) as float.hex() and node count.  The quad and quad-unit
+# rows were frozen when the integrand numerators went into the node tables:
+# each value is within its est_error of the 40-digit oracle, and each node
+# count is the one from before.  The jn and quad-tan values and node counts
+# date from before the node tables; their est_error moved only with the
+# rounding floor.  A result must not depend on the state of the tables.
 FROZEN_HEX = {
-    ("quad", 0.5): ("-0x1.32d5f1b233fdcp-4", "0x1.092c04a82e8ccp-51", 305),
-    ("quad-unit", 0.5): ("-0x1.32d5f1b233fdcp-4", "0x1.092c04a82e8ccp-52", 132),
-    ("quad", 2.0): ("-0x1.1bb98c6f38cb4p-1", "0x1.092c04a82e8ccp-51", 305),
-    ("quad-unit", 2.0): ("-0x1.1bb98c6f38cb5p-1", "0x1.0000000000000p-51", 132),
-    ("quad", 2.9): ("-0x1.3ecd2369460c8p+3", "0x1.74c3826e44c82p-49", 407),
-    ("quad-unit", 2.9): ("-0x1.3ecd2369460c8p+3", "0x1.4a392ab6b4c00p-49", 245),
-    ("quad", -3.1): ("-0x1.e305697eb5a91p+6", "0x1.2084960254174p-43", 405),
-    ("quad-unit", -3.1): ("-0x1.e305697eb5a91p+6", "0x1.e000000000000p-43", 243),
+    ("quad", 0.5): ("-0x1.32d5f1b233fdcp-4", "0x1.d5c495e38ff7ep-53", 305),
+    ("quad-unit", 0.5): ("-0x1.32d5f1b233fddp-4", "0x1.d5d9f17c17118p-53", 132),
+    ("quad", 2.0): ("-0x1.1bb98c6f38cb4p-1", "0x1.10c9aa0ed7330p-51", 305),
+    ("quad-unit", 2.0): ("-0x1.1bb98c6f38cb5p-1", "0x1.4000000000000p-51", 132),
+    ("quad", 2.9): ("-0x1.3ecd2369460c8p+3", "0x1.5d02d8fbc92d1p-48", 407),
+    ("quad-unit", 2.9): ("-0x1.3ecd2369460c8p+3", "0x1.5d0548f98ea80p-48", 245),
+    ("quad", -3.1): ("-0x1.e305697eb5a91p+6", "0x1.404c05a14f392p-43", 405),
+    ("quad-unit", -3.1): ("-0x1.e305697eb5a91p+6", "0x1.0000000000000p-42", 243),
     ("quad-tan", None): ("-0x1.0ab184de2a327p-2", "0x1.8530000000000p-42", 72),
-    ("jn", 0): ("-0x1.2788cfc6fb618p-1", "0x1.092c04a82e8ccp-51", 305),
-    ("jn", 7): ("-0x1.540d57e5798fap-2", "0x1.42b40f09505d2p-45", 167),
+    ("jn", 0): ("-0x1.2788cfc6fb618p-1", "0x1.0d690b705bab5p-51", 305),
+    ("jn", 7): ("-0x1.540d57e5798fap-2", "0x1.4201f48fbf8e4p-45", 167),
     ("jn", 20): ("-0x1.6134a88cbe7c2p-3", "0x1.208d9a6f14c00p-45", 125),
 }
 DEEP_PHI = math.pi - 1.0001e-3  # just inside the guard band: the deepest tables
+
+UNIT = ("ts", 0.0, 1.0)
+TAIL = ("es", 1.0)
+TAN = ("ts", math.pi / 4, math.pi / 2)
+NODE_FUNCTIONS = ("_tanh_sinh_node", "_exp_sinh_node")
+NUMERATORS = {"unit": "_unit_numerator", "exp": "_exp_numerator", "tan": "_tan_numerator"}
 
 
 def _run(route, arg):
@@ -212,24 +224,43 @@ def empty_tables():
     yield quadrature._NODES
 
 
+def _count_calls(monkeypatch, name, calls):
+    """Append the arguments of each call to the quadrature function `name` to calls."""
+    original = getattr(quadrature, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(quadrature, name, counted)
+
+
 @pytest.fixture
 def node_calls(monkeypatch):
-    """Count the calls to the node functions behind the tables."""
+    """The calls to the node functions behind the node tables."""
     calls = []
-    for name in ("_tanh_sinh_node", "_exp_sinh_node"):
-        original = getattr(quadrature, name)
-
-        def counted(*args, original=original):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(quadrature, name, counted)
+    for name in NODE_FUNCTIONS:
+        _count_calls(monkeypatch, name, calls)
     return calls
 
 
-def _strips(tables):
-    # (key, level, sign) -> strip; the other entries are the centre nodes
-    return {name: strip for name, strip in tables.items() if isinstance(name[0], tuple)}
+@pytest.fixture
+def numerator_calls(monkeypatch):
+    """The calls to each integrand's numerator, keyed by integrand table name."""
+    calls = {table: [] for table in NUMERATORS}
+    for table, name in NUMERATORS.items():
+        _count_calls(monkeypatch, name, calls[table])
+    return calls
+
+
+def _node_tables(tables):
+    # (table, level, sign) -> strip, for the tables of (weight, x, da, db)
+    return {name: strip for name, strip in tables.items() if name[0][0] in ("ts", "es")}
+
+
+def _integrand_tables(tables):
+    # (table, level, sign) -> strip, for the tables of (weight * numerator, y, 1 - y)
+    return {name: strip for name, strip in tables.items() if name[0][0] in NUMERATORS}
 
 
 def _spacing(level):
@@ -239,15 +270,23 @@ def _spacing(level):
 
 
 def _stored(tables):
-    # the node-function calls behind the tables: one per centre node and per
-    # strip entry, plus the None that ended each strip that left range
-    # before its t passed _T_MAX
-    calls = len(tables) - len(_strips(tables))
-    for (_, level, _), strip in _strips(tables).items():
+    # the node-function calls behind the node tables: one per entry, plus
+    # the None that ended each strip that left range before its t passed
+    # _T_MAX; sign 0 holds the centre alone
+    calls = 0
+    for (_, level, sign), strip in _node_tables(tables).items():
         h, step_j = _spacing(level)
-        left_range = (1 + len(strip) * step_j) * h <= quadrature._T_MAX
+        left_range = sign != 0.0 and (1 + len(strip) * step_j) * h <= quadrature._T_MAX
         calls += len(strip) + left_range
     return calls
+
+
+def _stored_numerators(tables):
+    # integrand table name -> the entries stored in its tables
+    counts = dict.fromkeys(NUMERATORS, 0)
+    for ((name, _), _, _), strip in _integrand_tables(tables).items():
+        counts[name] += len(strip)
+    return counts
 
 
 @pytest.mark.parametrize("key", sorted(FROZEN_HEX, key=repr))
@@ -259,6 +298,15 @@ def test_frozen_bits(empty_tables, key):
     assert _bits(_run(*key)) == FROZEN_HEX[key]
 
 
+@pytest.mark.parametrize(
+    "key", sorted((k for k in FROZEN_HEX if k[0] in ("quad", "quad-unit")), key=repr))
+def test_frozen_rows_hold_against_the_oracle(key):
+    value, est, _ = FROZEN_HEX[key]
+    with mpmath.workdps(40):
+        err = abs(mpmath.mpf(float.fromhex(value)) - oracle(key[1]))
+    assert err <= float.fromhex(est)
+
+
 def test_result_does_not_depend_on_evaluation_order(empty_tables):
     first = [_bits(quad_eval(Angle(0.5))), _bits(quad_unit_eval(Angle(0.5)))]
     deep = [_bits(quad_eval(Angle(DEEP_PHI))), _bits(quad_unit_eval(Angle(DEEP_PHI)))]
@@ -268,27 +316,83 @@ def test_result_does_not_depend_on_evaluation_order(empty_tables):
     assert [_bits(quad_eval(Angle(DEEP_PHI))), _bits(quad_unit_eval(Angle(DEEP_PHI)))] == deep
 
 
-def test_each_node_is_computed_once(empty_tables, node_calls):
+def test_each_node_is_computed_once(empty_tables, node_calls, numerator_calls):
     quad_eval(Angle(2.9))
     quad_unit_eval(Angle(2.9))
     computed = len(node_calls)
     assert computed == _stored(empty_tables) > 0
+    numerators = {name: len(calls) for name, calls in numerator_calls.items()}
+    assert numerators == _stored_numerators(empty_tables)
+    assert numerators["unit"] > 0 and numerators["exp"] > 0
     # these reach no deeper level and no further along any strip
     for route in (quad_eval, quad_unit_eval):
         for p in (2.9, 0.5, -1.0):
             route(Angle(p))
     assert len(node_calls) == computed
+    assert {name: len(calls) for name, calls in numerator_calls.items()} == numerators
     # a deeper evaluation adds only the strips of the levels it reaches
     quad_eval(Angle(DEEP_PHI))
     assert len(node_calls) == _stored(empty_tables) > computed
     assert len(set(node_calls)) == len(node_calls)
+    stored = _stored_numerators(empty_tables)
+    assert stored["exp"] > numerators["exp"]
+    for name, calls in numerator_calls.items():
+        assert len(calls) == len(set(calls)) == stored[name]
 
 
-def test_tables_shared_by_threads(empty_tables, node_calls):
-    # threads that fill the same cold tables at once store each node once
-    # and see the same results as one thread
-    angles = [DEEP_PHI, 0.5, -2.9, 2.0, -DEEP_PHI, 1e-3]
-    expected = [_bits(quad_eval(Angle(p))) for p in angles]
+def test_warm_evaluations_compute_no_node(empty_tables, node_calls, numerator_calls,
+                                         monkeypatch):
+    # once the tables hold the strips, a node costs one denominator and one
+    # divide: no node function, no numerator, no log or exp
+    routes = [partial(quad_eval, Angle(DEEP_PHI)), partial(quad_unit_eval, Angle(DEEP_PHI)),
+              quad_tan_form]
+    for route in routes:
+        route()
+    node_calls.clear()
+    for calls in numerator_calls.values():
+        calls.clear()
+    logs = _CountingMath()
+    monkeypatch.setattr(quadrature, "math", logs)
+    nodes = 0
+    for route in routes + [partial(quad_eval, Angle(0.5)), partial(quad_unit_eval, Angle(-2.0))]:
+        nodes += route().nodes
+    assert nodes > 1000
+    assert len(node_calls) == 0
+    assert not any(numerator_calls.values())
+    assert sum(logs.calls.values()) == 0
+    # quad_jn keeps no table of its own: it takes one exp and one log per node
+    jn_nodes = quad_jn(3).nodes
+    assert logs.calls == {"exp": jn_nodes, "log": jn_nodes}
+    assert len(node_calls) == 0
+
+
+class _CountingMath:
+    """The math module, counting the calls to its log and exp functions."""
+
+    COUNTED = ("log", "log1p", "exp", "expm1")
+
+    def __init__(self):
+        self.calls = {}
+
+    def __getattr__(self, name):
+        function = getattr(math, name)
+        if name not in self.COUNTED:
+            return function
+
+        def counted(*args):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return function(*args)
+
+        return counted
+
+
+def test_tables_shared_by_threads(empty_tables, node_calls, numerator_calls):
+    # threads that fill the same cold tables at once, through both routes,
+    # store each node and each numerator once and see the same results as
+    # one thread
+    work = [(quad_eval, DEEP_PHI), (quad_unit_eval, 0.5), (quad_eval, -2.9),
+            (quad_unit_eval, -DEEP_PHI), (quad_eval, 2.0), (quad_unit_eval, 1e-3)]
+    expected = [_bits(route(Angle(p))) for route, p in work]
     n_threads = 4
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -296,14 +400,16 @@ def test_tables_shared_by_threads(empty_tables, node_calls):
         for _ in range(5):
             empty_tables.clear()
             node_calls.clear()
+            for calls in numerator_calls.values():
+                calls.clear()
             start = threading.Barrier(n_threads)
             results = {}
 
-            def work(i):
+            def run(i):
                 start.wait()
-                results[i] = [_bits(quad_eval(Angle(p))) for p in angles[i:] + angles[:i]]
+                results[i] = [_bits(route(Angle(p))) for route, p in work[i:] + work[:i]]
 
-            threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(n_threads)]
             for t in threads:
                 t.start()
             for t in threads:
@@ -312,22 +418,27 @@ def test_tables_shared_by_threads(empty_tables, node_calls):
             for i in range(n_threads):
                 assert results[i] == expected[i:] + expected[:i]
             assert len(node_calls) == _stored(empty_tables)
+            stored = _stored_numerators(empty_tables)
+            assert {name: len(calls) for name, calls in numerator_calls.items()} == stored
     finally:
         sys.setswitchinterval(interval)
 
 
 def test_strips_are_whole(empty_tables):
     # each stored strip holds every node of its level and sign, up to the
-    # first None or t past _T_MAX, not only the nodes its first walk used
+    # first None or t past _T_MAX, not only the nodes its first walk used;
+    # an integrand strip holds its numerator at every node of the node strip
     quad_eval(Angle(DEEP_PHI))
     quad_unit_eval(Angle(0.5))
     quad_tan_form()
     node_of = {"ts": quadrature._tanh_sinh_node, "es": quadrature._exp_sinh_node}
-    strips = _strips(empty_tables)
-    assert {key for key, _, _ in strips} == {
-        ("ts", 0.0, 1.0), ("es", 1.0), ("ts", math.pi / 4, math.pi / 2)}
-    for (key, level, sign), strip in strips.items():
+    nodes = _node_tables(empty_tables)
+    assert {key for key, _, _ in nodes} == {UNIT, TAIL, TAN}
+    for (key, level, sign), strip in nodes.items():
         node = partial(node_of[key[0]], *key[1:])
+        if sign == 0.0:
+            assert strip == (node(0.0),)
+            continue
         h, step_j = _spacing(level)
         expected = []
         j = 1
@@ -335,3 +446,9 @@ def test_strips_are_whole(empty_tables):
             expected.append(node(sign * j * h))
             j += step_j
         assert strip == tuple(expected)
+    integrands = _integrand_tables(empty_tables)
+    assert {table for table, _, _ in integrands} == {
+        ("exp", UNIT), ("exp", TAIL), ("unit", UNIT), ("tan", TAN)}
+    for ((name, key), level, sign), strip in integrands.items():
+        numerator = getattr(quadrature, NUMERATORS[name])
+        assert strip == tuple(numerator(*node) for node in nodes[(key, level, sign)])
