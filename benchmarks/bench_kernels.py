@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Benchmark the summation kernels, the series engine, and the quadrature
-routes with cold and warm node tables.
+"""Benchmark the summation kernels, the series engine, the quadrature
+routes with cold and warm node tables, and each verify check group.
 
-Times the two hot loops behind the Kummer and sawtooth sums: generation of
-windowed complex partial sums and the phase-weighted averaging cascade.
-Then times the series route's engine at a few angles: the sampled
+Times two hot loops: generation of windowed complex partial sums (the
+raw partial sums of `kummer_partial` and of verify's series check), and
+the phase-weighted averaging cascade, which serves the sawtooth series
+alone.  Then times the series route's engine at a few angles: the sampled
 alternating partial sums plus the Levin t-transform, with the terms N it
 sums and the transform's stability index Gamma.  Then times quad_eval and
 quad_unit_eval per point: with every table emptied before each call (cold),
@@ -14,6 +15,8 @@ one divide per node, plus the level driver).  Each point also prints the
 nodes its evaluation used and the entries a cold call left stored in each
 node table and each integrand table: a strip is stored whole the first time
 an evaluation reaches it, so the tables hold more nodes than it used.
+Last, times each `verify` check group, `run_checks(only=[group])`, in
+this process, and all of them together.
 
 Usage: python benchmarks/bench_kernels.py [--terms N] [--repeat R]
 """
@@ -23,7 +26,7 @@ import cmath
 import math
 import timeit
 
-from malmsten import kernels, quadrature, series
+from malmsten import kernels, quadrature, series, verify
 from malmsten.domain import Angle
 
 
@@ -94,6 +97,17 @@ def bench_quadrature(repeat):
                                           for table, n in stored.items()))
 
 
+def bench_verify(repeat):
+    print("verify: best time per run of each check group, run_checks(only=[group])")
+    total = 0.0
+    for group in verify.GROUPS:
+        best = min(timeit.repeat(lambda: verify.run_checks(only=[group]),
+                                 number=1, repeat=repeat))
+        total += best
+        print(f"  {group:<12} {best * 1e3:9.3f} ms")
+    print(f"  {'sum':<12} {total * 1e3:9.3f} ms")
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--terms", type=int, default=200_000)
@@ -122,6 +136,7 @@ def main():
 
     bench_series(args.repeat)
     bench_quadrature(args.repeat)
+    bench_verify(args.repeat)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from .errors import (
     ZeroAngleError,
 )
 from .kernels import BACKEND
-from .kummer import derived_sum_identity, kummer_closed_eval, kummer_partial
+from .kummer import derived_sum_identity, kummer_closed_eval, kummer_partial, kummer_sum
 from .quadrature import (
     QuadResult,
     integrand_exp,
@@ -34,6 +34,7 @@ from .quadrature import (
 from .series import (
     CoefficientWitness,
     coeff_a,
+    coeff_witnesses,
     j_n,
     log_sine_sum,
     sawtooth_partial,

@@ -8,17 +8,17 @@ identity it yields:
       = pi ln Gamma(1/2 - phi/(2 pi)) - (phi/2)(gamma + ln 2 pi)
         - (pi/2) ln pi + (pi/2) ln cos(phi/2)
 
-The series side of the identity is always summed in its alternating form
-via the parity map (-1)^n sin(n phi) = -sin(n(pi - phi)), which is where
-the acceleration guarantees of the series engine apply.
+Both series are summed in their alternating form by the Levin engine of
+`series.log_sine_sum`, through the parity map
+(-1)^n sin(n phi) = -sin(n(pi - phi)): Kummer's sum_{n>=1} ln n sin(2 pi n x)/n
+is log_sine_sum at phi = 2 pi x - pi (`kummer_sum`), and the identity's
+series side is -log_sine_sum(phi).  `kummer_partial` is the raw truncation.
 """
 
-import cmath
 import math
 
 from . import kernels
-from .acceleration import WINDOW, accelerated_limit
-from .domain import Evaluation, Method, require_regular
+from .domain import Angle, Evaluation, Method, require_regular
 from .errors import DomainError
 from .series import log_sine_sum
 from .special_functions import EULER_GAMMA, LN_PI, LN_TWO_PI, gamma_gap, log_gamma
@@ -30,19 +30,47 @@ ENDPOINT_GUARD = 1e-6
 _LN2 = math.log(2.0)
 
 
-def kummer_partial(x, n_terms, accel=True):
-    """Truncated Kummer expansion of ln Gamma(x); optionally accelerated."""
+# eta'(0) = sum_{n>=2} (-1)^n ln n (Abel) = (1/2) ln(pi/2): the slope of
+# log_sine_sum at phi = 0, whose next Taylor term is O(phi^3)
+_HALF_LN_HALF_PI = 0.5 * math.log(0.5 * math.pi)
+
+
+def _closed_part(x):
+    """The terms of Kummer's expansion of ln Gamma(x) outside the series."""
     if not ENDPOINT_GUARD < x < 1.0 - ENDPOINT_GUARD:
         raise DomainError(
-            f"kummer_partial requires {ENDPOINT_GUARD} < x < {1 - ENDPOINT_GUARD}"
+            f"the Kummer expansion requires {ENDPOINT_GUARD} < x < {1 - ENDPOINT_GUARD}"
         )
-    if n_terms < 1:
-        raise DomainError("n_terms must be >= 1")
-    closed_part = (
+    return (
         (0.5 - x) * (EULER_GAMMA + _LN2)
         + (1.0 - x) * LN_PI
         - 0.5 * math.log(math.sin(math.pi * x))
     )
+
+
+def kummer_sum(x):
+    """ln Gamma(x) from Kummer's expansion, its series summed by the Levin engine.
+
+    The series is log_sine_sum at phi = 2 pi x - pi.  Where that angle is
+    ZERO (x within about 1.6e-7 of 1/2, x = 1/2 itself included) it is the
+    odd Taylor term eta'(0) phi instead of a ZeroAngleError.  Near the
+    endpoints, where the engine cannot reach its tolerance, it raises
+    NonConvergenceError.
+    """
+    closed_part = _closed_part(x)
+    phi = Angle(2.0 * math.pi * x - math.pi)
+    if phi.is_zero:
+        series = _HALF_LN_HALF_PI * phi.phi
+    else:
+        series = log_sine_sum(phi)
+    return closed_part + series / math.pi
+
+
+def kummer_partial(x, n_terms):
+    """Kummer's expansion of ln Gamma(x) truncated after n_terms series terms."""
+    closed_part = _closed_part(x)
+    if n_terms < 1:
+        raise DomainError("n_terms must be >= 1")
     if n_terms == 1:
         return closed_part  # the n = 1 term is ln(1) = 0
     if x == 0.5:
@@ -50,13 +78,7 @@ def kummer_partial(x, n_terms, accel=True):
         # the midpoint stays exactly (1/2) ln pi at every truncation instead
         # of picking up sin(n * rounded-pi) rounding dust
         return closed_part
-    theta = 2.0 * math.pi * x
-    if accel:
-        partials = kernels.log_sine_partials(theta, n_terms, WINDOW)
-        value, _, _ = accelerated_limit(partials, cmath.exp(1j * theta))
-        series = value.imag
-    else:
-        series = kernels.log_sine_partials(theta, n_terms, 1)[-1].imag
+    series = kernels.log_sine_partials(2.0 * math.pi * x, n_terms, 1)[-1].imag
     return closed_part + series / math.pi
 
 

@@ -8,7 +8,8 @@ arithmetic progression, S_l = S_{m_l} at m_l = kappa (l + 1) + 1 (Sidi,
 Practical Extrapolation Methods, 2003), and extrapolated with the Levin
 t-transform (Levin 1973), weights omega_l = a_{m_l} and beta = 1.
 
-The sawtooth series is still accelerated with the phase-weighted Euler
+The same engine sums Kummer's series for ln Gamma (`kummer.kummer_sum`).
+Only the sawtooth series is still accelerated with the phase-weighted Euler
 averaging of `acceleration`, whose oscillation factor is exp(i(phi + pi)).
 """
 
@@ -63,15 +64,38 @@ class CoefficientWitness:
     brute: float
 
 
+def _witnesses(phi, ns):
+    """The CoefficientWitness of a_n for each n of the ascending ns.
+
+    The brute-force twin is the definition sum_{k=0}^{n} cos((n - 2k) phi).
+    Its terms pair up as cos(j phi) + cos(-j phi) = 2 cos(j phi) for
+    j = n, n - 2, ... > 0, plus cos(0) = 1 when n is even.  (-j) phi is
+    -(j phi) exactly, cos is even and doubling is exact, so one table
+    d[0] = 1, d[j] = 2 cos(j phi) serves every n: fsum(d[n % 2 : n + 1 : 2])
+    is the correctly rounded sum of the same real terms, bitwise equal to
+    fsum over the definition's n + 1 cosines.
+    """
+    require_regular(phi)
+    p = phi.phi
+    sin_p = math.sin(p)
+    doubled = [1.0] + [2.0 * math.cos(j * p) for j in range(1, ns[-1] + 1)]
+    return [CoefficientWitness(n=n, closed=math.sin((n + 1) * p) / sin_p,
+                               brute=math.fsum(doubled[n % 2:n + 1:2]))
+            for n in ns]
+
+
+def coeff_witnesses(phi, n_max):
+    """a_n = sin((n+1) phi)/sin(phi) with its brute-force twin, n = 0 .. n_max."""
+    if n_max < 0:
+        raise DomainError("n_max must be >= 0")
+    return _witnesses(phi, range(n_max + 1))
+
+
 def coeff_a(n, phi):
     """a_n = sin((n+1) phi)/sin(phi), with its brute-force trigonometric twin."""
     if n < 0:
         raise DomainError("n must be >= 0")
-    require_regular(phi)
-    p = phi.phi
-    closed = math.sin((n + 1) * p) / math.sin(p)
-    brute = math.fsum(math.cos((n - 2 * k) * p) for k in range(n + 1))
-    return CoefficientWitness(n=n, closed=closed, brute=brute)
+    return _witnesses(phi, (n,))[0]
 
 
 def j_n(n):

@@ -7,8 +7,13 @@ import pytest
 
 from malmsten.closed_form import malmsten_closed
 from malmsten.domain import Angle, Method
-from malmsten.errors import DomainError, ZeroAngleError
-from malmsten.kummer import derived_sum_identity, kummer_closed_eval, kummer_partial
+from malmsten.errors import DomainError, NonConvergenceError, ZeroAngleError
+from malmsten.kummer import (
+    derived_sum_identity,
+    kummer_closed_eval,
+    kummer_partial,
+    kummer_sum,
+)
 from malmsten.special_functions import EULER_GAMMA, log_gamma
 
 IDENTITY_GRID = [-2.88 + 2.0 * 2.88 * k / 24.0 for k in range(25)]
@@ -18,20 +23,32 @@ IDENTITY_GRID = [-2.88 + 2.0 * 2.88 * k / 24.0 for k in range(25)]
 def test_midpoint_exact_at_every_truncation(n_terms):
     # every series term is sin(pi n) = 0 analytically, so the truncation
     # must be bitwise (1/2) ln pi with no rounding dust
-    assert kummer_partial(0.5, n_terms, accel=False) == 0.5 * math.log(math.pi)
-    assert kummer_partial(0.5, n_terms, accel=True) == 0.5 * math.log(math.pi)
+    assert kummer_partial(0.5, n_terms) == 0.5 * math.log(math.pi)
+    assert kummer_sum(0.5) == 0.5 * math.log(math.pi)
 
 
 def test_accelerated_matches_log_gamma():
-    for k in range(1, 20):
-        x = 0.05 * k
-        approx = kummer_partial(x, 2000, accel=True)
-        assert abs(approx - log_gamma(x)) <= 1e-7
+    for x in [0.05 * k for k in range(1, 20)] + [0.01, 0.99]:
+        assert abs(kummer_sum(x) - log_gamma(x)) <= 1e-13
+
+
+@pytest.mark.parametrize("x", [2e-6, 1e-4, 1e-3, 1.0 - 1e-3])
+def test_sum_refuses_near_the_endpoints(x):
+    # the engine's stride is capped there and its tail bound exceeds its
+    # tolerance, so it must refuse rather than return a wrong ln Gamma
+    with pytest.raises(NonConvergenceError):
+        kummer_sum(x)
+
+
+@pytest.mark.parametrize("x", [0.5 - 1e-8, 0.5 + 1e-8])
+def test_sum_near_midpoint(x):
+    # 2 pi x - pi is a ZERO angle here, served by the odd Taylor term
+    assert abs(kummer_sum(x) - log_gamma(x)) <= 1e-14
 
 
 def test_unaccelerated_partial_misses():
     # the ln n / n tail decays too slowly for raw truncation at 2000 terms
-    err = abs(kummer_partial(0.3, 2000, accel=False) - log_gamma(0.3))
+    err = abs(kummer_partial(0.3, 2000) - log_gamma(0.3))
     assert err > 1e-5
 
 
@@ -39,6 +56,8 @@ def test_endpoint_guard():
     for bad in (0.0, 1e-7, 1.0 - 1e-7, 1.0):
         with pytest.raises(DomainError):
             kummer_partial(bad, 100)
+        with pytest.raises(DomainError):
+            kummer_sum(bad)
     with pytest.raises(DomainError):
         kummer_partial(0.3, 0)
 

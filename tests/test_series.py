@@ -17,6 +17,7 @@ from malmsten.series import (
     MAX_TERMS,
     SERIES_BAND,
     coeff_a,
+    coeff_witnesses,
     j_n,
     log_sine_sum,
     sampling_stride,
@@ -38,15 +39,19 @@ def test_coeff_first_values():
     assert abs(w2.closed - w2.brute) < 1e-13
 
 
-def test_coeff_witness_and_recurrence():
+def _verify_angles():
+    """The 20 angles of verify's coeffs group, drawn as it draws them."""
     rng = random.Random(20260823)
-    for _ in range(6):
-        p = rng.uniform(0.01, math.pi - 0.01) * rng.choice((1.0, -1.0))
-        angle = Angle(p)
+    return [rng.uniform(0.01, math.pi - 0.01) * rng.choice((1.0, -1.0))
+            for _ in range(20)]
+
+
+def test_coeff_witness_and_recurrence():
+    for p in _verify_angles()[:6]:
         two_cos = 2.0 * math.cos(p)
         prev2 = prev1 = None
-        for n in range(201):
-            w = coeff_a(n, angle)
+        for n, w in enumerate(coeff_witnesses(Angle(p), 200)):
+            assert w.n == n
             bound = n + 1.0
             assert abs(w.closed - w.brute) <= 1e-12 * bound
             assert abs(w.closed) <= bound + 1e-9  # |sin(n+1)phi/sin phi| <= n+1
@@ -55,11 +60,29 @@ def test_coeff_witness_and_recurrence():
             prev2, prev1 = prev1, w.closed
 
 
+@pytest.mark.parametrize("p", _verify_angles())
+def test_coeff_witness_is_its_definition(p):
+    # the one-table brute force is bitwise fsum over the definition's terms
+    for w in coeff_witnesses(Angle(p), 200):
+        n = w.n
+        assert w.brute == math.fsum(math.cos((n - 2 * k) * p) for k in range(n + 1))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 57, 200])
+def test_coeff_a_is_the_last_witness(n):
+    angle = Angle(-2.3)
+    assert coeff_witnesses(angle, n)[n] == coeff_a(n, angle)
+
+
 def test_coeff_domain():
     with pytest.raises(DomainError):
         coeff_a(-1, Angle(1.0))
+    with pytest.raises(DomainError):
+        coeff_witnesses(Angle(1.0), -1)
     with pytest.raises(ZeroAngleError):
         coeff_a(3, Angle(0.0))
+    with pytest.raises(ZeroAngleError):
+        coeff_witnesses(Angle(0.0), 3)
 
 
 def test_jn_closed_values():
