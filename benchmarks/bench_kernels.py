@@ -2,27 +2,27 @@
 """Benchmark the summation kernels, the series engine, the quadrature
 routes with cold and warm node tables, and each verify check group.
 
-Times two hot loops: generation of windowed complex partial sums (the
-raw partial sums of `kummer_partial` and of verify's series check), and
-the phase-weighted averaging cascade, which serves the sawtooth series
-alone.  Then times the series route's engine at a few angles: the sampled
-alternating partial sums plus the Levin t-transform, with the terms N it
-sums and the transform's stability index Gamma.  Then times quad_eval and
-quad_unit_eval per point: with every table emptied before each call (cold),
-with only the integrand tables emptied (numerators: the cost of filling them
-from stored nodes), and with every table filled (warm: one denominator and
-one divide per node, plus the level driver).  Each point also prints the
-nodes its evaluation used and the entries a cold call left stored in each
-node table and each integrand table: a strip is stored whole the first time
-an evaluation reaches it, so the tables hold more nodes than it used.
-Last, times each `verify` check group, `run_checks(only=[group])`, in
-this process, and all of them together.
+Times the hot loop that generates complex partial sums (the raw partial
+sums of `kummer_partial` and of verify's series check).  Then times the
+series engine at a few angles with each of its weight tables, the log-sine
+series of the series and Kummer routes and the sawtooth series: the
+sampled alternating partial sums plus the Levin t-transform, with the
+terms N it sums and the transform's stability index Gamma.  Then times
+quad_eval and quad_unit_eval per point: with every table emptied before
+each call (cold), with only the integrand tables emptied (numerators: the
+cost of filling them from stored nodes), and with every table filled
+(warm: one denominator and one divide per node, plus the level
+driver).  Each point also prints the nodes its evaluation used and the
+entries a cold call left stored in each node table and each integrand
+table: a strip is stored whole the first time an evaluation reaches it, so
+the tables hold more nodes than it used.  Last, times each `verify` check
+group, `run_checks(only=[group])`, in this process, and all of them
+together.
 
 Usage: python benchmarks/bench_kernels.py [--terms N] [--repeat R]
 """
 
 import argparse
-import cmath
 import math
 import timeit
 
@@ -37,18 +37,21 @@ def bench(label, fn, repeat):
 
 def bench_series(repeat):
     print("series engine: best time per call of the sampled partial sums plus the\n"
-          "Levin transform, the terms N summed and the stability index Gamma")
+          "Levin transform, the terms N summed and the stability index Gamma,\n"
+          "for each weight table")
     count = series.LEVIN_K + 1
-    for phi in (0.5, 2.0, 2.9, 3.1):
-        stride = min(series.sampling_stride(phi), series.MAX_STRIDE)
+    for table in ("LOG_SINE_WEIGHTS", "SAWTOOTH_WEIGHTS"):
+        weights = getattr(kernels, table)
+        for phi in (0.5, 2.0, 2.9, 3.1):
+            stride = min(series.sampling_stride(phi), series.MAX_STRIDE)
 
-        def engine(phi=phi, stride=stride):
-            return series.levin_t(*kernels.alternating_log_sine_samples(phi, stride, count))
+            def engine(phi=phi, stride=stride, weights=weights):
+                return series.levin_t(*kernels.alternating_samples(weights, phi, stride, count))
 
-        best = min(timeit.repeat(engine, number=1, repeat=repeat))
-        gamma = engine()[2]
-        print(f"  phi={phi:<4} N={stride * count + 1:<5} Gamma={gamma:<8.3g}"
-              f" {best * 1e6:8.1f} us")
+            best = min(timeit.repeat(engine, number=1, repeat=repeat))
+            gamma = engine()[2]
+            print(f"  {table:<16} phi={phi:<4} N={stride * count + 1:<5} Gamma={gamma:<8.3g}"
+                  f" {best * 1e6:8.1f} us")
 
 
 def _stored():
@@ -115,24 +118,14 @@ def main():
     args = ap.parse_args()
 
     theta = math.pi / 2 + math.pi
-    z = cmath.exp(1j * theta)
     window = 40
-    depth = 16
 
     print("summation kernels: best time per call")
-    partials = kernels.log_sine_partials(theta, args.terms, window)
     bench(
         f"log_sine_partials(N={args.terms})",
         lambda: kernels.log_sine_partials(theta, args.terms, window),
         args.repeat,
     )
-    bench(
-        f"weighted_average_limit(d={depth})",
-        lambda: kernels.weighted_average_limit(partials, z, depth),
-        args.repeat,
-    )
-    value, est = kernels.weighted_average_limit(partials, z, depth)
-    print(f"  accelerated limit Im = {value.imag:.15f} (est {est:.2e})")
 
     bench_series(args.repeat)
     bench_quadrature(args.repeat)

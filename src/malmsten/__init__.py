@@ -37,7 +37,7 @@ from .series import (
     coeff_witnesses,
     j_n,
     log_sine_sum,
-    sawtooth_partial,
+    sawtooth_sum,
     series_eval,
 )
 from .special_functions import EULER_GAMMA, digamma, log_gamma, reflection_product

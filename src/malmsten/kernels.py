@@ -3,20 +3,25 @@
   log_sine_partials(theta, n_terms, window)
       last `window` partial sums of  sum_{n=2}^{m} (ln n / n) e^{i n theta}
 
-  alternating_log_sine_samples(phi, stride, count)
-      the partial sums S_m of  sum_{n=2}^{m} (-1)^n (ln n / n) e^{i n phi}
-      and the terms a_m at m = stride (l + 1) + 1, l = 0 .. count - 1, as
-      two lists; the phase is n phi and the sign the parity of n, so no
-      rounding of phi + pi enters the phase; m <= ALTERNATING_TERMS
-
-  recip_sine_partials(theta, n_terms, window)
-      last `window` partial sums of  sum_{n=1}^{m} (1/n) e^{i n theta}
+  alternating_samples(weights, phi, stride, count)
+      the partial sums S_m of  sum_{n=1}^{m} w_n e^{i n phi}  and the terms
+      a_m at m = stride (l + 1) + 1, l = 0 .. count - 1, as two lists, for
+      one of the import-time weight tables (m <= ALTERNATING_TERMS):
+        LOG_SINE_WEIGHTS  w_n = (-1)^n ln n / n  (w_1 = 0)
+        SAWTOOTH_WEIGHTS  w_n = (-1)^n / n
+      The phase is n phi and the sign the parity of n, so no rounding of
+      phi + pi enters the phase.
 
   weighted_average_limit(partials, z, depth)
       iterated phase-weighted averaging S'_k = (S_{k+1} - z S_k) / (1 - z)
       applied `depth` times; returns (limit, |last - previous| estimate).
       For z = -1 this is exactly classical Euler averaging of an
       alternating series.
+
+No library code calls weighted_average_limit, and every caller asks
+log_sine_partials for a window of 1.  Both stay as they are because the
+benchmark's fixed-size kernel timings (perfbench/run.py, kernel_micro_us)
+call them, with a window of 40; they can go at the benchmark's next edit.
 """
 
 import cmath
@@ -25,11 +30,13 @@ import math
 # kept for the metadata of benchmark runs; the kernels are plain Python
 BACKEND = "python"
 
-# The largest n that alternating_log_sine_samples sums, and its weights
-# (-1)^n ln n / n for n <= ALTERNATING_TERMS, computed once at import.
+# The largest n that alternating_samples sums, and its weight tables for
+# n <= ALTERNATING_TERMS, computed once at import.
 ALTERNATING_TERMS = 2000
-_ALTERNATING_WEIGHTS = [0.0, 0.0] + [(-1.0 if n & 1 else 1.0) * (math.log(n) / n)
-                                     for n in range(2, ALTERNATING_TERMS + 1)]
+LOG_SINE_WEIGHTS = [0.0, 0.0] + [(-1.0 if n & 1 else 1.0) * (math.log(n) / n)
+                                 for n in range(2, ALTERNATING_TERMS + 1)]
+SAWTOOTH_WEIGHTS = [0.0] + [(-1.0 if n & 1 else 1.0) / n
+                            for n in range(1, ALTERNATING_TERMS + 1)]
 
 
 def log_sine_partials(theta, n_terms, window):
@@ -50,18 +57,17 @@ def log_sine_partials(theta, n_terms, window):
     return out
 
 
-def alternating_log_sine_samples(phi, stride, count):
+def alternating_samples(weights, phi, stride, count):
     last = stride * count + 1
     if stride < 1 or count < 1 or last > ALTERNATING_TERMS:
         raise ValueError(
             f"need stride, count >= 1 and stride * count + 1 <= {ALTERNATING_TERMS}")
-    weights = _ALTERNATING_WEIGHTS
     exp = cmath.exp
     sums = []
     terms = []
     total = 0j
     sample = stride + 1
-    for n in range(2, last + 1):
+    for n in range(1, last + 1):
         # w_n e^{i n phi} with e^{i n phi} = cos(n phi) + i sin(n phi) exactly
         a = weights[n] * exp(1j * (n * phi))
         total += a
@@ -70,24 +76,6 @@ def alternating_log_sine_samples(phi, stride, count):
             terms.append(a)
             sample += stride
     return sums, terms
-
-
-def recip_sine_partials(theta, n_terms, window):
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
-    window = min(window, n_terms)
-    first_kept = n_terms - window + 1
-    out = []
-    re = 0.0
-    im = 0.0
-    for n in range(1, n_terms + 1):
-        c = 1.0 / n
-        nt = n * theta
-        re += c * math.cos(nt)
-        im += c * math.sin(nt)
-        if n >= first_kept:
-            out.append(complex(re, im))
-    return out
 
 
 def weighted_average_limit(partials, z, depth):

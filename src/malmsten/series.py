@@ -8,17 +8,15 @@ arithmetic progression, S_l = S_{m_l} at m_l = kappa (l + 1) + 1 (Sidi,
 Practical Extrapolation Methods, 2003), and extrapolated with the Levin
 t-transform (Levin 1973), weights omega_l = a_{m_l} and beta = 1.
 
-The same engine sums Kummer's series for ln Gamma (`kummer.kummer_sum`).
-Only the sawtooth series is still accelerated with the phase-weighted Euler
-averaging of `acceleration`, whose oscillation factor is exp(i(phi + pi)).
+The same engine sums Kummer's series for ln Gamma (`kummer.kummer_sum`) and
+the sawtooth series sum_{n>=1} (-1)^{n+1} sin(n phi)/n = phi/2, the source
+of the gamma*phi/2 term (`sawtooth_sum`), each with its weight table.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
 from . import kernels
-from .acceleration import WINDOW, accelerated_limit
 from .domain import Evaluation, Method, require_regular, require_tol
 from .errors import DomainError, NonConvergenceError
 from .special_functions import EPS, EULER_GAMMA, pi_gap
@@ -105,24 +103,6 @@ def j_n(n):
     return -(EULER_GAMMA + math.log(n + 1)) / (n + 1)
 
 
-def sawtooth_partial(phi, n_terms, accel=True):
-    """Partial sum of sum_{n>=1} (-1)^{n+1} sin(n phi)/n (limit: phi/2).
-
-    With accel, the Euler averaging is applied to the trailing partial sums;
-    without, the raw N-term partial sum is returned.
-    """
-    p = phi.phi
-    if n_terms < 1:
-        raise DomainError("n_terms must be >= 1")
-    theta = p + math.pi
-    if not accel:
-        s = kernels.recip_sine_partials(theta, n_terms, 1)[-1]
-        return -s.imag
-    partials = kernels.recip_sine_partials(theta, n_terms, WINDOW)
-    value, _, _ = accelerated_limit(partials, cmath.exp(1j * theta))
-    return -value.imag
-
-
 def sampling_stride(phi):
     """kappa = max(1, round(SAMPLE_TURN / (pi - |phi|))), before the MAX_STRIDE cap."""
     return max(1, round(SAMPLE_TURN / pi_gap(phi)))
@@ -154,6 +134,26 @@ def levin_t(sums, terms):
     return num / den, num_prev / den_prev, spread / abs(den)
 
 
+def _levin_sum(weights, p):
+    """sum_n weights[n] e^{i n p} by the engine: the stride rule, the samples, levin_t.
+
+    Returns (L_K, L_{K-1}, Gamma, S_N, N, capped), where S_N is the last
+    sampled partial sum and capped says the rule asked for a stride above
+    MAX_STRIDE.
+    """
+    wanted = sampling_stride(p)
+    stride = min(wanted, MAX_STRIDE)
+    sums, terms = kernels.alternating_samples(weights, p, stride, LEVIN_K + 1)
+    limit, prev, stability = levin_t(sums, terms)
+    n = stride * (LEVIN_K + 1) + 1
+    return limit, prev, stability, sums[-1], n, wanted > MAX_STRIDE
+
+
+def sawtooth_sum(phi):
+    """Extrapolated value of sum_{n>=1} (-1)^{n+1} sin(n phi)/n (limit: phi/2)."""
+    return -_levin_sum(kernels.SAWTOOTH_WEIGHTS, phi.phi)[0].imag
+
+
 def _log_sine_sum_impl(phi, tol):
     """Extrapolated log-sine sum: (value, est_error, terms).
 
@@ -180,16 +180,12 @@ def _log_sine_sum_impl(phi, tol):
     require_regular(phi)
     require_tol(tol)
     p = phi.phi
-    wanted = sampling_stride(p)
-    stride = min(wanted, MAX_STRIDE)
-    n = stride * (LEVIN_K + 1) + 1
-    sums, terms = kernels.alternating_log_sine_samples(p, stride, LEVIN_K + 1)
-    limit, prev, stability = levin_t(sums, terms)
+    limit, prev, stability, last, n, capped = _levin_sum(kernels.LOG_SINE_WEIGHTS, p)
     noise = EPS * (0.5 * math.log(n) ** 2 + abs(limit))
     phase = EPS * 0.5 * abs(p) * math.lgamma(n + 1)
-    if wanted > MAX_STRIDE:
+    if capped:
         tail = math.log(n + 1) / (n + 1) / math.cos(0.5 * p)
-        est = abs(limit - sums[-1]) + tail + noise + phase
+        est = abs(limit - last) + tail + noise + phase
     else:
         est = (min(1.0, n * abs(p)) * (abs(limit - prev) + stability * noise)
                + stability * phase)

@@ -17,7 +17,7 @@ from .dispatch import evaluate
 from .domain import Angle, require_tol
 from .kummer import derived_sum_identity, kummer_closed_eval, kummer_partial, kummer_sum
 from .quadrature import quad_eval, quad_jn, quad_tan_form, quad_unit_eval
-from .series import SERIES_BAND, coeff_witnesses, j_n, sawtooth_partial, series_eval
+from .series import SERIES_BAND, coeff_witnesses, j_n, sawtooth_sum, series_eval
 from .special_functions import EULER_GAMMA, log_gamma, reflection_product
 
 # covers the special values, generic points, the zero limit, and the
@@ -174,7 +174,7 @@ def _checks_sawtooth():
     for p in DEFAULT_GRID:
         if abs(p) > SERIES_BAND:
             continue
-        s = sawtooth_partial(Angle(p), 200)
+        s = sawtooth_sum(Angle(p))
         out.append(_rec(f"sawtooth_vs_half_phi[phi={_fmt(p)}]", s, p / 2.0, 1e-8))
     return out
 

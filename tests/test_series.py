@@ -1,5 +1,5 @@
 """Tests for the Cauchy-product series route: coefficients, inner
-integrals, the sawtooth series, and the accelerated full evaluation."""
+integrals, the sawtooth series, and the extrapolated full evaluation."""
 
 import math
 import random
@@ -8,6 +8,7 @@ import mpmath
 import pytest
 from test_oracle import oracle
 
+from malmsten import kernels
 from malmsten.closed_form import malmsten_closed
 from malmsten.domain import Angle, Method
 from malmsten.errors import DomainError, NonConvergenceError, ZeroAngleError
@@ -21,13 +22,17 @@ from malmsten.series import (
     j_n,
     log_sine_sum,
     sampling_stride,
-    sawtooth_partial,
+    sawtooth_sum,
     series_eval,
 )
 from malmsten.special_functions import EULER_GAMMA
 
 GRID = [s * v for s in (1.0, -1.0)
         for v in (0.1, 0.5, math.pi / 3, math.pi / 2, 2.0, 2 * math.pi / 3, 2.9)]
+
+# GRID, 0, the ends +-3.1 and seeded angles on |phi| <= 3.1
+_RNG = random.Random(20261018)
+SAWTOOTH_ANGLES = GRID + [0.0, 3.1, -3.1] + [_RNG.uniform(-3.1, 3.1) for _ in range(60)]
 
 
 def test_coeff_first_values():
@@ -92,21 +97,16 @@ def test_jn_closed_values():
         j_n(-1)
 
 
-@pytest.mark.parametrize("phi", GRID)
+@pytest.mark.parametrize("phi", SAWTOOTH_ANGLES)
 def test_sawtooth_accelerated(phi):
-    s = sawtooth_partial(Angle(phi), 200)
-    assert abs(s - phi / 2.0) <= 1e-8
+    assert abs(sawtooth_sum(Angle(phi)) - phi / 2.0) <= 1e-13
 
 
 def test_sawtooth_raw_misses():
-    # 200 raw terms of the conditionally convergent sum are nowhere near 1e-8
-    raw = sawtooth_partial(Angle(math.pi / 2), 200, accel=False)
-    assert abs(raw - math.pi / 4.0) > 1e-4
-
-
-def test_sawtooth_domain():
-    with pytest.raises(DomainError):
-        sawtooth_partial(Angle(1.0), 0)
+    # the raw 200-term partial sum of the conditionally convergent series,
+    # straight from the sampling kernel, is nowhere near 1e-8
+    sums, _ = kernels.alternating_samples(kernels.SAWTOOTH_WEIGHTS, math.pi / 2, 199, 1)
+    assert abs(-sums[-1].imag - math.pi / 4.0) > 1e-4
 
 
 def test_log_sine_sum_matches_closed_assembly():
