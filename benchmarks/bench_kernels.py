@@ -42,7 +42,8 @@ def bench_series(repeat):
     count = series.LEVIN_K + 1
     for table in ("LOG_SINE_WEIGHTS", "SAWTOOTH_WEIGHTS"):
         weights = getattr(kernels, table)
-        for phi in (0.5, 2.0, 2.9, 3.1):
+        # 3.13 is past the stride cap: N = MAX_STRIDE (LEVIN_K + 1) + 1 terms
+        for phi in (0.5, 2.0, 2.9, 3.1, 3.13):
             stride = min(series.sampling_stride(phi), series.MAX_STRIDE)
 
             def engine(phi=phi, stride=stride, weights=weights):

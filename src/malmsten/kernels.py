@@ -18,6 +18,15 @@
       For z = -1 this is exactly classical Euler averaging of an
       alternating series.
 
+The two partial-sum kernels form each term as cmath.rect(w, x) =
+(w cos x, w sin x), one C call, and add it to one complex running sum.  Each
+term is bitwise w cos x and w sin x formed one by one, and w * exp(1j * x):
+exp(+-0 + i x) is exactly (cos x, sin x), and the real-times-complex product
+only adds signed zeros to w cos x and w sin x.  That can flip the sign of a
+zero part of a term (as at x = 0) but not of a partial sum, which starts at
++0 and has +0 + -0 = +0.  tests/test_kernels.py pins both kernels to those
+forms with ==.
+
 No library code calls weighted_average_limit, and every caller asks
 log_sine_partials for a window of 1.  Both stay as they are because the
 benchmark's fixed-size kernel timings (perfbench/run.py, kernel_micro_us)
@@ -44,16 +53,14 @@ def log_sine_partials(theta, n_terms, window):
         raise ValueError("n_terms must be >= 2")
     window = min(window, n_terms - 1)
     first_kept = n_terms - window + 1
+    log = math.log
+    rect = cmath.rect
     out = []
-    re = 0.0
-    im = 0.0
+    total = 0j
     for n in range(2, n_terms + 1):
-        c = math.log(n) / n
-        nt = n * theta
-        re += c * math.cos(nt)
-        im += c * math.sin(nt)
+        total += rect(log(n) / n, n * theta)
         if n >= first_kept:
-            out.append(complex(re, im))
+            out.append(total)
     return out
 
 
@@ -62,14 +69,13 @@ def alternating_samples(weights, phi, stride, count):
     if stride < 1 or count < 1 or last > ALTERNATING_TERMS:
         raise ValueError(
             f"need stride, count >= 1 and stride * count + 1 <= {ALTERNATING_TERMS}")
-    exp = cmath.exp
+    rect = cmath.rect
     sums = []
     terms = []
     total = 0j
     sample = stride + 1
     for n in range(1, last + 1):
-        # w_n e^{i n phi} with e^{i n phi} = cos(n phi) + i sin(n phi) exactly
-        a = weights[n] * exp(1j * (n * phi))
+        a = rect(weights[n], n * phi)
         total += a
         if n == sample:
             sums.append(total)
