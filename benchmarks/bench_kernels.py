@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Benchmark the summation kernels, the series engine, the quadrature
-routes with cold and warm node tables, and each verify check group.
+routes with cold and warm integrand tables, and each verify check group.
 
 Times the hot loop that generates complex partial sums (the raw partial
 sums of `kummer_partial` and of verify's series check).  Then times the
@@ -9,13 +9,12 @@ series of the series and Kummer routes and the sawtooth series: the
 sampled alternating partial sums plus the Levin t-transform, with the
 terms N it sums and the transform's stability index Gamma.  Then times
 quad_eval and quad_unit_eval per point: with every table emptied before
-each call (cold), with only the integrand tables emptied (numerators: the
-cost of filling them from stored nodes), and with every table filled
-(warm: one denominator and one divide per node, plus the level
-driver).  Each point also prints the nodes its evaluation used and the
-entries a cold call left stored in each node table and each integrand
-table: a strip is stored whole the first time an evaluation reaches it, so
-the tables hold more nodes than it used.  Last, times each `verify` check
+each call (cold: each node and its numerator computed), and with every
+table filled (warm: one denominator and one divide per node, plus the
+level driver).  Each point also prints the nodes its evaluation used and
+the entries a cold call left stored in each integrand table: a strip is
+stored whole the first time an evaluation reaches it, so the tables hold
+more nodes than it used.  Last, times each `verify` check
 group, `run_checks(only=[group])`, in this process, and all of them
 together.
 
@@ -56,25 +55,17 @@ def bench_series(repeat):
 
 
 def _stored():
-    """Entries stored per table: node tables by key, integrand tables by
-    (integrand, node table key)."""
+    """Entries stored per integrand table."""
     stored = {}
     for (table, _, _), strip in quadrature._NODES.items():
         stored[table] = stored.get(table, 0) + len(strip)
     return stored
 
 
-def _table_name(table):
-    if table[0] in ("ts", "es"):
-        return f"{table[0]}{table[1:]}"
-    return f"{table[0]}:{_table_name(table[1])}"
-
-
 def bench_quadrature(repeat):
-    print("quadrature: us per point with empty tables (cold), with the node\n"
-          "tables filled but the integrand tables empty (numerators), and with\n"
-          "every table filled (warm); the nodes used, and the entries one cold\n"
-          "call left stored in each table")
+    print("quadrature: us per point with empty tables (cold) and with every\n"
+          "table filled (warm); the nodes used, and the entries one cold call\n"
+          "left stored in each integrand table")
     for name, route in (("quad_eval", quadrature.quad_eval),
                         ("quad_unit_eval", quadrature.quad_unit_eval)):
         for phi in (0.5, 2.0, 2.9):
@@ -84,21 +75,13 @@ def bench_quadrature(repeat):
                 quadrature._NODES.clear()
                 route(angle)
 
-            def numerators(route=route, angle=angle):
-                for entry in [e for e in quadrature._NODES if e[0][0] not in ("ts", "es")]:
-                    del quadrature._NODES[entry]
-                route(angle)
-
             t_cold = min(timeit.repeat(cold, number=1, repeat=repeat))
             stored = _stored()
-            t_num = min(timeit.repeat(numerators, number=1, repeat=repeat))
-            route(angle)
             t_warm = min(timeit.repeat(lambda: route(angle), number=1, repeat=repeat))
             nodes = route(angle).nodes
             print(f"  {name:<15} phi={phi:<4} nodes={nodes:<4} cold {t_cold * 1e6:8.1f} us"
-                  f"  numerators {t_num * 1e6:8.1f} us  warm {t_warm * 1e6:8.1f} us")
-            print("    stored: " + ", ".join(f"{_table_name(table)} {n}"
-                                          for table, n in stored.items()))
+                  f"  warm {t_warm * 1e6:8.1f} us")
+            print("    stored: " + ", ".join(f"{table} {n}" for table, n in stored.items()))
 
 
 def bench_verify(repeat):

@@ -32,9 +32,6 @@ from .quadrature import (
     quad_unit_eval,
 )
 from .series import (
-    CoefficientWitness,
-    coeff_a,
-    coeff_witnesses,
     j_n,
     log_sine_sum,
     sawtooth_sum,

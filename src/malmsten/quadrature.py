@@ -11,26 +11,22 @@ the larger of the last inter-level delta and a rounding floor of 2 EPS per
 term, 2 EPS h sum|terms|, which also covers cancellation in the node sum.
 Node sums use math.fsum (compensated accumulation).
 
-Node tables.  The abscissae and weights do not depend on phi, and neither
+Integrand tables.  The abscissae and weights do not depend on phi, and neither
 does the numerator of either integrand: only the denominator
-(y + cos phi)^2 + sin^2 phi does.  So each node is computed once per process
-and kept in `_NODES`, one strip at a time: under (table, level, sign) sits
-that level's nodes for the sign of t, in order of j, up to where the
-transform leaves representable range or t passes _T_MAX; sign 0 holds the
-centre node alone.  There are two kinds of table:
-- a node table, keyed by transform and interval: ("ts", a, b) for
-  tanh-sinh on (a, b), ("es", a) for exp-sinh on (a, inf).  Its entries are
-  (weight, x, dist_a, dist_b).  `quad_jn` reads it and computes its terms
-  per call;
-- an integrand table, keyed (integrand, node table): ("unit", ts(0, 1)) for
-  quad-unit, ("exp", ts(0, 1)) and ("exp", es(1)) for quad's two pieces,
-  ("tan", ts(pi/4, pi/2)) for quad-tan.  Its entries are the phi-free
-  triples (weight * numerator, y, 1 - y): y = x with numerator ln ln(1/x)
-  for quad-unit, y = e^{-u} with numerator e^{-u} ln u for quad, and y = 0
-  for quad-tan, whose denominator is then exactly 1.
+(y + cos phi)^2 + sin^2 phi does.  So each integrand's numerator is
+computed once per node per process and kept in `_NODES`, one strip at a
+time: under (table, level, sign) sits that level's entries for the sign of
+t, in order of j, up to where the transform leaves representable range or
+t passes _T_MAX; sign 0 holds the centre node alone.  The tables are
+"unit" for quad-unit on (0, 1), "exp" and "exp-tail" for quad's two pieces
+on (0, 1] and [1, inf), and "tan" for quad-tan on (pi/4, pi/2).  Their
+entries are the phi-free triples (weight * numerator, y, 1 - y): y = x with
+numerator ln ln(1/x) for quad-unit, y = e^{-u} with numerator e^{-u} ln u
+for quad, and y = 0 for quad-tan, whose denominator is then exactly 1.
+`quad_jn` reads quad's tables too: its terms are (weight * numerator) y^n.
 A warm node so costs one denominator and one divide, with no log or exp.
 The first evaluation to reach a strip builds all of it, under a lock, so
-no node is computed twice and no reader sees a part-built strip; an
+no entry is computed twice and no reader sees a part-built strip; an
 evaluation then walks only as far along it as its terms stay large.  Every
 angle, route and tolerance reads the same tables, and a stored entry does
 not depend on which evaluation stored it, so neither does a result.
@@ -55,10 +51,9 @@ MAX_LEVEL = 10
 _T_MAX = 6.5
 _Q_MIN = 1e-280
 
-# (table, level, sign) -> strip; reentrant, as an integrand strip's build
-# reaches for the node strip it is built from
+# (table, level, sign) -> strip
 _NODES = {}
-_NODES_LOCK = threading.RLock()
+_NODES_LOCK = threading.Lock()
 
 # Denominator parts (c, s^2, 1 + c) that make every denominator exactly 1.0,
 # for the integrands with no phi: x / 1.0 == x bitwise.
@@ -93,10 +88,14 @@ def _strip(node, level, sign):
     return tuple(strip)
 
 
-def _table(table, build, *args):
-    """strip_at(level, sign) of the stored table `table`: the strip stored
-    under (table, level, sign), built as build(*args, level, sign) on first
-    use."""
+def _integrand_strip(numerator, node, level, sign):
+    """numerator(weight, x, dist_a, dist_b) at each node of a strip."""
+    return tuple(starmap(numerator, _strip(node, level, sign)))
+
+
+def _stored(table, numerator, node):
+    """strip_at(level, sign) of the integrand table `table`: the strip stored
+    under (table, level, sign), built by _integrand_strip on first use."""
     get = _NODES.get
 
     def strip_at(level, sign):
@@ -106,20 +105,10 @@ def _table(table, build, *args):
             with _NODES_LOCK:
                 strip = get(name)
                 if strip is None:
-                    strip = _NODES[name] = build(*args, level, sign)
+                    strip = _NODES[name] = _integrand_strip(numerator, node, level, sign)
         return strip
 
     return strip_at
-
-
-def _integrand_strip(numerator, key, node, level, sign):
-    """numerator(weight, x, dist_a, dist_b) at each entry of a node strip."""
-    return tuple(starmap(numerator, _table(key, _strip, node)(level, sign)))
-
-
-def _stored(name, numerator, key, node):
-    """strip_at(level, sign) of the integrand table (name, key)."""
-    return _table((name, key), _integrand_strip, numerator, key, node)
 
 
 def _refine_levels(strip_at, parts, tol):
@@ -204,11 +193,10 @@ def _exp_sinh_node(a, t):
     return 0.5 * math.pi * math.cosh(t) * eg, a + eg, eg, None
 
 
-# The node tables: (key, node function of t)
-_UNIT_NODES = (("ts", 0.0, 1.0), lambda t: _tanh_sinh_node(0.0, 1.0, t))
-_TAIL_NODES = (("es", 1.0), lambda t: _exp_sinh_node(1.0, t))
-_TAN_NODES = (("ts", math.pi / 4, math.pi / 2),
-              lambda t: _tanh_sinh_node(math.pi / 4, math.pi / 2, t))
+# The node functions of t: (weight, x, dist_a, dist_b) on each interval
+_UNIT_NODES = lambda t: _tanh_sinh_node(0.0, 1.0, t)
+_TAIL_NODES = lambda t: _exp_sinh_node(1.0, t)
+_TAN_NODES = lambda t: _tanh_sinh_node(math.pi / 4, math.pi / 2, t)
 
 
 def _denominator_parts(phi_val):
@@ -303,44 +291,43 @@ def _split_at_one(left, right, parts, tol):
     )
 
 
+def _exp_tables():
+    """strip_at of quad's two pieces: e^{-u} ln u on (0, 1] and on [1, inf)."""
+    return (_stored("exp", _exp_numerator, _UNIT_NODES),
+            _stored("exp-tail", _exp_numerator, _TAIL_NODES))
+
+
 def quad_eval(phi, tol=TOL):
     """I(phi) by the exp-substituted representation on (0, inf)."""
     _check_guard_band(phi.phi)
-    return _split_at_one(_stored("exp", _exp_numerator, *_UNIT_NODES),
-                         _stored("exp", _exp_numerator, *_TAIL_NODES),
-                         _denominator_parts(phi.phi), tol)
+    return _split_at_one(*_exp_tables(), _denominator_parts(phi.phi), tol)
 
 
 def quad_unit_eval(phi, tol=TOL):
     """I(phi) by tanh-sinh straight on the unit-interval representation."""
     _check_guard_band(phi.phi)
-    return _refine_levels(_stored("unit", _unit_numerator, *_UNIT_NODES),
+    return _refine_levels(_stored("unit", _unit_numerator, _UNIT_NODES),
                           _denominator_parts(phi.phi), tol)
 
 
 def quad_tan_form(tol=TOL):
     """Vardi's tangent form: integral_{pi/4}^{pi/2} ln ln tan y dy."""
-    return _refine_levels(_stored("tan", _tan_numerator, *_TAN_NODES), _NO_PHI, tol)
+    return _refine_levels(_stored("tan", _tan_numerator, _TAN_NODES), _NO_PHI, tol)
 
 
 def quad_jn(n, tol=TOL):
     """J_n = integral_0^1 x^n ln ln(1/x) dx, via the e^{-(n+1)u} ln u form.
 
-    Its terms are computed per call from the node tables: a stored table per
-    n would cost more to fill than the few calls of each n save.
+    Its terms are w y^n from quad's own strips, whose entries are
+    (w, y) = (weight * e^{-u} ln u, e^{-u}): no log or exp once they are stored.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
-    k = n + 1
-    exp, log = math.exp, math.log
 
-    def per_call(key, node):
-        nodes = _table(key, _strip, node)
+    def powered(strip_at):
+        def strip_at_n(level, sign):
+            return ((wn * y ** n, 0.0, 1.0) for wn, y, _ in strip_at(level, sign))
 
-        def strip_at(level, sign):
-            return ((weight * (exp(-k * u) * log(u)), 0.0, 1.0)
-                    for weight, u, _, _ in nodes(level, sign))
+        return strip_at_n
 
-        return strip_at
-
-    return _split_at_one(per_call(*_UNIT_NODES), per_call(*_TAIL_NODES), _NO_PHI, tol)
+    return _split_at_one(*map(powered, _exp_tables()), _NO_PHI, tol)

@@ -14,7 +14,6 @@ of the gamma*phi/2 term (`sawtooth_sum`), each with its weight table.
 """
 
 import math
-from dataclasses import dataclass
 
 from . import kernels
 from .domain import Evaluation, Method, require_regular, require_tol
@@ -51,49 +50,6 @@ def _levin_coefficients(k):
 
 _LEVIN_C = _levin_coefficients(LEVIN_K)
 _LEVIN_C_PREV = _levin_coefficients(LEVIN_K - 1)
-
-
-@dataclass(frozen=True)
-class CoefficientWitness:
-    """Closed-form and brute-force values of the power-series coefficient a_n."""
-
-    n: int
-    closed: float
-    brute: float
-
-
-def _witnesses(phi, ns):
-    """The CoefficientWitness of a_n for each n of the ascending ns.
-
-    The brute-force twin is the definition sum_{k=0}^{n} cos((n - 2k) phi).
-    Its terms pair up as cos(j phi) + cos(-j phi) = 2 cos(j phi) for
-    j = n, n - 2, ... > 0, plus cos(0) = 1 when n is even.  (-j) phi is
-    -(j phi) exactly, cos is even and doubling is exact, so one table
-    d[0] = 1, d[j] = 2 cos(j phi) serves every n: fsum(d[n % 2 : n + 1 : 2])
-    is the correctly rounded sum of the same real terms, bitwise equal to
-    fsum over the definition's n + 1 cosines.
-    """
-    require_regular(phi)
-    p = phi.phi
-    sin_p = math.sin(p)
-    doubled = [1.0] + [2.0 * math.cos(j * p) for j in range(1, ns[-1] + 1)]
-    return [CoefficientWitness(n=n, closed=math.sin((n + 1) * p) / sin_p,
-                               brute=math.fsum(doubled[n % 2:n + 1:2]))
-            for n in ns]
-
-
-def coeff_witnesses(phi, n_max):
-    """a_n = sin((n+1) phi)/sin(phi) with its brute-force twin, n = 0 .. n_max."""
-    if n_max < 0:
-        raise DomainError("n_max must be >= 0")
-    return _witnesses(phi, range(n_max + 1))
-
-
-def coeff_a(n, phi):
-    """a_n = sin((n+1) phi)/sin(phi), with its brute-force trigonometric twin."""
-    if n < 0:
-        raise DomainError("n must be >= 0")
-    return _witnesses(phi, (n,))[0]
 
 
 def j_n(n):

@@ -21,9 +21,9 @@ from malmsten.closed_form import (
 from malmsten.domain import Angle
 from malmsten.kummer import derived_sum_identity, kummer_closed_eval, kummer_partial, kummer_sum
 from malmsten.quadrature import quad_eval, quad_jn, quad_tan_form
-from malmsten.series import coeff_witnesses, j_n, sawtooth_sum, series_eval
+from malmsten.series import j_n, sawtooth_sum, series_eval
 from malmsten.special_functions import EULER_GAMMA, log_gamma, reflection_product
-from malmsten.verify import DEFAULT_GRID
+from malmsten.verify import DEFAULT_GRID, run_checks
 
 SPECIALS = {
     SpecialCase.PI_OVER_2: math.pi / 2,
@@ -89,24 +89,30 @@ def test_criterion_04_series_route(capsys):
 
 
 def test_criterion_05_coefficient_identity(capsys):
+    # a_n = sin((n+1) phi)/sin phi against its definition, the n + 1 cosines
+    # cos((n - 2k) phi), k = 0 .. n, and against the Chebyshev recurrence
     rng = random.Random(20260823)
     worst_witness = worst_cheb = 0.0
     for _ in range(20):
         p = rng.uniform(0.01, math.pi - 0.01) * rng.choice((1.0, -1.0))
         two_cos = 2.0 * math.cos(p)
         prev2 = prev1 = None
-        for n, w in enumerate(coeff_witnesses(Angle(p), 200)):
-            worst_witness = max(worst_witness, abs(w.closed - w.brute) / (n + 1))
+        for n in range(201):
+            closed = math.sin((n + 1) * p) / math.sin(p)
+            brute = math.fsum(math.cos((n - 2 * k) * p) for k in range(n + 1))
+            worst_witness = max(worst_witness, abs(closed - brute) / (n + 1))
             if n >= 2:
                 worst_cheb = max(
-                    worst_cheb, abs(w.closed - (two_cos * prev1 - prev2)) / (n + 1)
+                    worst_cheb, abs(closed - (two_cos * prev1 - prev2)) / (n + 1)
                 )
-            prev2, prev1 = prev1, w.closed
-    ok = worst_witness <= 1e-12 and worst_cheb <= 1e-11
+            prev2, prev1 = prev1, closed
+    same = [r.lhs for r in run_checks(only=["coeffs"])] == [worst_witness, worst_cheb]
+    ok = worst_witness <= 1e-12 and worst_cheb <= 1e-11 and same
     _report(capsys, 5, ok,
             f"coefficients (20 angles, n <= 200): brute-force witness "
             f"{worst_witness:.2e} (tol 1e-12/(n+1)), recurrence "
-            f"{worst_cheb:.2e} (tol 1e-11/(n+1))")
+            f"{worst_cheb:.2e} (tol 1e-11/(n+1)); verify's coeffs records "
+            f"equal these: {same}")
 
 
 def test_criterion_06_inner_integrals(capsys):

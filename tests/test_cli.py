@@ -161,6 +161,23 @@ def test_comparison_report_is_the_closed_quad_group():
     assert verify.comparison_report() == run_checks(only=["closed_quad"])
 
 
+# records per check group, in verify's order: 203 in all
+GROUP_SIZES = {
+    "closed_quad": 17, "repr": 30, "special": 7, "vardi": 2, "series": 17, "coeffs": 2,
+    "jn": 22, "sawtooth": 17, "kummer": 20, "identity": 49, "reflection": 17, "zero": 3,
+}
+
+
+def test_run_checks_gives_the_203_records_of_the_verify_contract():
+    records = run_checks()
+    assert len(records) == sum(GROUP_SIZES.values()) == 203
+    assert all(r.passed for r in records)
+    assert tuple(GROUP_SIZES) == verify.GROUPS
+    per_group = {group: run_checks(only=[group]) for group in verify.GROUPS}
+    assert {group: len(rs) for group, rs in per_group.items()} == GROUP_SIZES
+    assert [r for rs in per_group.values() for r in rs] == records
+
+
 def test_verify_without_tolerance_flags_gives_the_records_of_run_checks(capsys):
     assert main(["verify", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -1,6 +1,6 @@
 """Tests for the double-exponential quadrature oracle: both integral
 representations, the tangent form, the inner integrals, the error
-estimate contract, and the node tables shared by every evaluation."""
+estimate contract, and the integrand tables shared by every evaluation."""
 
 import math
 import sys
@@ -178,9 +178,11 @@ def test_result_metadata():
 # (value, est_error) as float.hex() and node count.  The quad and quad-unit
 # rows were frozen when the integrand numerators went into the node tables:
 # each value is within its est_error of the 40-digit oracle, and each node
-# count is the one from before.  The jn and quad-tan values and node counts
-# date from before the node tables; their est_error moved only with the
-# rounding floor.  A result must not depend on the state of the tables.
+# count is the one from before.  The quad-tan value and node count date from
+# before the node tables, its est_error moved only with the rounding floor.
+# The jn rows were frozen when quad_jn went onto quad's stored strips: each
+# value is within its est_error of the closed form, and the node counts did
+# not change.  A result must not depend on the state of the tables.
 FROZEN_HEX = {
     ("quad", 0.5): ("-0x1.32d5f1b233fdcp-4", "0x1.d5c495e38ff7ep-53", 305),
     ("quad-unit", 0.5): ("-0x1.32d5f1b233fddp-4", "0x1.d5d9f17c17118p-53", 132),
@@ -192,16 +194,20 @@ FROZEN_HEX = {
     ("quad-unit", -3.1): ("-0x1.e305697eb5a91p+6", "0x1.0000000000000p-42", 243),
     ("quad-tan", None): ("-0x1.0ab184de2a327p-2", "0x1.8530000000000p-42", 72),
     ("jn", 0): ("-0x1.2788cfc6fb618p-1", "0x1.0d690b705bab5p-51", 305),
-    ("jn", 7): ("-0x1.540d57e5798fap-2", "0x1.4201f48fbf8e4p-45", 167),
-    ("jn", 20): ("-0x1.6134a88cbe7c2p-3", "0x1.208d9a6f14c00p-45", 125),
+    ("jn", 7): ("-0x1.540d57e5798fap-2", "0x1.4201f40fbf8e4p-45", 167),
+    ("jn", 20): ("-0x1.6134a88cbe7c4p-3", "0x1.208d9a6f14d40p-45", 125),
 }
 DEEP_PHI = math.pi - 1.0001e-3  # just inside the guard band: the deepest tables
 
-UNIT = ("ts", 0.0, 1.0)
-TAIL = ("es", 1.0)
-TAN = ("ts", math.pi / 4, math.pi / 2)
+# integrand table -> (numerator, node function, the node function's interval)
+TABLES = {
+    "unit": ("_unit_numerator", "_tanh_sinh_node", (0.0, 1.0)),
+    "exp": ("_exp_numerator", "_tanh_sinh_node", (0.0, 1.0)),
+    "exp-tail": ("_exp_numerator", "_exp_sinh_node", (1.0,)),
+    "tan": ("_tan_numerator", "_tanh_sinh_node", (math.pi / 4, math.pi / 2)),
+}
 NODE_FUNCTIONS = ("_tanh_sinh_node", "_exp_sinh_node")
-NUMERATORS = {"unit": "_unit_numerator", "exp": "_exp_numerator", "tan": "_tan_numerator"}
+NUMERATORS = ("_unit_numerator", "_exp_numerator", "_tan_numerator")
 
 
 def _run(route, arg):
@@ -237,7 +243,7 @@ def _count_calls(monkeypatch, name, calls):
 
 @pytest.fixture
 def node_calls(monkeypatch):
-    """The calls to the node functions behind the node tables."""
+    """The calls to the node functions the tables are built from."""
     calls = []
     for name in NODE_FUNCTIONS:
         _count_calls(monkeypatch, name, calls)
@@ -246,21 +252,15 @@ def node_calls(monkeypatch):
 
 @pytest.fixture
 def numerator_calls(monkeypatch):
-    """The calls to each integrand's numerator, keyed by integrand table name."""
-    calls = {table: [] for table in NUMERATORS}
-    for table, name in NUMERATORS.items():
-        _count_calls(monkeypatch, name, calls[table])
+    """The calls to each integrand's numerator, keyed by its function name."""
+    calls = {name: [] for name in NUMERATORS}
+    for name in NUMERATORS:
+        _count_calls(monkeypatch, name, calls[name])
     return calls
 
 
-def _node_tables(tables):
-    # (table, level, sign) -> strip, for the tables of (weight, x, da, db)
-    return {name: strip for name, strip in tables.items() if name[0][0] in ("ts", "es")}
-
-
-def _integrand_tables(tables):
-    # (table, level, sign) -> strip, for the tables of (weight * numerator, y, 1 - y)
-    return {name: strip for name, strip in tables.items() if name[0][0] in NUMERATORS}
+def _numerator_counts(numerator_calls):
+    return {name: len(calls) for name, calls in numerator_calls.items()}
 
 
 def _spacing(level):
@@ -269,12 +269,12 @@ def _spacing(level):
     return 0.5 ** level, (1 if level == 0 else 2)
 
 
-def _stored(tables):
-    # the node-function calls behind the node tables: one per entry, plus
+def _node_calls_behind(tables):
+    # the node-function calls behind the stored strips: one per entry, plus
     # the None that ended each strip that left range before its t passed
     # _T_MAX; sign 0 holds the centre alone
     calls = 0
-    for (_, level, sign), strip in _node_tables(tables).items():
+    for (_, level, sign), strip in tables.items():
         h, step_j = _spacing(level)
         left_range = sign != 0.0 and (1 + len(strip) * step_j) * h <= quadrature._T_MAX
         calls += len(strip) + left_range
@@ -282,10 +282,10 @@ def _stored(tables):
 
 
 def _stored_numerators(tables):
-    # integrand table name -> the entries stored in its tables
+    # numerator function -> the entries stored in the tables built with it
     counts = dict.fromkeys(NUMERATORS, 0)
-    for ((name, _), _, _), strip in _integrand_tables(tables).items():
-        counts[name] += len(strip)
+    for (table, _, _), strip in tables.items():
+        counts[TABLES[table][0]] += len(strip)
     return counts
 
 
@@ -298,12 +298,25 @@ def test_frozen_bits(empty_tables, key):
     assert _bits(_run(*key)) == FROZEN_HEX[key]
 
 
+def _exact(key):
+    """The 40-digit value a frozen row stands for."""
+    route, arg = key
+    if route == "jn":
+        return -(mpmath.euler + mpmath.log(arg + 1)) / (arg + 1)
+    if route == "quad-tan":
+        # Vardi: (pi/2) ln(Gamma(3/4) sqrt(2 pi) / Gamma(1/4))
+        return mpmath.pi / 2 * mpmath.log(
+            mpmath.gamma(0.75) * mpmath.sqrt(2 * mpmath.pi) / mpmath.gamma(0.25))
+    return oracle(arg)
+
+
 @pytest.mark.parametrize(
-    "key", sorted((k for k in FROZEN_HEX if k[0] in ("quad", "quad-unit")), key=repr))
+    "key", sorted((k for k in FROZEN_HEX if k[0] in ("quad", "quad-unit")), key=repr)
+    + sorted((k for k in FROZEN_HEX if k[0] not in ("quad", "quad-unit")), key=repr))
 def test_frozen_rows_hold_against_the_oracle(key):
     value, est, _ = FROZEN_HEX[key]
     with mpmath.workdps(40):
-        err = abs(mpmath.mpf(float.fromhex(value)) - oracle(key[1]))
+        err = abs(mpmath.mpf(float.fromhex(value)) - _exact(key))
     assert err <= float.fromhex(est)
 
 
@@ -317,25 +330,27 @@ def test_result_does_not_depend_on_evaluation_order(empty_tables):
 
 
 def test_each_node_is_computed_once(empty_tables, node_calls, numerator_calls):
+    # each entry of each table is computed once, from one node-function call
     quad_eval(Angle(2.9))
     quad_unit_eval(Angle(2.9))
     computed = len(node_calls)
-    assert computed == _stored(empty_tables) > 0
-    numerators = {name: len(calls) for name, calls in numerator_calls.items()}
+    assert computed == _node_calls_behind(empty_tables) > 0
+    numerators = _numerator_counts(numerator_calls)
     assert numerators == _stored_numerators(empty_tables)
-    assert numerators["unit"] > 0 and numerators["exp"] > 0
+    assert numerators["_unit_numerator"] > 0 and numerators["_exp_numerator"] > 0
     # these reach no deeper level and no further along any strip
     for route in (quad_eval, quad_unit_eval):
         for p in (2.9, 0.5, -1.0):
             route(Angle(p))
+    for n in (0, 7, 20):
+        quad_jn(n)
     assert len(node_calls) == computed
-    assert {name: len(calls) for name, calls in numerator_calls.items()} == numerators
+    assert _numerator_counts(numerator_calls) == numerators
     # a deeper evaluation adds only the strips of the levels it reaches
     quad_eval(Angle(DEEP_PHI))
-    assert len(node_calls) == _stored(empty_tables) > computed
-    assert len(set(node_calls)) == len(node_calls)
+    assert len(node_calls) == _node_calls_behind(empty_tables) > computed
     stored = _stored_numerators(empty_tables)
-    assert stored["exp"] > numerators["exp"]
+    assert stored["_exp_numerator"] > numerators["_exp_numerator"]
     for name, calls in numerator_calls.items():
         assert len(calls) == len(set(calls)) == stored[name]
 
@@ -357,13 +372,12 @@ def test_warm_evaluations_compute_no_node(empty_tables, node_calls, numerator_ca
     for route in routes + [partial(quad_eval, Angle(0.5)), partial(quad_unit_eval, Angle(-2.0))]:
         nodes += route().nodes
     assert nodes > 1000
+    # quad_jn reads quad's warm strips as w y^n: no log or exp at all
+    for n in (0, 3, 20):
+        quad_jn(n)
     assert len(node_calls) == 0
     assert not any(numerator_calls.values())
-    assert sum(logs.calls.values()) == 0
-    # quad_jn keeps no table of its own: it takes one exp and one log per node
-    jn_nodes = quad_jn(3).nodes
-    assert logs.calls == {"exp": jn_nodes, "log": jn_nodes}
-    assert len(node_calls) == 0
+    assert logs.calls == {}
 
 
 class _CountingMath:
@@ -388,8 +402,8 @@ class _CountingMath:
 
 def test_tables_shared_by_threads(empty_tables, node_calls, numerator_calls):
     # threads that fill the same cold tables at once, through both routes,
-    # store each node and each numerator once and see the same results as
-    # one thread
+    # store each entry once, from one node-function call, and see the same
+    # results as one thread
     work = [(quad_eval, DEEP_PHI), (quad_unit_eval, 0.5), (quad_eval, -2.9),
             (quad_unit_eval, -DEEP_PHI), (quad_eval, 2.0), (quad_unit_eval, 1e-3)]
     expected = [_bits(route(Angle(p))) for route, p in work]
@@ -417,38 +431,31 @@ def test_tables_shared_by_threads(empty_tables, node_calls, numerator_calls):
             assert not any(t.is_alive() for t in threads)
             for i in range(n_threads):
                 assert results[i] == expected[i:] + expected[:i]
-            assert len(node_calls) == _stored(empty_tables)
-            stored = _stored_numerators(empty_tables)
-            assert {name: len(calls) for name, calls in numerator_calls.items()} == stored
+            assert len(node_calls) == _node_calls_behind(empty_tables)
+            assert _numerator_counts(numerator_calls) == _stored_numerators(empty_tables)
     finally:
         sys.setswitchinterval(interval)
 
 
 def test_strips_are_whole(empty_tables):
-    # each stored strip holds every node of its level and sign, up to the
-    # first None or t past _T_MAX, not only the nodes its first walk used;
-    # an integrand strip holds its numerator at every node of the node strip
+    # each stored strip holds its numerator at every node of its level and
+    # sign, up to the first None or t past _T_MAX, not only the nodes its
+    # first walk used
     quad_eval(Angle(DEEP_PHI))
     quad_unit_eval(Angle(0.5))
     quad_tan_form()
-    node_of = {"ts": quadrature._tanh_sinh_node, "es": quadrature._exp_sinh_node}
-    nodes = _node_tables(empty_tables)
-    assert {key for key, _, _ in nodes} == {UNIT, TAIL, TAN}
-    for (key, level, sign), strip in nodes.items():
-        node = partial(node_of[key[0]], *key[1:])
+    assert {table for table, _, _ in empty_tables} == set(TABLES)
+    for (table, level, sign), strip in empty_tables.items():
+        numerator_name, node_name, interval = TABLES[table]
+        numerator = getattr(quadrature, numerator_name)
+        node = partial(getattr(quadrature, node_name), *interval)
         if sign == 0.0:
-            assert strip == (node(0.0),)
+            assert strip == (numerator(*node(0.0)),)
             continue
         h, step_j = _spacing(level)
         expected = []
         j = 1
         while j * h <= quadrature._T_MAX and node(sign * j * h) is not None:
-            expected.append(node(sign * j * h))
+            expected.append(numerator(*node(sign * j * h)))
             j += step_j
         assert strip == tuple(expected)
-    integrands = _integrand_tables(empty_tables)
-    assert {table for table, _, _ in integrands} == {
-        ("exp", UNIT), ("exp", TAIL), ("unit", UNIT), ("tan", TAN)}
-    for ((name, key), level, sign), strip in integrands.items():
-        numerator = getattr(quadrature, NUMERATORS[name])
-        assert strip == tuple(numerator(*node) for node in nodes[(key, level, sign)])

@@ -8,7 +8,7 @@ import mpmath
 import pytest
 from test_oracle import oracle
 
-from malmsten import kernels
+from malmsten import kernels, verify
 from malmsten.closed_form import malmsten_closed
 from malmsten.domain import Angle, Method
 from malmsten.errors import DomainError, NonConvergenceError, ZeroAngleError
@@ -17,8 +17,6 @@ from malmsten.series import (
     MAX_STRIDE,
     MAX_TERMS,
     SERIES_BAND,
-    coeff_a,
-    coeff_witnesses,
     j_n,
     log_sine_sum,
     sampling_stride,
@@ -35,15 +33,6 @@ _RNG = random.Random(20261018)
 SAWTOOTH_ANGLES = GRID + [0.0, 3.1, -3.1] + [_RNG.uniform(-3.1, 3.1) for _ in range(60)]
 
 
-def test_coeff_first_values():
-    a = Angle(1.1)
-    assert abs(coeff_a(0, a).closed - 1.0) < 1e-15
-    assert abs(coeff_a(1, a).closed - 2.0 * math.cos(1.1)) < 1e-14
-    w2 = coeff_a(2, a)
-    assert abs(w2.closed - (4.0 * math.cos(1.1) ** 2 - 1.0)) < 1e-13
-    assert abs(w2.closed - w2.brute) < 1e-13
-
-
 def _verify_angles():
     """The 20 angles of verify's coeffs group, drawn as it draws them."""
     rng = random.Random(20260823)
@@ -52,42 +41,25 @@ def _verify_angles():
 
 
 def test_coeff_witness_and_recurrence():
-    for p in _verify_angles()[:6]:
-        two_cos = 2.0 * math.cos(p)
-        prev2 = prev1 = None
-        for n, w in enumerate(coeff_witnesses(Angle(p), 200)):
-            assert w.n == n
-            bound = n + 1.0
-            assert abs(w.closed - w.brute) <= 1e-12 * bound
-            assert abs(w.closed) <= bound + 1e-9  # |sin(n+1)phi/sin phi| <= n+1
-            if n >= 2:
-                assert abs(w.closed - (two_cos * prev1 - prev2)) <= 1e-11 * bound
-            prev2, prev1 = prev1, w.closed
+    # at each angle of verify's coeffs group, a_n = sin((n+1) phi)/sin phi
+    # meets its definition and the Chebyshev recurrence within the group's
+    # tolerances, scaled by n + 1; rounding leaves residuals above 0
+    residuals = [verify._coeff_residuals(p) for p in _verify_angles()]
+    assert all(brute <= 1e-12 and cheb <= 1e-11 for brute, cheb in residuals)
+    assert all(brute > 0.0 and cheb > 0.0 for brute, cheb in residuals)
+    records = verify.run_checks(only=["coeffs"])
+    assert [r.lhs for r in records] == [max(column) for column in zip(*residuals)]
 
 
 @pytest.mark.parametrize("p", _verify_angles())
 def test_coeff_witness_is_its_definition(p):
-    # the one-table brute force is bitwise fsum over the definition's terms
-    for w in coeff_witnesses(Angle(p), 200):
-        n = w.n
-        assert w.brute == math.fsum(math.cos((n - 2 * k) * p) for k in range(n + 1))
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 57, 200])
-def test_coeff_a_is_the_last_witness(n):
-    angle = Angle(-2.3)
-    assert coeff_witnesses(angle, n)[n] == coeff_a(n, angle)
-
-
-def test_coeff_domain():
-    with pytest.raises(DomainError):
-        coeff_a(-1, Angle(1.0))
-    with pytest.raises(DomainError):
-        coeff_witnesses(Angle(1.0), -1)
-    with pytest.raises(ZeroAngleError):
-        coeff_a(3, Angle(0.0))
-    with pytest.raises(ZeroAngleError):
-        coeff_witnesses(Angle(0.0), 3)
+    # the one-table brute force is bitwise fsum over the definition's terms,
+    # so its residual at p is the definition's, exactly
+    sin_p = math.sin(p)
+    worst = max(abs(math.sin((n + 1) * p) / sin_p
+                    - math.fsum(math.cos((n - 2 * k) * p) for k in range(n + 1))) / (n + 1)
+                for n in range(201))
+    assert verify._coeff_residuals(p)[0] == worst
 
 
 def test_jn_closed_values():
