@@ -8,15 +8,15 @@ series engine at a few angles with each of its weight tables, the log-sine
 series of the series and Kummer routes and the sawtooth series: the
 sampled alternating partial sums plus the Levin t-transform, with the
 terms N it sums and the transform's stability index Gamma.  Then times
-quad_eval and quad_unit_eval per point: with every table emptied before
-each call (cold: each node and its numerator computed), and with every
-table filled (warm: one denominator and one divide per node, plus the
-level driver).  Each point also prints the nodes its evaluation used and
-the entries a cold call left stored in each integrand table: a strip is
-stored whole the first time an evaluation reaches it, so the tables hold
-more nodes than it used.  Last, times each `verify` check
-group, `run_checks(only=[group])`, in this process, and all of them
-together.
+quad_eval and quad_unit_eval per point, and quad_jn at n = 0, 7 and 20:
+with every table emptied before each call (cold: each node and its
+numerator computed), and with every table filled (warm: one denominator,
+or one power for J_n, and one divide per node, plus the level driver).
+Each point also prints the nodes its evaluation used and the entries a
+cold call left stored in each integrand table: a strip is stored whole
+the first time an evaluation reaches it, so the tables hold more nodes
+than it used.  Last, times each `verify` check group,
+`run_checks(only=[group])`, in this process, and all of them together.
 
 Usage: python benchmarks/bench_kernels.py [--terms N] [--repeat R]
 """
@@ -66,22 +66,24 @@ def bench_quadrature(repeat):
     print("quadrature: us per point with empty tables (cold) and with every\n"
           "table filled (warm); the nodes used, and the entries one cold call\n"
           "left stored in each integrand table")
-    for name, route in (("quad_eval", quadrature.quad_eval),
-                        ("quad_unit_eval", quadrature.quad_unit_eval)):
-        for phi in (0.5, 2.0, 2.9):
-            angle = Angle(phi)
+    points = [(f"{name:<15} phi={phi:<4}", route, Angle(phi))
+              for name, route in (("quad_eval", quadrature.quad_eval),
+                                  ("quad_unit_eval", quadrature.quad_unit_eval))
+              for phi in (0.5, 2.0, 2.9)]
+    points += [(f"{'quad_jn':<15} n={n:<6}", quadrature.quad_jn, n) for n in (0, 7, 20)]
+    for label, route, arg in points:
 
-            def cold(route=route, angle=angle):
-                quadrature._NODES.clear()
-                route(angle)
+        def cold(route=route, arg=arg):
+            quadrature._NODES.clear()
+            route(arg)
 
-            t_cold = min(timeit.repeat(cold, number=1, repeat=repeat))
-            stored = _stored()
-            t_warm = min(timeit.repeat(lambda: route(angle), number=1, repeat=repeat))
-            nodes = route(angle).nodes
-            print(f"  {name:<15} phi={phi:<4} nodes={nodes:<4} cold {t_cold * 1e6:8.1f} us"
-                  f"  warm {t_warm * 1e6:8.1f} us")
-            print("    stored: " + ", ".join(f"{table} {n}" for table, n in stored.items()))
+        t_cold = min(timeit.repeat(cold, number=1, repeat=repeat))
+        stored = _stored()
+        t_warm = min(timeit.repeat(lambda: route(arg), number=1, repeat=repeat))
+        nodes = route(arg).nodes
+        print(f"  {label} nodes={nodes:<4} cold {t_cold * 1e6:8.1f} us"
+              f"  warm {t_warm * 1e6:8.1f} us")
+        print("    stored: " + ", ".join(f"{table} {n}" for table, n in stored.items()))
 
 
 def bench_verify(repeat):

@@ -1,15 +1,16 @@
 """Independent quadrature oracle for every integral representation.
 
-Primary scheme: double-exponential (tanh-sinh) quadrature.  `quad_eval`
-integrates e^{-u} ln u / (1 + 2 e^{-u} cos phi + e^{-2u}) split at u = 1
-into a tanh-sinh piece on [0, 1] (ln u endpoint singularity) and an
-exp-sinh piece on [1, inf) (exponential decay).  `quad_unit_eval` applies
-tanh-sinh straight to ln ln(1/x) on (0, 1) as a structurally different
-second oracle.  Node count doubles per level; termination when two
-successive levels agree within `tol` (absolute or relative).  est_error is
-the larger of the last inter-level delta and a rounding floor of 2 EPS per
-term, 2 EPS h sum|terms|, which also covers cancellation in the node sum.
-Node sums use math.fsum (compensated accumulation).
+Primary scheme: double-exponential quadrature.  `quad_eval` integrates
+e^{-u} ln u / (1 + 2 e^{-u} cos phi + e^{-2u}) over (0, inf) as one
+exp-sinh piece, u = exp((pi/2) sinh t), whose nodes cluster double
+exponentially both at u = 0 (the ln u endpoint singularity) and toward
+infinity (the exponential decay).  `quad_unit_eval` applies tanh-sinh
+straight to ln ln(1/x) on (0, 1) as a structurally different second
+oracle.  Node count doubles per level; termination when two successive
+levels agree within `tol` (absolute or relative).  est_error is the larger
+of the last inter-level delta and a rounding floor of 2 EPS per term,
+2 EPS h sum|terms|, which also covers cancellation in the node sum.  Node
+sums use math.fsum (compensated accumulation).
 
 Integrand tables.  The abscissae and weights do not depend on phi, and neither
 does the numerator of either integrand: only the denominator
@@ -18,12 +19,12 @@ computed once per node per process and kept in `_NODES`, one strip at a
 time: under (table, level, sign) sits that level's entries for the sign of
 t, in order of j, up to where the transform leaves representable range or
 t passes _T_MAX; sign 0 holds the centre node alone.  The tables are
-"unit" for quad-unit on (0, 1), "exp" and "exp-tail" for quad's two pieces
-on (0, 1] and [1, inf), and "tan" for quad-tan on (pi/4, pi/2).  Their
-entries are the phi-free triples (weight * numerator, y, 1 - y): y = x with
-numerator ln ln(1/x) for quad-unit, y = e^{-u} with numerator e^{-u} ln u
-for quad, and y = 0 for quad-tan, whose denominator is then exactly 1.
-`quad_jn` reads quad's tables too: its terms are (weight * numerator) y^n.
+"unit" for quad-unit on (0, 1), "exp" for quad on (0, inf), and "tan" for
+quad-tan on (pi/4, pi/2).  Their entries are the phi-free triples
+(weight * numerator, y, 1 - y): y = x with numerator ln ln(1/x) for
+quad-unit, y = e^{-u} with numerator e^{-u} ln u for quad, and y = 0 for
+quad-tan, whose denominator is then exactly 1.
+`quad_jn` reads quad's table too: its terms are (weight * numerator) y^n.
 A warm node so costs one denominator and one divide, with no log or exp.
 The first evaluation to reach a strip builds all of it, under a lock, so
 no entry is computed twice and no reader sees a part-built strip; an
@@ -195,7 +196,7 @@ def _exp_sinh_node(a, t):
 
 # The node functions of t: (weight, x, dist_a, dist_b) on each interval
 _UNIT_NODES = lambda t: _tanh_sinh_node(0.0, 1.0, t)
-_TAIL_NODES = lambda t: _exp_sinh_node(1.0, t)
+_EXP_NODES = lambda t: _exp_sinh_node(0.0, t)
 _TAN_NODES = lambda t: _tanh_sinh_node(math.pi / 4, math.pi / 2, t)
 
 
@@ -277,30 +278,11 @@ def _check_guard_band(p):
         )
 
 
-def _split_at_one(left, right, parts, tol):
-    """Integral over (0, inf) of the integrand whose strips are left(level,
-    sign) on [0, 1] (tanh-sinh) and right(level, sign) on [1, inf) (exp-sinh)."""
-    # half the tolerance per piece, so the combined estimate still honours tol
-    left = _refine_levels(left, parts, 0.5 * tol)
-    right = _refine_levels(right, parts, 0.5 * tol)
-    return QuadResult(
-        value=left.value + right.value,
-        est_error=left.est_error + right.est_error,
-        nodes=left.nodes + right.nodes,
-        converged=left.converged and right.converged,
-    )
-
-
-def _exp_tables():
-    """strip_at of quad's two pieces: e^{-u} ln u on (0, 1] and on [1, inf)."""
-    return (_stored("exp", _exp_numerator, _UNIT_NODES),
-            _stored("exp-tail", _exp_numerator, _TAIL_NODES))
-
-
 def quad_eval(phi, tol=TOL):
     """I(phi) by the exp-substituted representation on (0, inf)."""
     _check_guard_band(phi.phi)
-    return _split_at_one(*_exp_tables(), _denominator_parts(phi.phi), tol)
+    return _refine_levels(_stored("exp", _exp_numerator, _EXP_NODES),
+                          _denominator_parts(phi.phi), tol)
 
 
 def quad_unit_eval(phi, tol=TOL):
@@ -323,11 +305,9 @@ def quad_jn(n, tol=TOL):
     """
     if n < 0:
         raise DomainError("n must be >= 0")
+    strip_at = _stored("exp", _exp_numerator, _EXP_NODES)
 
-    def powered(strip_at):
-        def strip_at_n(level, sign):
-            return ((wn * y ** n, 0.0, 1.0) for wn, y, _ in strip_at(level, sign))
+    def powered(level, sign):
+        return ((wn * y ** n, 0.0, 1.0) for wn, y, _ in strip_at(level, sign))
 
-        return strip_at_n
-
-    return _split_at_one(*map(powered, _exp_tables()), _NO_PHI, tol)
+    return _refine_levels(powered, _NO_PHI, tol)

@@ -1,8 +1,9 @@
 """Routes against a 40-digit mpmath oracle at the edges of the domain: the
 ZERO-classified angles next to phi = 0, and angles within 1e-12 of +-pi;
 the series route over the whole domain, where its estimate must hold
-everywhere and be tight inside; and the quad and quad-unit routes up to the
-quadrature guard band, where their estimates must hold."""
+everywhere and be tight inside; the quad and quad-unit routes up to the
+quadrature guard band, where their estimates must hold at the default and
+at other tolerances; and the inner integrals J_n of quad_jn."""
 
 import math
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malmsten import Angle, evaluate
-from malmsten.quadrature import GUARD_BAND
+from malmsten.quadrature import GUARD_BAND, quad_jn
 from malmsten.special_functions import EPS
 
 # Inside (1e-3 <= |phi| <= 2.9) the series estimate may exceed the larger of
@@ -39,6 +40,12 @@ def oracle(phi):
             2 * t * mpmath.log(2 * mpmath.pi)
             + mpmath.loggamma(mpmath.mpf(0.5) + t)
             - mpmath.loggamma(mpmath.mpf(0.5) - t))
+
+
+def jn_oracle(n):
+    """J_n = integral_0^1 x^n ln ln(1/x) dx = -(gamma + ln(n + 1))/(n + 1), at 40 digits."""
+    with mpmath.workdps(40):
+        return -(mpmath.euler + mpmath.log(n + 1)) / (n + 1)
 
 
 def _error(value, phi):
@@ -109,9 +116,9 @@ QUADRATURE = ["quad", "quad-unit"]
 QUAD_EDGE = math.pi - GUARD_BAND
 
 
-def _quad_error(method, phi):
+def _quad_error(method, phi, tol=None):
     """(|value - I|, est_error) of a quadrature route at phi."""
-    ev = evaluate(Angle(phi), method)
+    ev = evaluate(Angle(phi), method, tol)
     return _error(ev.value, phi), ev.est_error
 
 
@@ -126,12 +133,24 @@ def test_quadrature_estimate_holds_everywhere(magnitude, sign, method):
 # Angles where a route's estimate once fell short of its error: with the
 # rounding floor EPS * max(1, |value|), or with the numerators stored before
 # the floor counted every term (2.8061223861205504).
-@pytest.mark.parametrize("phi", [
+MISSED = [
     2.7698011298506855, 2.8061223861205504, 3.12955, -3.12955, 3.13964889296543,
-    -3.1403210616229793, math.pi - 1.0001e-3, -(math.pi - 1.0001e-3)])
+    -3.1403210616229793, math.pi - 1.0001e-3, -(math.pi - 1.0001e-3)]
+
+
+@pytest.mark.parametrize("phi", MISSED)
 @pytest.mark.parametrize("method", QUADRATURE)
 def test_quadrature_estimate_holds_where_it_missed(method, phi):
     err, est = _quad_error(method, phi)
+    assert err <= est
+
+
+@pytest.mark.parametrize("phi", MISSED + [0.0, 1e-12])
+@pytest.mark.parametrize("tol", [1e-9, 1e-15])
+@pytest.mark.parametrize("method", QUADRATURE)
+def test_quadrature_estimate_holds_at_other_tolerances(method, tol, phi):
+    # the refinement stops at another level, and the estimate must hold there
+    err, est = _quad_error(method, phi, tol)
     assert err <= est
 
 
@@ -141,3 +160,13 @@ def test_quadrature_estimate_holds_where_it_missed(method, phi):
 def test_quadrature_estimate_holds_near_zero(method, sign, phi):
     err, est = _quad_error(method, sign * phi)
     assert err <= est
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12, 1e-15])
+@pytest.mark.parametrize("n", range(30))
+def test_quad_jn_estimate_holds(n, tol):
+    r = quad_jn(n, tol)
+    assert r.converged
+    with mpmath.workdps(40):
+        err = float(abs(mpmath.mpf(r.value) - jn_oracle(n)))
+    assert err <= r.est_error
