@@ -7,7 +7,9 @@ sums of `kummer_partial` and of verify's series check).  Then times the
 series engine at a few angles with each of its weight tables, the log-sine
 series of the series and Kummer routes and the sawtooth series: the
 sampled alternating partial sums plus the Levin t-transform, with the
-terms N it sums and the transform's stability index Gamma.  Then times
+terms N it sums and the transform's stability index Gamma; and the
+Euler-Maclaurin sum that replaces the engine for the log-sine series
+near +-pi, with the terms it sums.  Then times
 quad_eval and quad_unit_eval per point, and quad_jn at n = 0, 7 and 20:
 with every table emptied before each call (cold: each node and its
 numerator computed), and with every table filled (warm: one denominator,
@@ -27,6 +29,7 @@ import timeit
 
 from malmsten import kernels, quadrature, series, verify
 from malmsten.domain import Angle
+from malmsten.special_functions import pi_gap
 
 
 def bench(label, fn, repeat):
@@ -37,13 +40,13 @@ def bench(label, fn, repeat):
 def bench_series(repeat):
     print("series engine: best time per call of the sampled partial sums plus the\n"
           "Levin transform, the terms N summed and the stability index Gamma,\n"
-          "for each weight table")
+          "for each weight table, at angles where the routes use it")
     count = series.LEVIN_K + 1
     for table in ("LOG_SINE_WEIGHTS", "SAWTOOTH_WEIGHTS"):
         weights = getattr(kernels, table)
-        # 3.13 is past the stride cap: N = MAX_STRIDE (LEVIN_K + 1) + 1 terms
-        for phi in (0.5, 2.0, 2.9, 3.1, 3.13):
-            stride = min(series.sampling_stride(phi), series.MAX_STRIDE)
+        # 2.85 is the last of these below the Euler-Maclaurin crossover
+        for phi in (0.5, 2.0, 2.85):
+            stride = series.sampling_stride(phi)
 
             def engine(phi=phi, stride=stride, weights=weights):
                 return series.levin_t(*kernels.alternating_samples(weights, phi, stride, count))
@@ -52,6 +55,14 @@ def bench_series(repeat):
             gamma = engine()[2]
             print(f"  {table:<16} phi={phi:<4} N={stride * count + 1:<5} Gamma={gamma:<8.3g}"
                   f" {best * 1e6:8.1f} us")
+    print("log-sine sum by Euler-Maclaurin (pi - |phi| < EM_GAP): best time per\n"
+          "call and the terms it sums (head, Bernoulli and tail-series terms)")
+    for phi in (2.9, 3.13, math.nextafter(math.pi, 0.0)):
+        theta = pi_gap(phi)
+        best = min(timeit.repeat(lambda theta=theta: series._euler_maclaurin_sum(theta),
+                                 number=1, repeat=repeat))
+        work = series._euler_maclaurin_sum(theta)[2]
+        print(f"  phi={phi!r:<20} work={work:<3} {best * 1e6:8.1f} us")
 
 
 def _stored():

@@ -8,11 +8,12 @@ identity it yields:
       = pi ln Gamma(1/2 - phi/(2 pi)) - (phi/2)(gamma + ln 2 pi)
         - (pi/2) ln pi + (pi/2) ln cos(phi/2)
 
-Both series are summed in their alternating form by the Levin engine of
-`series.log_sine_sum`, through the parity map
-(-1)^n sin(n phi) = -sin(n(pi - phi)): Kummer's sum_{n>=1} ln n sin(2 pi n x)/n
-is log_sine_sum at phi = 2 pi x - pi (`kummer_sum`), and the identity's
-series side is -log_sine_sum(phi).  `kummer_partial` is the raw truncation.
+Both series are summed in their alternating form by `series.log_sine_sum`
+(the Levin engine, or Euler-Maclaurin within EM_GAP of +-pi), through the
+parity map (-1)^n sin(n phi) = -sin(n(pi - phi)): Kummer's
+sum_{n>=1} ln n sin(2 pi n x)/n is log_sine_sum at phi = 2 pi x - pi
+(`kummer_sum`), and the identity's series side is -log_sine_sum(phi).
+`kummer_partial` is the raw truncation.
 """
 
 import math
@@ -49,13 +50,15 @@ def _closed_part(x):
 
 
 def kummer_sum(x):
-    """ln Gamma(x) from Kummer's expansion, its series summed by the Levin engine.
+    """ln Gamma(x) from Kummer's expansion, its series summed by log_sine_sum.
 
     The series is log_sine_sum at phi = 2 pi x - pi.  Where that angle is
     ZERO (x within about 1.6e-7 of 1/2, x = 1/2 itself included) it is the
-    odd Taylor term eta'(0) phi instead of a ZeroAngleError.  Near the
-    endpoints, where the engine cannot reach its tolerance, it raises
-    NonConvergenceError.
+    odd Taylor term eta'(0) phi instead of a ZeroAngleError.  For x or
+    1 - x below EM_GAP / (2 pi) the angle lies within EM_GAP of -+pi, and
+    the sum runs on the Euler-Maclaurin branch.  There the rounding of
+    2 pi x - pi, about 6e-16, moves the result by up to about
+    6e-16 / (4 pi min(x, 1 - x)).
     """
     closed_part = _closed_part(x)
     phi = Angle(2.0 * math.pi * x - math.pi)

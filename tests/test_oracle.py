@@ -1,11 +1,13 @@
 """Routes against a 40-digit mpmath oracle at the edges of the domain: the
 ZERO-classified angles next to phi = 0, and angles within 1e-12 of +-pi;
 the series route over the whole domain, where its estimate must hold
-everywhere and be tight inside; the quad and quad-unit routes up to the
-quadrature guard band, where their estimates must hold at the default and
-at other tolerances; and the inner integrals J_n of quad_jn."""
+everywhere and be tight for |phi| >= 1e-3, and where its Euler-Maclaurin
+branch near +-pi must keep full accuracy; the quad and quad-unit routes up
+to the quadrature guard band, where their estimates must hold at the
+default and at other tolerances; and the inner integrals J_n of quad_jn."""
 
 import math
+import random
 
 import mpmath
 import pytest
@@ -14,10 +16,11 @@ from hypothesis import strategies as st
 
 from malmsten import Angle, evaluate
 from malmsten.quadrature import GUARD_BAND, quad_jn
+from malmsten.series import EM_GAP
 from malmsten.special_functions import EPS
 
-# Inside (1e-3 <= |phi| <= 2.9) the series estimate may exceed the larger of
-# its true error and one ulp of I by at most this factor.
+# For 1e-3 <= |phi| < pi the series estimate may exceed the larger of its
+# true error and one ulp of I by at most this factor.
 F_SERIES = 1e4
 
 # Reproducible examples, and no example database left in the checkout.
@@ -106,10 +109,35 @@ def test_series_estimate_holds_near_pi(sign, d):
 
 
 @ORACLE_SETTINGS
-@given(st.floats(min_value=1e-3, max_value=2.9), st.sampled_from([1.0, -1.0]))
+@given(st.floats(min_value=1e-3, max_value=math.nextafter(math.pi, 0.0)),
+       st.sampled_from([1.0, -1.0]))
 def test_series_estimate_is_tight_inside(magnitude, sign):
     err, est, exact = _series_error(sign * magnitude)
     assert err <= est <= F_SERIES * max(err, EPS * exact)
+
+
+# pi - |phi| at the last float below pi, deep in the Euler-Maclaurin branch,
+# at the old stride cap (0.026), and on both sides of the crossover EM_GAP
+SERIES_EDGE = [math.pi - math.nextafter(math.pi, 0.0), 1e-15, 1e-12, 1e-8, 1e-4, 0.026,
+               EM_GAP * (1.0 - 1e-9), EM_GAP * (1.0 + 1e-9)]
+
+
+@pytest.mark.parametrize("d", SERIES_EDGE)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_series_estimate_is_tight_at_the_edge(sign, d):
+    err, est, exact = _series_error(sign * (math.pi - d))
+    assert err <= est <= F_SERIES * max(err, EPS * exact)
+
+
+def test_series_keeps_full_accuracy_past_the_crossover():
+    # pi - |phi| log-uniform from the last float below pi up to EM_GAP
+    rng = random.Random(16)
+    lo = math.log(math.pi - math.nextafter(math.pi, 0.0))
+    for _ in range(200):
+        d = math.exp(lo + rng.random() * (math.log(EM_GAP) - lo))
+        for sign in (1.0, -1.0):
+            err, _, exact = _series_error(sign * (math.pi - d))
+            assert err <= 1e-14 * exact
 
 
 QUADRATURE = ["quad", "quad-unit"]

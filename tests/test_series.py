@@ -8,15 +8,16 @@ import mpmath
 import pytest
 from test_oracle import oracle
 
-from malmsten import kernels, verify
+from malmsten import kernels, series, verify
 from malmsten.closed_form import malmsten_closed
 from malmsten.domain import Angle, Method
 from malmsten.errors import DomainError, NonConvergenceError, ZeroAngleError
 from malmsten.series import (
+    EM_GAP,
+    EM_HEAD,
+    EM_ORDER,
     LEVIN_K,
-    MAX_STRIDE,
     MAX_TERMS,
-    SERIES_BAND,
     j_n,
     log_sine_sum,
     sampling_stride,
@@ -97,7 +98,9 @@ def test_series_eval_vs_closed(phi):
 
 
 def test_series_error_estimate_is_honest():
-    for phi in (0.5, 2.0, 2.9):
+    # 2.9 and 3.05 are on the Euler-Maclaurin branch, which meets the
+    # default tolerance there, so series_eval returns a value
+    for phi in (0.5, 2.0, 2.9, 3.05):
         ev = series_eval(Angle(phi))
         truth = malmsten_closed(Angle(phi)).value
         assert abs(ev.value - truth) <= 10.0 * max(ev.est_error, 1e-15)
@@ -129,16 +132,39 @@ def test_series_work_adapts_to_the_angle(phi):
 
 
 def test_series_work_follows_the_sampling_stride():
-    kappa = sampling_stride(3.05)
-    assert 1 < kappa <= MAX_STRIDE
-    assert series_eval(Angle(3.05)).work == kappa * (LEVIN_K + 1) + 1
+    # at and above EM_GAP the Levin engine sums kappa (LEVIN_K + 1) + 1
+    # terms, with kappa = 10 at the crossover
+    for d in (EM_GAP * 1.001, 0.3, 1.0):
+        for phi in (math.pi - d, d - math.pi):
+            kappa = sampling_stride(phi)
+            assert 1 <= kappa <= 10
+            assert series_eval(Angle(phi)).work == kappa * (LEVIN_K + 1) + 1
+    assert sampling_stride(math.pi - EM_GAP * 1.001) == 10
 
 
-@pytest.mark.parametrize("d", [1e-12, 1e-3, 0.02])
-def test_series_work_stays_at_the_cap_past_it(d):
-    phi = math.pi - d
-    assert sampling_stride(phi) > MAX_STRIDE
-    assert series_eval(Angle(phi)).work == MAX_STRIDE * (LEVIN_K + 1) + 1 <= MAX_TERMS
+# pi - |phi| from the last float below pi up to just below EM_GAP
+EM_GAPS = [math.pi - math.nextafter(math.pi, 0.0), 1e-12, 1e-3, 0.02, EM_GAP * 0.999]
+
+
+@pytest.mark.parametrize("d", EM_GAPS)
+def test_series_work_past_the_crossover(d):
+    # below EM_GAP Euler-Maclaurin sums EM_HEAD - 2 head terms, EM_ORDER
+    # Bernoulli terms and 1 to 16 terms of the tail integral's series; the
+    # series table is sized for theta = EM_GAP, so just below it every term
+    # is used
+    fixed = EM_HEAD - 2 + EM_ORDER
+    works = {series_eval(Angle(phi)).work for phi in (math.pi - d, d - math.pi)}
+    assert len(works) == 1
+    work = works.pop()
+    assert fixed < work <= fixed + len(series._EM_TAIL) == 34
+    if d == EM_GAPS[-1]:
+        assert work == 34
+
+
+def test_series_work_falls_toward_pi():
+    works = [series_eval(Angle(math.pi - d)).work for d in EM_GAPS]
+    assert works == sorted(works)
+    assert works[0] < works[-1]
 
 
 @pytest.mark.parametrize("phi", GRID + [2.36, -2.36])
@@ -149,16 +175,6 @@ def test_series_error_estimate_holds_against_mpmath(phi):
     with mpmath.workdps(40):
         err = abs(mpmath.mpf(ev.value) - oracle(phi))
     assert err <= ev.est_error
-
-
-def test_series_band_widens_outside():
-    # outside the advertised band the route still returns a value, with a
-    # widened (honest) error estimate rather than a hard failure
-    phi = 3.05
-    assert phi > SERIES_BAND
-    ev = series_eval(Angle(phi))
-    truth = malmsten_closed(Angle(phi)).value
-    assert abs(ev.value - truth) <= 10.0 * max(ev.est_error, 1e-15)
 
 
 def test_series_zero_angle():
