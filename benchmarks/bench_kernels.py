@@ -7,9 +7,10 @@ sums of `kummer_partial` and of verify's series check).  Then times the
 series engine at a few angles with each of its weight tables, the log-sine
 series of the series and Kummer routes and the sawtooth series: the
 sampled alternating partial sums plus the Levin t-transform, with the
-terms N it sums and the transform's stability index Gamma; and the
-Euler-Maclaurin sum that replaces the engine for the log-sine series
-near +-pi, with the terms it sums.  Then times
+terms N it sums and the transform's stability index Gamma.  Then the two
+sums that replace the engine for the log-sine series, each with the terms
+it sums: Euler's transformation for |phi| <= EULER_PHI, and
+Euler-Maclaurin within EM_GAP of +-pi.  Then times
 quad_eval and quad_unit_eval per point, and quad_jn at n = 0, 7 and 20:
 with every table emptied before each call (cold: each node and its
 numerator computed), and with every table filled (warm: one denominator,
@@ -40,12 +41,13 @@ def bench(label, fn, repeat):
 def bench_series(repeat):
     print("series engine: best time per call of the sampled partial sums plus the\n"
           "Levin transform, the terms N summed and the stability index Gamma,\n"
-          "for each weight table, at angles where the routes use it")
+          "for each weight table; the log-sine series takes it only between\n"
+          "EULER_PHI and pi - EM_GAP, the sawtooth series at every angle")
     count = series.LEVIN_K + 1
     for table in ("LOG_SINE_WEIGHTS", "SAWTOOTH_WEIGHTS"):
         weights = getattr(kernels, table)
-        # 2.85 is the last of these below the Euler-Maclaurin crossover
-        for phi in (0.5, 2.0, 2.85):
+        # 2.6 is the last of these below the Euler-Maclaurin crossover
+        for phi in (0.5, 2.0, 2.3, 2.6):
             stride = series.sampling_stride(phi)
 
             def engine(phi=phi, stride=stride, weights=weights):
@@ -55,9 +57,16 @@ def bench_series(repeat):
             gamma = engine()[2]
             print(f"  {table:<16} phi={phi:<4} N={stride * count + 1:<5} Gamma={gamma:<8.3g}"
                   f" {best * 1e6:8.1f} us")
+    print("log-sine sum by Euler's transformation (|phi| <= EULER_PHI): best time\n"
+          "per call and the terms it sums (head and transformed terms)")
+    for phi in (0.5, 1.5, series.EULER_PHI):
+        best = min(timeit.repeat(lambda phi=phi: series._euler_sum(phi),
+                                 number=1, repeat=repeat))
+        work = series._euler_sum(phi)[2]
+        print(f"  phi={phi!r:<20} work={work:<3} {best * 1e6:8.1f} us")
     print("log-sine sum by Euler-Maclaurin (pi - |phi| < EM_GAP): best time per\n"
           "call and the terms it sums (head, Bernoulli and tail-series terms)")
-    for phi in (2.9, 3.13, math.nextafter(math.pi, 0.0)):
+    for phi in (2.7, 2.9, 3.13, math.nextafter(math.pi, 0.0)):
         theta = pi_gap(phi)
         best = min(timeit.repeat(lambda theta=theta: series._euler_maclaurin_sum(theta),
                                  number=1, repeat=repeat))

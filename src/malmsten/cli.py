@@ -147,7 +147,8 @@ def cmd_sweep(args):
     if not span < MAX_SWEEP_POINTS:
         raise DomainError(f"sweep would exceed {MAX_SWEEP_POINTS} points; use a larger step")
     n = int(span) + 1
-    phis = [start + i * step for i in range(n)]
+    # the slack lets the last point round past stop, even to pi itself
+    phis = [min(start + i * step, stop) for i in range(n)]
 
     if args.format == "csv":
         lines = ["phi,method,value,est_error,work"]

@@ -1,4 +1,9 @@
-"""Summation kernels: the hot loops behind the series and Kummer routes.
+"""Summation kernels: the partial sums behind the Levin engine of the series
+route and behind the raw truncations of `kummer_partial` and verify.
+
+The engine takes the log-sine series only on EULER_PHI < |phi| < pi - EM_GAP
+(`series`; Euler's transformation and Euler-Maclaurin sum it elsewhere,
+without these kernels), and the sawtooth series at every angle.
 
   log_sine_partials(theta, n_terms, window)
       last `window` partial sums of  sum_{n=2}^{m} (ln n / n) e^{i n theta}

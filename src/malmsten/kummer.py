@@ -9,7 +9,8 @@ identity it yields:
         - (pi/2) ln pi + (pi/2) ln cos(phi/2)
 
 Both series are summed in their alternating form by `series.log_sine_sum`
-(the Levin engine, or Euler-Maclaurin within EM_GAP of +-pi), through the
+(Euler's transformation for |phi| <= EULER_PHI, Euler-Maclaurin within
+EM_GAP of +-pi, and the Levin engine between), through the
 parity map (-1)^n sin(n phi) = -sin(n(pi - phi)): Kummer's
 sum_{n>=1} ln n sin(2 pi n x)/n is log_sine_sum at phi = 2 pi x - pi
 (`kummer_sum`), and the identity's series side is -log_sine_sum(phi).
@@ -54,9 +55,10 @@ def kummer_sum(x):
 
     The series is log_sine_sum at phi = 2 pi x - pi.  Where that angle is
     ZERO (x within about 1.6e-7 of 1/2, x = 1/2 itself included) it is the
-    odd Taylor term eta'(0) phi instead of a ZeroAngleError.  For x or
-    1 - x below EM_GAP / (2 pi) the angle lies within EM_GAP of -+pi, and
-    the sum runs on the Euler-Maclaurin branch.  There the rounding of
+    odd Taylor term eta'(0) phi instead of a ZeroAngleError.  For
+    |x - 1/2| <= EULER_PHI / (2 pi) the sum runs on Euler's transformation.
+    For x or 1 - x below EM_GAP / (2 pi) the angle lies within EM_GAP of
+    -+pi, and the sum runs on the Euler-Maclaurin branch.  There the rounding of
     2 pi x - pi, about 6e-16, moves the result by up to about
     6e-16 / (4 pi min(x, 1 - x)).
     """

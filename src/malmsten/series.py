@@ -2,28 +2,37 @@
 
 Evaluates I(phi) = (1/sin phi) [ -gamma*phi/2 + sum_{n>=2} (-1)^n ln n sin(n phi)/n ]
 from the Cauchy-product expansion of the integrand.  The conditionally
-convergent log-sine sum is the imaginary part of sum_{n>=2} a_n with
-a_n = (-1)^n (ln n / n) e^{i n phi}, summed one of two ways:
+convergent log-sine sum S(phi) is the imaginary part of sum_{n>=2} a_n with
+a_n = (-1)^n (ln n / n) e^{i n phi}, summed one of three ways:
 
-- For pi - |phi| >= EM_GAP its partial sums are sampled in arithmetic
+- For |phi| <= EULER_PHI, by Euler's series transformation (Abramowitz &
+  Stegun 3.6.27) after the terms n < EULER_HEAD = M:
+  sum_{n>=M} a_n = (-1)^M e^{i M phi} sum_k d_k (-1)^k rho^(k+1) e^{i (k-1) phi/2}
+  with rho = 1/(2 cos(phi/2)) and the tabulated d_k = Delta^k g(0),
+  g(j) = ln(M + j)/(M + j).  It converges as rho^k A_k for rho < 1, that
+  is for |phi| < 2 pi/3, and every phase is an integer multiple of phi/2.
+- For pi - |phi| < EM_GAP the terms stop alternating: with
+  theta = pi - |phi|, a_n = (ln n / n) e^{-+ i n theta} turns by theta
+  alone.  The sum is +-Im T(theta), T(theta) = sum_{n>=2} (ln n / n) e^{i n theta},
+  and T is summed by Euler-Maclaurin (DLMF 2.10.1): the terms below
+  EM_HEAD, the Bernoulli corrections at EM_HEAD and the tail integral,
+  whose closed form comes from the series of E_1 (DLMF 6.6.2) and of the
+  incomplete gamma function (DLMF 8.7.1).
+- In the band between, its partial sums are sampled in arithmetic
   progression, S_l = S_{m_l} at m_l = kappa (l + 1) + 1 (Sidi, Practical
   Extrapolation Methods, 2003), and extrapolated with the Levin
   t-transform (Levin 1973), weights omega_l = a_{m_l} and beta = 1.
-- Nearer pi the terms stop alternating: with theta = pi - |phi|,
-  a_n = (ln n / n) e^{-+ i n theta} turns by theta alone.  The sum is
-  +-Im T(theta), T(theta) = sum_{n>=2} (ln n / n) e^{i n theta}, and T is
-  summed by Euler-Maclaurin (DLMF 2.10.1): the terms below EM_HEAD, the
-  Bernoulli corrections at EM_HEAD and the tail integral, whose closed
-  form comes from the series of E_1 (DLMF 6.6.2) and of the incomplete
-  gamma function (DLMF 8.7.1).
 
-The Levin engine also sums Kummer's series for ln Gamma (`kummer.kummer_sum`,
-which shares the Euler-Maclaurin branch near its endpoints) and the
-sawtooth series sum_{n>=1} (-1)^{n+1} sin(n phi)/n = phi/2, the source of
-the gamma*phi/2 term (`sawtooth_sum`), each with its weight table.
+Kummer's series for ln Gamma (`kummer.kummer_sum`) is S at another angle
+and takes the same three branches.  The Levin engine also sums the sawtooth
+series sum_{n>=1} (-1)^{n+1} sin(n phi)/n = phi/2, the source of the
+gamma*phi/2 term (`sawtooth_sum`), at every angle.
 """
 
 import math
+from bisect import bisect_left
+from itertools import accumulate, repeat
+from operator import mul
 
 from . import kernels
 from .domain import Evaluation, Method, require_regular, require_tol
@@ -43,22 +52,75 @@ SAMPLE_TURN = 2.5
 # Largest sampling stride kappa: N = kappa (LEVIN_K + 1) + 1 <= MAX_TERMS.
 MAX_STRIDE = (MAX_TERMS - 1) // (LEVIN_K + 1)
 
+# Up to this |phi| the log-sine sum is summed by Euler's transformation,
+# where rho = 1/(2 cos(phi/2)) <= 0.93 and it needs at most 39 terms.
+EULER_PHI = 2.0
+
+# Euler's transformation sums the terms n < EULER_HEAD and transforms the rest.
+EULER_HEAD = 20
+
+# d_k = Delta^k g(0), g(j) = ln(M + j)/(M + j), M = EULER_HEAD, rounded from
+# their 40-digit values.
+_EULER_D = (
+    0.14978661367769955, -0.004809354738488931, 0.00033402549738357796,
+    -3.479047920306989e-05, 4.723806598052679e-06, -7.762053222100033e-07,
+    1.4731802277328732e-07, -3.12523151620107e-08, 7.2237360554782055e-09,
+    -1.7791194943092795e-09, 4.564176711928247e-10, -1.1855364807952264e-10,
+    2.975711015928645e-11, -6.4523563261307245e-12, 6.692609151280862e-13,
+    4.9774402483324e-13, -5.439625777308019e-13, 3.877739887465229e-13,
+    -2.446141688169584e-13, 1.469680433487057e-13, -8.653943562180236e-14,
+    5.062418042504971e-14, -2.963363760339793e-14, 1.7428480773991285e-14,
+    -1.0323012390477727e-14, 6.16626510242726e-15, -3.717434569968014e-15,
+    2.2627850468417417e-15, -1.39088333985732e-15, 8.633479251703267e-16,
+    -5.411083818102411e-16, 3.423830324595713e-16, -2.1866399685796828e-16,
+    1.4092085540144463e-16, -9.162106453663148e-17, 6.007908123428248e-17,
+    -3.972317742502916e-17, 2.647542762857619e-17, -1.7783108477931322e-17,
+    1.2034499734155246e-17,
+)
+
+# A_k = integral_0^inf |ln t + gamma| e^{-M t} (1 - e^{-t})^k dt, rounded up.
+# d_k = (-1)^(k+1) integral_0^inf (ln t + gamma) e^{-M t} (1 - e^{-t})^k dt,
+# since ln x / x = integral_0^inf (-ln t - gamma) e^{-x t} dt, so
+# |d_j| <= A_j <= A_k for every j >= k.
+_EULER_A = (
+    0.1497867229162483, 0.004809407268957644, 0.00033405088369858497,
+    3.4802812559896494e-05, 4.729832253518166e-06, 7.791669085032818e-07,
+    1.4878291061168678e-07, 3.198179498418932e-08, 7.589604791340291e-09,
+    1.9640115679929636e-09, 5.506005673863348e-10, 1.6693367435744036e-10,
+    5.482843979730405e-11, 1.956461120927209e-11, 7.592820806481638e-12,
+    3.194460115836519e-12, 1.4452637366326024e-12, 6.952703332341097e-13,
+    3.5142392801656944e-13, 1.846581461987453e-13, 1.0002534272312087e-13,
+    5.5509367963632984e-14, 3.1422768990437296e-14, 1.809017579009036e-14,
+    1.0569895952009092e-14, 6.259111990889181e-15, 3.752603128297667e-15,
+    2.276193120885618e-15, 1.396025559741813e-15, 8.653307534756182e-16,
+    5.418767569958488e-16, 3.426821493628102e-16, 2.1878092868276608e-16,
+    1.4096674454287527e-16, 9.163913828564363e-17, 6.008622349836672e-17,
+    3.97260086353475e-17, 2.6476553181242484e-17, 1.77835571555163e-17,
+    1.2034679043416011e-17,
+)
+
+# Euler's transformation takes K terms, the fewest whose truncation bound
+# A_K rho^(K+1) / (1 - rho) is below this: under one ulp of
+# |sin(phi) I(phi)| >= 0.1 on 1 <= |phi| <= EULER_PHI.
+_EULER_TRUNCATION = 1e-17
+
 # Below this pi - |phi| the log-sine sum is summed by Euler-Maclaurin.  At
-# and above it the Levin stride is at most round(SAMPLE_TURN / EM_GAP) = 10
-# (N <= 211 terms), where the Levin engine is as fast.
-EM_GAP = 0.25
+# and above it the Levin stride is at most round(SAMPLE_TURN / EM_GAP) = 5
+# (N <= 106 terms).
+EM_GAP = 0.5
 
 # Euler-Maclaurin sums the terms n < EM_HEAD and corrects the tail integral
 # from EM_HEAD with the Bernoulli terms B_2 .. B_{2 EM_ORDER}.
-EM_HEAD = 12
-EM_ORDER = 8
+EM_HEAD = 8
+EM_ORDER = 12
 
 # B_2, B_4, ..., B_{2 EM_ORDER + 2} (DLMF Table 24.2.1); the last sizes the remainder.
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
-              -3617 / 510, 43867 / 798)
+              -3617 / 510, 43867 / 798, -174611 / 330, 854513 / 138,
+              -236364091 / 2730, 8553103 / 6)
 
 # The tail integral's series stops after its first term below this; every
-# log-sine sum past EM_GAP exceeds 1 in modulus.
+# log-sine sum within EM_GAP of +-pi exceeds 0.6 in modulus.
 _TAIL_CUT = 1e-20
 
 # Default bound on the estimated error of the log-sine sum.
@@ -131,6 +193,95 @@ def sawtooth_sum(phi):
     return -_levin_sum(kernels.SAWTOOTH_WEIGHTS, phi.phi)[0].imag
 
 
+# (-1)^n ln n / n and the multiple 2n of phi/2 for the head n < M; (-1)^(M+k) d_k
+# and the multiple 2M - 1 + k of phi/2 for the transformed terms
+_EULER_HEAD_PAIRS = tuple(((-1.0 if n & 1 else 1.0) * math.log(n) / n, 2.0 * n)
+                          for n in range(2, EULER_HEAD))
+_EULER_TAIL_D = tuple((-1.0 if (EULER_HEAD + k) & 1 else 1.0) * d
+                      for k, d in enumerate(_EULER_D))
+_EULER_TAIL_M = tuple(2.0 * EULER_HEAD - 1.0 + k for k in range(len(_EULER_D)))
+
+
+def _euler_tables():
+    """The stop table of Euler's transformation and its rounding constants.
+
+    Taking the terms k < K of the transformed series leaves at most
+    A_K rho^(K+1) / (1 - rho), since |d_k| <= A_K for k >= K.  Entry K of the
+    stop table is the rho at which that equals _EULER_TRUNCATION, by three
+    steps of the contraction rho <- (tau (1 - rho) / A_K)^(1/(K+1)) from
+    entry K - 1.  It grows with K, so K = bisect_left(table, rho) is the
+    first K whose bound meets the target at rho, to the accuracy of the
+    steps; the estimate takes the bound itself.
+
+    The rounding constants bound the first-order rounding of the terms
+    c sin(m phi/2), in units of eps/2, with c = (-1)^n ln n / n and m = 2n
+    for the head, c = d_k rho^(k+1) and m = 2M - 1 + k for the tail, at
+    the largest rho = 1/(2 cos(EULER_PHI/2)):
+    - the phase m (phi/2), rounded by eps/2, moves sin by (eps/2) m |phi/2|;
+    - ln, the divide, sin and the product add 6 roundings to a head term;
+      rho (2 by cos and 1 by the divide), rho^(k+1) (k more) and d_k, the
+      two products and sin add 4k + 9 to a tail term;
+    and |sin x| <= min(1, |x|).  Returned with the table are eps/2 times
+    sum |c| m, sum |c| f and sum |c| f m, f the roundings of a term, where
+    sum_{n<M} (ln n / n) 2n = 2 ln (M-1)!.
+    """
+    rho_max = 0.5 / math.cos(0.5 * EULER_PHI)
+    stops = []
+    rho = 0.0
+    for k, a in enumerate(_EULER_A, 1):
+        for _ in range(3):
+            rho = (_EULER_TRUNCATION * (1.0 - rho) / a) ** (1.0 / k)
+        stops.append(rho)
+        if rho >= rho_max:
+            break
+    log_head = 2.0 * math.lgamma(EULER_HEAD)
+    phase = log_head
+    ops = 6.0 * sum(abs(w) for w, _ in _EULER_HEAD_PAIRS)
+    ops_slope = 6.0 * log_head
+    c, m, f = rho_max, 2 * EULER_HEAD - 1, 9
+    for d in _EULER_D:
+        c_d = c * abs(d)
+        phase += c_d * m
+        ops += c_d * f
+        ops_slope += c_d * f * m
+        c *= rho_max
+        m += 1
+        f += 4
+    return tuple(stops), 0.5 * EPS * phase, 0.5 * EPS * ops, 0.5 * EPS * ops_slope
+
+
+_EULER_STOPS, _EULER_PHASE, _EULER_OPS, _EULER_OPS_SLOPE = _euler_tables()
+
+
+def _euler_sum(p):
+    """S(p) for 0 < |p| <= EULER_PHI by Euler's transformation: (value, est_error, terms).
+
+    The value is the fsum of the head sum_{n<M} (-1)^n (ln n / n) sin(n p)
+    and of the K transformed terms (-1)^(M+k) d_k rho^(k+1) sin((2M-1+k) p/2),
+    k < K, with K from the stop table.  The estimate adds the truncation
+    A_K rho^(K+1) / (1 - rho), times min(1, |p/2| (2M - 1 + K + rho/(1 - rho)))
+    since |sin((2M-1+k) p/2)| <= (2M-1+k) |p/2|; the rounding of the terms,
+    |p/2| phase + min(ops, |p/2| ops_slope) with the constants of
+    `_euler_tables`; and half an ulp of the correctly rounded fsum.  Each bound is
+    proportional to |p| as p -> 0, as S is.
+    """
+    h = 0.5 * p
+    rho = 0.5 / math.cos(h)
+    k = bisect_left(_EULER_STOPS, rho)
+    sin = math.sin
+    terms = [w * sin(m * h) for w, m in _EULER_HEAD_PAIRS]
+    terms += [d * r * sin(m * h)
+              for d, r, m in zip(_EULER_TAIL_D, accumulate(repeat(rho, k), mul), _EULER_TAIL_M)]
+    value = math.fsum(terms)
+    ah = abs(h)
+    ratio = rho / (1.0 - rho)
+    truncation = (_EULER_A[k] * rho ** k * ratio
+                  * min(1.0, ah * (2 * EULER_HEAD - 1 + k + ratio)))
+    rounding = (ah * _EULER_PHASE + min(_EULER_OPS, ah * _EULER_OPS_SLOPE)
+                + 0.5 * EPS * abs(value))
+    return value, truncation + rounding, EULER_HEAD - 2 + k
+
+
 def _euler_maclaurin_tables():
     """The coefficients of the Euler-Maclaurin sum and its truncation bound.
 
@@ -152,8 +303,9 @@ def _euler_maclaurin_tables():
     The bound adds, for every theta < EM_GAP:
     - the remainder: twice the first omitted Bernoulli term's bound
       |B_{2P+2}|/(2P+2)! sum_m C(2P+1, m) |h^(m)(M)| theta^(2P+1-m), taken
-      at EM_GAP, where it is largest.  Against 40-digit sums the remainder
-      stayed below 0.36 of that term for M = 3 .. 12, P = 1 .. 6;
+      at EM_GAP, where it is largest.  Against 40-digit sums at M = 8,
+      P = 12 and theta from 0.01 to 0.5 the remainder stayed below 0.007
+      of that term;
     - the tail series past its first term below _TAIL_CUT: on theta <=
       EM_GAP the odd terms shrink by at least the factor rho below, so the
       rest is below _TAIL_CUT rho / (1 - rho).
@@ -246,25 +398,24 @@ def _euler_maclaurin_sum(theta):
 
 
 def _log_sine_sum_impl(phi, tol):
-    """Extrapolated log-sine sum: (value, est_error, terms).
+    """The log-sine sum S(phi): (value, est_error, terms).
 
-    For pi - |phi| < EM_GAP it is -+Im T(pi - |phi|) by `_euler_maclaurin_sum`.
-    Otherwise it sums N = kappa (LEVIN_K + 1) + 1 terms and extrapolates
-    the sampled partial sums to L_K.  The estimate then adds up:
+    For |phi| <= EULER_PHI it is `_euler_sum`, and for pi - |phi| < EM_GAP
+    it is -+Im T(pi - |phi|) by `_euler_maclaurin_sum`.  In the band between
+    it sums N = kappa (LEVIN_K + 1) + 1 terms and extrapolates the sampled
+    partial sums to L_K.  The estimate then adds up:
 
     - the truncation |L_K - L_{K-1}|;
     - the rounding of the sums, eps (ln^2 N / 2 + |L_K|), times Gamma;
     - the rounding of the phases, times Gamma: n phi is rounded by at most
       eps n |phi| / 2, which moves term n by eps |phi| ln n / 2 and the
       sums by at most eps |phi| ln N! / 2.
-
-    The first two are complex moduli.  When |phi| < 1/N every term is
-    nearly real, and only about N |phi| of those two errors reaches the
-    imaginary part, which is the sum: they are scaled by min(1, N |phi|).
     """
     require_regular(phi)
     require_tol(tol)
     p = phi.phi
+    if abs(p) <= EULER_PHI:
+        return _euler_sum(p)
     theta = pi_gap(p)
     if theta < EM_GAP:
         # (-1)^n e^{i n phi} = e^{-+ i n theta} for phi = +-(pi - theta)
@@ -273,8 +424,7 @@ def _log_sine_sum_impl(phi, tol):
     limit, prev, stability, n = _levin_sum(kernels.LOG_SINE_WEIGHTS, p)
     noise = EPS * (0.5 * math.log(n) ** 2 + abs(limit))
     phase = EPS * 0.5 * abs(p) * math.lgamma(n + 1)
-    est = (min(1.0, n * abs(p)) * (abs(limit - prev) + stability * noise)
-           + stability * phase)
+    est = abs(limit - prev) + stability * noise + stability * phase
     return limit.imag, est, n
 
 

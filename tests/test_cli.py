@@ -261,6 +261,21 @@ def test_sweep_json(tmp_path, capsys):
     assert rec["deltas"]["closed|series"] <= 1e-8
 
 
+@pytest.mark.parametrize("start, stop, step, count", [
+    # 0.1 + 2 * 0.1 = 0.30000000000000004 lies past --to
+    ("0.1", "0.3", "0.1", 3),
+    # the last point rounds to float pi, outside the domain, without the clamp
+    ("-1.4828500648290064", "3.1415926535897927", "0.18497770873675198", 26),
+])
+def test_sweep_stops_at_its_end(tmp_path, capsys, start, stop, step, count):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--from", start, "--to", stop, "--step", step,
+                 "--methods", "closed,series", "--out", str(out)]) == 0
+    phis = [float(r["phi"]) for r in _read_csv(out)[::2]]
+    assert len(phis) == count
+    assert max(phis) == phis[-1] == float(stop)
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--from", "1.0", "--to", "0.5", "--step", "0.1", "--out", "x.csv"],
     ["sweep", "--from", "0.0", "--to", "1.0", "--step", "-0.1", "--out", "x.csv"],

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from malmsten import Angle, evaluate
 from malmsten.quadrature import GUARD_BAND, quad_jn
-from malmsten.series import EM_GAP
+from malmsten.series import EM_GAP, EULER_PHI
 from malmsten.special_functions import EPS
 
 # For 1e-3 <= |phi| < pi the series estimate may exceed the larger of its
@@ -117,9 +117,13 @@ def test_series_estimate_is_tight_inside(magnitude, sign):
 
 
 # pi - |phi| at the last float below pi, deep in the Euler-Maclaurin branch,
-# at the old stride cap (0.026), and on both sides of the crossover EM_GAP
+# at the old stride cap (0.026), on both sides of the former crossover 0.25,
+# now inside the branch, and on both sides of the crossovers EM_GAP and
+# |phi| = EULER_PHI
 SERIES_EDGE = [math.pi - math.nextafter(math.pi, 0.0), 1e-15, 1e-12, 1e-8, 1e-4, 0.026,
-               EM_GAP * (1.0 - 1e-9), EM_GAP * (1.0 + 1e-9)]
+               0.25 * (1.0 - 1e-9), 0.25 * (1.0 + 1e-9),
+               EM_GAP * (1.0 - 1e-9), EM_GAP * (1.0 + 1e-9),
+               math.pi - EULER_PHI * (1.0 + 1e-9), math.pi - EULER_PHI * (1.0 - 1e-9)]
 
 
 @pytest.mark.parametrize("d", SERIES_EDGE)
@@ -130,11 +134,14 @@ def test_series_estimate_is_tight_at_the_edge(sign, d):
 
 
 def test_series_keeps_full_accuracy_past_the_crossover():
-    # pi - |phi| log-uniform from the last float below pi up to EM_GAP
+    # pi - |phi| log-uniform from the last float below pi up to EM_GAP, and
+    # uniform on the upper half [EM_GAP/2, EM_GAP), where the tail series
+    # needs the most terms
     rng = random.Random(16)
     lo = math.log(math.pi - math.nextafter(math.pi, 0.0))
-    for _ in range(200):
-        d = math.exp(lo + rng.random() * (math.log(EM_GAP) - lo))
+    gaps = [math.exp(lo + rng.random() * (math.log(EM_GAP) - lo)) for _ in range(200)]
+    gaps += [EM_GAP * (0.5 + 0.5 * rng.random()) for _ in range(50)]
+    for d in gaps:
         for sign in (1.0, -1.0):
             err, _, exact = _series_error(sign * (math.pi - d))
             assert err <= 1e-14 * exact

@@ -1,6 +1,7 @@
 """Tests for the Cauchy-product series route: coefficients, inner
 integrals, the sawtooth series, and the extrapolated full evaluation."""
 
+import bisect
 import math
 import random
 
@@ -16,6 +17,8 @@ from malmsten.series import (
     EM_GAP,
     EM_HEAD,
     EM_ORDER,
+    EULER_HEAD,
+    EULER_PHI,
     LEVIN_K,
     MAX_TERMS,
     j_n,
@@ -24,7 +27,7 @@ from malmsten.series import (
     sawtooth_sum,
     series_eval,
 )
-from malmsten.special_functions import EULER_GAMMA
+from malmsten.special_functions import EPS, EULER_GAMMA
 
 GRID = [s * v for s in (1.0, -1.0)
         for v in (0.1, 0.5, math.pi / 3, math.pi / 2, 2.0, 2 * math.pi / 3, 2.9)]
@@ -141,39 +144,103 @@ def test_series_work_adapts_to_the_angle(phi):
 
 
 def test_series_work_follows_the_sampling_stride():
-    # at and above EM_GAP the Levin engine sums kappa (LEVIN_K + 1) + 1
-    # terms, with kappa = 10 at the crossover
-    for d in (EM_GAP * 1.001, 0.3, 1.0):
+    # between EULER_PHI and pi - EM_GAP the Levin engine sums
+    # kappa (LEVIN_K + 1) + 1 terms, with kappa = 5 at the Euler-Maclaurin
+    # crossover and 2 at the Euler crossover
+    for d in (EM_GAP * 1.001, 0.8, math.pi - EULER_PHI * 1.001):
         for phi in (math.pi - d, d - math.pi):
             kappa = sampling_stride(phi)
-            assert 1 <= kappa <= 10
+            assert 2 <= kappa <= 5
             assert series_eval(Angle(phi)).work == kappa * (LEVIN_K + 1) + 1
-    assert sampling_stride(math.pi - EM_GAP * 1.001) == 10
+    assert sampling_stride(math.pi - EM_GAP * 1.001) == 5
+    assert sampling_stride(EULER_PHI * 1.001) == 2
 
 
-# pi - |phi| from the last float below pi up to just below EM_GAP
-EM_GAPS = [math.pi - math.nextafter(math.pi, 0.0), 1e-12, 1e-3, 0.02, EM_GAP * 0.999]
+# pi - |phi| from the last float below pi up to just below EM_GAP, through
+# just below the former crossover 0.25
+EM_GAPS = [math.pi - math.nextafter(math.pi, 0.0), 1e-12, 1e-3, 0.02, 0.25 * 0.999,
+           EM_GAP * 0.999]
 
 
 @pytest.mark.parametrize("d", EM_GAPS)
 def test_series_work_past_the_crossover(d):
     # below EM_GAP Euler-Maclaurin sums EM_HEAD - 2 head terms, EM_ORDER
-    # Bernoulli terms and 1 to 16 terms of the tail integral's series; the
+    # Bernoulli terms and 1 to 18 terms of the tail integral's series; the
     # series table is sized for theta = EM_GAP, so just below it every term
     # is used
     fixed = EM_HEAD - 2 + EM_ORDER
     works = {series_eval(Angle(phi)).work for phi in (math.pi - d, d - math.pi)}
     assert len(works) == 1
     work = works.pop()
-    assert fixed < work <= fixed + len(series._EM_TAIL) == 34
+    assert fixed < work <= fixed + len(series._EM_TAIL) == 36
     if d == EM_GAPS[-1]:
-        assert work == 34
+        assert work == 36
 
 
 def test_series_work_falls_toward_pi():
     works = [series_eval(Angle(math.pi - d)).work for d in EM_GAPS]
     assert works == sorted(works)
     assert works[0] < works[-1]
+
+
+# |phi| from the zero threshold up to EULER_PHI, and just past it
+EULER_ANGLES = [1e-6, 1e-3, 0.1, 0.5, 1.0, 1.5, 1.9, EULER_PHI, EULER_PHI * (1.0 + 1e-9)]
+
+
+def test_euler_work_grows_with_the_angle():
+    # up to EULER_PHI Euler's transformation sums the EULER_HEAD - 2 head
+    # terms and K transformed terms, K = bisect_left(_EULER_STOPS, rho); K
+    # grows with rho = 1/(2 cos(phi/2)) and so with |phi|, up to 39 at
+    # EULER_PHI.  Past EULER_PHI the Levin engine sums 2 (LEVIN_K + 1) + 1.
+    works = []
+    for p in EULER_ANGLES[:-1]:
+        rho = 0.5 / math.cos(0.5 * p)
+        k = bisect.bisect_left(series._EULER_STOPS, rho)
+        for phi in (p, -p):
+            assert series_eval(Angle(phi)).work == EULER_HEAD - 2 + k
+        works.append(EULER_HEAD - 2 + k)
+    assert works == sorted(works)
+    assert works[0] == EULER_HEAD - 2 + 17
+    assert works[-1] == EULER_HEAD - 2 + 39
+    assert series_eval(Angle(EULER_ANGLES[-1])).work == 2 * (LEVIN_K + 1) + 1
+
+
+def test_euler_stop_table_meets_its_target():
+    # each stop's truncation bound A_K rho^(K+1) / (1 - rho) is within 1%
+    # of the target, and the table reaches the largest rho of the branch
+    stops = series._EULER_STOPS
+    assert list(stops) == sorted(stops)
+    assert stops[-1] >= 0.5 / math.cos(0.5 * EULER_PHI) > stops[-2]
+    for k, rho in enumerate(stops):
+        bound = series._EULER_A[k] * rho ** (k + 1) / (1.0 - rho)
+        assert bound == pytest.approx(series._EULER_TRUNCATION, rel=0.01)
+
+
+def _d_exact(k):
+    """Delta^k g(0), g(j) = ln(M + j)/(M + j): 40 digits after the cancellation."""
+    m = EULER_HEAD
+    with mpmath.workdps(40 + k):
+        return mpmath.fsum((-1) ** (k - i) * mpmath.binomial(k, i) * mpmath.log(m + i) / (m + i)
+                           for i in range(k + 1))
+
+
+def test_euler_table_matches_mpmath():
+    # d_k is its 40-digit value rounded to the nearest float; A_k is the
+    # integral of |ln t + gamma| e^{-Mt} (1 - e^{-t})^k rounded up, from
+    # A_k = (-1)^(k+1) d_k + 2 int_0^{e^-gamma} |ln t + gamma| e^{-Mt} (1 - e^{-t})^k dt,
+    # and bounds |d_k| and every later |d_j|
+    m = EULER_HEAD
+    assert len(series._EULER_D) == len(series._EULER_A) == 40
+    with mpmath.workdps(40):
+        t0 = mpmath.exp(-mpmath.euler)
+        for k, (d, a) in enumerate(zip(series._EULER_D, series._EULER_A)):
+            exact = _d_exact(k)
+            assert d == float(exact)
+            neg = mpmath.quad(lambda t, k=k: -(mpmath.log(t) + mpmath.euler) * mpmath.exp(-m * t)
+                              * (1 - mpmath.exp(-t)) ** k, [0, t0])
+            bound = (-1) ** (k + 1) * exact + 2 * neg
+            assert bound <= a <= bound * (1 + 2 * EPS)
+            assert all(abs(dj) <= a for dj in series._EULER_D[k:])
 
 
 @pytest.mark.parametrize("phi", GRID + [2.36, -2.36])
