@@ -1,16 +1,14 @@
 #!/usr/bin/env python3
-"""Benchmark the summation kernels, the series engine, the quadrature
-routes with cold and warm integrand tables, and each verify check group.
+"""Benchmark the summation kernel, the two branches of the series route,
+the quadrature routes with cold and warm integrand tables, and each verify
+check group.
 
 Times the hot loop that generates complex partial sums (the raw partial
-sums of `kummer_partial` and of verify's series check).  Then times the
-series engine at a few angles with each of its weight tables, the log-sine
-series of the series and Kummer routes and the sawtooth series: the
-sampled alternating partial sums plus the Levin t-transform, with the
-terms N it sums and the transform's stability index Gamma.  Then the two
-sums that replace the engine for the log-sine series, each with the terms
-it sums: Euler's transformation for |phi| <= EULER_PHI, and
-Euler-Maclaurin within EM_GAP of +-pi.  Then times
+sums of `kummer_partial` and of verify's series check).  Then times the two
+branches that sum the series route's series, for each family of weights,
+the log-sine series of the series and Kummer routes and the sawtooth
+series, with the terms each sums: Euler's transformation for
+|phi| <= EULER_PHI, and Euler-Maclaurin past it.  Then times
 quad_eval and quad_unit_eval per point, and quad_jn at n = 0, 7 and 20:
 with every table emptied before each call (cold: each node and its
 numerator computed), and with every table filled (warm: one denominator,
@@ -39,39 +37,25 @@ def bench(label, fn, repeat):
 
 
 def bench_series(repeat):
-    print("series engine: best time per call of the sampled partial sums plus the\n"
-          "Levin transform, the terms N summed and the stability index Gamma,\n"
-          "for each weight table; the log-sine series takes it only between\n"
-          "EULER_PHI and pi - EM_GAP, the sawtooth series at every angle")
-    count = series.LEVIN_K + 1
-    for table in ("LOG_SINE_WEIGHTS", "SAWTOOTH_WEIGHTS"):
-        weights = getattr(kernels, table)
-        # 2.6 is the last of these below the Euler-Maclaurin crossover
-        for phi in (0.5, 2.0, 2.3, 2.6):
-            stride = series.sampling_stride(phi)
-
-            def engine(phi=phi, stride=stride, weights=weights):
-                return series.levin_t(*kernels.alternating_samples(weights, phi, stride, count))
-
-            best = min(timeit.repeat(engine, number=1, repeat=repeat))
-            gamma = engine()[2]
-            print(f"  {table:<16} phi={phi:<4} N={stride * count + 1:<5} Gamma={gamma:<8.3g}"
-                  f" {best * 1e6:8.1f} us")
-    print("log-sine sum by Euler's transformation (|phi| <= EULER_PHI): best time\n"
-          "per call and the terms it sums (head and transformed terms)")
-    for phi in (0.5, 1.5, series.EULER_PHI):
-        best = min(timeit.repeat(lambda phi=phi: series._euler_sum(phi),
-                                 number=1, repeat=repeat))
-        work = series._euler_sum(phi)[2]
-        print(f"  phi={phi!r:<20} work={work:<3} {best * 1e6:8.1f} us")
-    print("log-sine sum by Euler-Maclaurin (pi - |phi| < EM_GAP): best time per\n"
-          "call and the terms it sums (head, Bernoulli and tail-series terms)")
-    for phi in (2.7, 2.9, 3.13, math.nextafter(math.pi, 0.0)):
-        theta = pi_gap(phi)
-        best = min(timeit.repeat(lambda theta=theta: series._euler_maclaurin_sum(theta),
-                                 number=1, repeat=repeat))
-        work = series._euler_maclaurin_sum(theta)[2]
-        print(f"  phi={phi!r:<20} work={work:<3} {best * 1e6:8.1f} us")
+    families = (("log-sine", series._LOG_SINE_EULER, series._LOG_SINE_EM),
+                ("sawtooth", series._SAWTOOTH_EULER, series._SAWTOOTH_EM))
+    print("Euler's transformation (|phi| <= EULER_PHI): best time per call and\n"
+          "the terms it sums (head and transformed terms)")
+    for name, euler, _ in families:
+        for phi in (0.5, 1.5, series.EULER_PHI):
+            best = min(timeit.repeat(lambda phi=phi, euler=euler: series._euler_sum(phi, euler),
+                                     number=1, repeat=repeat))
+            work = series._euler_sum(phi, euler)[2]
+            print(f"  {name:<8} phi={phi!r:<20} work={work:<3} {best * 1e6:8.1f} us")
+    print("Euler-Maclaurin (|phi| > EULER_PHI): best time per call and the terms\n"
+          "it sums (head, Bernoulli and tail-series terms)")
+    for name, _, em in families:
+        for phi in (2.05, 2.3, 2.6, 2.9, 3.13, math.nextafter(math.pi, 0.0)):
+            theta = pi_gap(phi)
+            best = min(timeit.repeat(lambda theta=theta, em=em: series._euler_maclaurin_sum(theta, em),
+                                     number=1, repeat=repeat))
+            work = series._euler_maclaurin_sum(theta, em)[2]
+            print(f"  {name:<8} phi={phi!r:<20} work={work:<3} {best * 1e6:8.1f} us")
 
 
 def _stored():

@@ -3,10 +3,12 @@
     I(phi) = integral_0^1 ln ln(1/x) / (1 + 2 x cos phi + x^2) dx,
     -pi < phi < pi.
 
-Four independent routes are implemented and cross-validated: the gamma
-closed form, the Cauchy-product series with Levin-t extrapolation, the
-assembly through Kummer's Fourier expansion of ln Gamma, and a
-double-exponential quadrature oracle.
+Six routes are implemented and cross-validated: the gamma closed form
+(closed); the Cauchy-product series, summed by Euler's transformation and
+by Euler-Maclaurin (series); the assembly through Kummer's Fourier
+expansion of ln Gamma (kummer); and double-exponential quadrature of two
+integral representations (quad, quad-unit) and of the tangent form at
+pi/2 (quad-tan).
 """
 
 from .closed_form import SpecialCase, malmsten_closed, special_value, zero_limit

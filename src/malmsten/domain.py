@@ -14,8 +14,7 @@ ZERO_THRESHOLD = 1e-6
 def require_tol(tol):
     """Reject a tolerance that is not finite and positive."""
     if not (math.isfinite(tol) and tol > 0.0):
-        # no value in the message: quadrature checks each piece's share of tol
-        raise DomainError("tol must be finite and > 0")
+        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
 
 
 def require_regular(angle):

@@ -3,57 +3,43 @@
 Evaluates I(phi) = (1/sin phi) [ -gamma*phi/2 + sum_{n>=2} (-1)^n ln n sin(n phi)/n ]
 from the Cauchy-product expansion of the integrand.  The conditionally
 convergent log-sine sum S(phi) is the imaginary part of sum_{n>=2} a_n with
-a_n = (-1)^n (ln n / n) e^{i n phi}, summed one of three ways:
+a_n = (-1)^n h(n) e^{i n phi}, h(x) = ln x / x, summed one of two ways:
 
 - For |phi| <= EULER_PHI, by Euler's series transformation (Abramowitz &
   Stegun 3.6.27) after the terms n < EULER_HEAD = M:
   sum_{n>=M} a_n = (-1)^M e^{i M phi} sum_k d_k (-1)^k rho^(k+1) e^{i (k-1) phi/2}
   with rho = 1/(2 cos(phi/2)) and the tabulated d_k = Delta^k g(0),
-  g(j) = ln(M + j)/(M + j).  It converges as rho^k A_k for rho < 1, that
-  is for |phi| < 2 pi/3, and every phase is an integer multiple of phi/2.
-- For pi - |phi| < EM_GAP the terms stop alternating: with
-  theta = pi - |phi|, a_n = (ln n / n) e^{-+ i n theta} turns by theta
-  alone.  The sum is +-Im T(theta), T(theta) = sum_{n>=2} (ln n / n) e^{i n theta},
-  and T is summed by Euler-Maclaurin (DLMF 2.10.1): the terms below
-  EM_HEAD, the Bernoulli corrections at EM_HEAD and the tail integral,
-  whose closed form comes from the series of E_1 (DLMF 6.6.2) and of the
-  incomplete gamma function (DLMF 8.7.1).
-- In the band between, its partial sums are sampled in arithmetic
-  progression, S_l = S_{m_l} at m_l = kappa (l + 1) + 1 (Sidi, Practical
-  Extrapolation Methods, 2003), and extrapolated with the Levin
-  t-transform (Levin 1973), weights omega_l = a_{m_l} and beta = 1.
+  g(j) = h(M + j).  It converges as rho^k A_k for rho < 1, that is for
+  |phi| < 2 pi/3, and every phase is an integer multiple of phi/2.
+- For |phi| > EULER_PHI the terms alternate less and less: with
+  theta = pi - |phi|, a_n = h(n) e^{-+ i n theta} turns by theta alone.
+  The sum is +-Im T(theta), T(theta) = sum_{n>=2} h(n) e^{i n theta}, and T
+  is summed by Euler-Maclaurin (DLMF 2.10.1): the terms below EM_HEAD, the
+  Bernoulli corrections at EM_HEAD and the tail integral, whose closed form
+  comes from the series of E_1 (DLMF 6.6.2) and of the incomplete gamma
+  function (DLMF 8.7.1).  Its tables are sized for theta = pi - EULER_PHI.
 
-Kummer's series for ln Gamma (`kummer.kummer_sum`) is S at another angle
-and takes the same three branches.  The Levin engine also sums the sawtooth
-series sum_{n>=1} (-1)^{n+1} sin(n phi)/n = phi/2, the source of the
-gamma*phi/2 term (`sawtooth_sum`), at every angle.
+The sawtooth series sum_{n>=1} (-1)^{n+1} sin(n phi)/n = phi/2, the source
+of the gamma*phi/2 term (`sawtooth_sum`), takes the same two branches with
+h(x) = 1/x: d_k = (-1)^k k! (M-1)!/(M+k)!, and the tail integral E_1, whose
+imaginary part is pi/2 - Si(theta M).  Each branch takes the tables of a
+family of weights as data.  Kummer's series for ln Gamma
+(`kummer.kummer_sum`) is S at another angle.
 """
 
 import math
 from bisect import bisect_left
+from collections import namedtuple
 from itertools import accumulate, repeat
 from operator import mul
 
-from . import kernels
 from .domain import Evaluation, Method, require_regular, require_tol
 from .errors import DomainError, NonConvergenceError
 from .special_functions import EPS, EULER_GAMMA, pi_gap
 
-# Order of the Levin transform: it extrapolates LEVIN_K + 1 sampled partial sums.
-LEVIN_K = 20
-MAX_TERMS = kernels.ALTERNATING_TERMS
-
-# The terms turn by pi - |phi| each; sampled every kappa terms, the partial
-# sums turn by about SAMPLE_TURN per sample.  Near the alternating turn pi
-# the transform amplifies rounding little (Gamma <= 25 on |phi| <= 2.9,
-# against up to 2.5e5 at a turn of 1).
-SAMPLE_TURN = 2.5
-
-# Largest sampling stride kappa: N = kappa (LEVIN_K + 1) + 1 <= MAX_TERMS.
-MAX_STRIDE = (MAX_TERMS - 1) // (LEVIN_K + 1)
-
-# Up to this |phi| the log-sine sum is summed by Euler's transformation,
-# where rho = 1/(2 cos(phi/2)) <= 0.93 and it needs at most 39 terms.
+# Up to this |phi| a series is summed by Euler's transformation, where
+# rho = 1/(2 cos(phi/2)) <= 0.93 and the log-sine sum needs at most 39
+# transformed terms; past it, by Euler-Maclaurin.
 EULER_PHI = 2.0
 
 # Euler's transformation sums the terms n < EULER_HEAD and transforms the rest.
@@ -101,40 +87,30 @@ _EULER_A = (
 
 # Euler's transformation takes K terms, the fewest whose truncation bound
 # A_K rho^(K+1) / (1 - rho) is below this: under one ulp of
-# |sin(phi) I(phi)| >= 0.1 on 1 <= |phi| <= EULER_PHI.
+# |sin(phi) I(phi)| >= 0.1 and of |phi/2| >= 0.5 on 1 <= |phi| <= EULER_PHI.
 _EULER_TRUNCATION = 1e-17
-
-# Below this pi - |phi| the log-sine sum is summed by Euler-Maclaurin.  At
-# and above it the Levin stride is at most round(SAMPLE_TURN / EM_GAP) = 5
-# (N <= 106 terms).
-EM_GAP = 0.5
 
 # Euler-Maclaurin sums the terms n < EM_HEAD and corrects the tail integral
 # from EM_HEAD with the Bernoulli terms B_2 .. B_{2 EM_ORDER}.
-EM_HEAD = 8
-EM_ORDER = 12
+EM_HEAD = 6
+EM_ORDER = 16
+
+# The largest theta = pi - |phi| that Euler-Maclaurin takes.
+_EM_THETA = math.pi - EULER_PHI
 
 # B_2, B_4, ..., B_{2 EM_ORDER + 2} (DLMF Table 24.2.1); the last sizes the remainder.
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
               -3617 / 510, 43867 / 798, -174611 / 330, 854513 / 138,
-              -236364091 / 2730, 8553103 / 6)
+              -236364091 / 2730, 8553103 / 6, -23749461029 / 870,
+              8615841276005 / 14322, -7709321041217 / 510, 2577687858367 / 6)
 
-# The tail integral's series stops after its first term below this; every
-# log-sine sum within EM_GAP of +-pi exceeds 0.6 in modulus.
+# The tail integral's series stops after its first term below this, far
+# under one ulp of |sin(phi) I(phi)| >= 0.503 (least at |phi| = EULER_PHI)
+# and of |phi/2| >= 1 on |phi| >= EULER_PHI.
 _TAIL_CUT = 1e-20
 
 # Default bound on the estimated error of the log-sine sum.
 TOL = 1e-9
-
-
-def _levin_coefficients(k):
-    """(-1)^j C(k, j) ((beta + j)/(beta + k))^(k - 1), j = 0 .. k, with beta = 1."""
-    return tuple((-1) ** j * math.comb(k, j) * ((1.0 + j) / (1.0 + k)) ** (k - 1)
-                 for j in range(k + 1))
-
-
-_LEVIN_C = _levin_coefficients(LEVIN_K)
-_LEVIN_C_PREV = _levin_coefficients(LEVIN_K - 1)
 
 
 def j_n(n):
@@ -144,66 +120,17 @@ def j_n(n):
     return -(EULER_GAMMA + math.log(n + 1)) / (n + 1)
 
 
-def sampling_stride(phi):
-    """kappa = max(1, round(SAMPLE_TURN / (pi - |phi|))), before the MAX_STRIDE cap."""
-    return max(1, round(SAMPLE_TURN / pi_gap(phi)))
+_EulerTables = namedtuple("_EulerTables", "head tail_d tail_m a stops phase ops ops_slope")
 
 
-def levin_t(sums, terms):
-    """Levin t-transforms of LEVIN_K + 1 sampled partial sums and their terms.
+def _euler_tables(first, h, d, a):
+    """Euler's transformation of sum_{n>=first} (-1)^n h(n) e^{i n phi}.
 
-    Returns (L_K, L_{K-1}, Gamma): the transforms of order K over all the
-    samples and of order K - 1 over all but the last, and Sidi's stability
-    index Gamma = sum |c_j / omega_j| / |sum c_j / omega_j| of L_K, the
-    factor by which L_K can amplify the rounding errors of the sums.
-    """
-    num = den = num_prev = den_prev = 0j
-    spread = 0.0
-    # zip stops at the K coefficients of L_{K-1}; the last sample follows
-    for c, c_prev, s, a in zip(_LEVIN_C, _LEVIN_C_PREV, sums, terms):
-        w = c / a
-        num += w * s
-        den += w
-        spread += abs(w)
-        w = c_prev / a
-        num_prev += w * s
-        den_prev += w
-    w = _LEVIN_C[-1] / terms[-1]
-    num += w * sums[-1]
-    den += w
-    spread += abs(w)
-    return num / den, num_prev / den_prev, spread / abs(den)
-
-
-def _levin_sum(weights, p):
-    """sum_n weights[n] e^{i n p} by the engine: the stride rule, the samples, levin_t.
-
-    Returns (L_K, L_{K-1}, Gamma, N).  The stride is capped at MAX_STRIDE,
-    which only the sawtooth series reaches: the log-sine sum leaves the
-    engine at EM_GAP.
-    """
-    stride = min(sampling_stride(p), MAX_STRIDE)
-    sums, terms = kernels.alternating_samples(weights, p, stride, LEVIN_K + 1)
-    limit, prev, stability = levin_t(sums, terms)
-    return limit, prev, stability, stride * (LEVIN_K + 1) + 1
-
-
-def sawtooth_sum(phi):
-    """Extrapolated value of sum_{n>=1} (-1)^{n+1} sin(n phi)/n (limit: phi/2)."""
-    return -_levin_sum(kernels.SAWTOOTH_WEIGHTS, phi.phi)[0].imag
-
-
-# (-1)^n ln n / n and the multiple 2n of phi/2 for the head n < M; (-1)^(M+k) d_k
-# and the multiple 2M - 1 + k of phi/2 for the transformed terms
-_EULER_HEAD_PAIRS = tuple(((-1.0 if n & 1 else 1.0) * math.log(n) / n, 2.0 * n)
-                          for n in range(2, EULER_HEAD))
-_EULER_TAIL_D = tuple((-1.0 if (EULER_HEAD + k) & 1 else 1.0) * d
-                      for k, d in enumerate(_EULER_D))
-_EULER_TAIL_M = tuple(2.0 * EULER_HEAD - 1.0 + k for k in range(len(_EULER_D)))
-
-
-def _euler_tables():
-    """The stop table of Euler's transformation and its rounding constants.
+    Takes d_k = Delta^k g(0), g(j) = h(M + j), M = EULER_HEAD, and A_k, a
+    bound on every |d_j| with j >= k.  Returns the head pairs
+    ((-1)^n h(n), 2n) for first <= n < M, the tail's (-1)^(M+k) d_k and
+    phase multiples 2M - 1 + k, the A_k, the stop table and the rounding
+    constants.
 
     Taking the terms k < K of the transformed series leaves at most
     A_K rho^(K+1) / (1 - rho), since |d_k| <= A_K for k >= K.  Entry K of the
@@ -211,225 +138,268 @@ def _euler_tables():
     steps of the contraction rho <- (tau (1 - rho) / A_K)^(1/(K+1)) from
     entry K - 1.  It grows with K, so K = bisect_left(table, rho) is the
     first K whose bound meets the target at rho, to the accuracy of the
-    steps; the estimate takes the bound itself.
+    steps; the estimate takes the bound itself.  The table ends at the
+    largest rho = 1/(2 cos(EULER_PHI/2)).
 
     The rounding constants bound the first-order rounding of the terms
-    c sin(m phi/2), in units of eps/2, with c = (-1)^n ln n / n and m = 2n
-    for the head, c = d_k rho^(k+1) and m = 2M - 1 + k for the tail, at
-    the largest rho = 1/(2 cos(EULER_PHI/2)):
+    c sin(m phi/2), in units of eps/2, with c = (-1)^n h(n) and m = 2n for
+    the head, c = d_k rho^(k+1) and m = 2M - 1 + k for the tail, at that
+    largest rho:
     - the phase m (phi/2), rounded by eps/2, moves sin by (eps/2) m |phi/2|;
-    - ln, the divide, sin and the product add 6 roundings to a head term;
+    - h, sin and the product add at most 6 roundings to a head term;
       rho (2 by cos and 1 by the divide), rho^(k+1) (k more) and d_k, the
       two products and sin add 4k + 9 to a tail term;
-    and |sin x| <= min(1, |x|).  Returned with the table are eps/2 times
-    sum |c| m, sum |c| f and sum |c| f m, f the roundings of a term, where
-    sum_{n<M} (ln n / n) 2n = 2 ln (M-1)!.
+    and |sin x| <= min(1, |x|).  Returned are eps/2 times sum |c| m,
+    sum |c| f and sum |c| f m, f the roundings of a term.
     """
+    head = tuple(((-1.0 if n & 1 else 1.0) * h(n), 2.0 * n) for n in range(first, EULER_HEAD))
     rho_max = 0.5 / math.cos(0.5 * EULER_PHI)
     stops = []
     rho = 0.0
-    for k, a in enumerate(_EULER_A, 1):
+    for k, bound in enumerate(a, 1):
         for _ in range(3):
-            rho = (_EULER_TRUNCATION * (1.0 - rho) / a) ** (1.0 / k)
+            rho = (_EULER_TRUNCATION * (1.0 - rho) / bound) ** (1.0 / k)
         stops.append(rho)
         if rho >= rho_max:
             break
-    log_head = 2.0 * math.lgamma(EULER_HEAD)
-    phase = log_head
-    ops = 6.0 * sum(abs(w) for w, _ in _EULER_HEAD_PAIRS)
-    ops_slope = 6.0 * log_head
-    c, m, f = rho_max, 2 * EULER_HEAD - 1, 9
-    for d in _EULER_D:
-        c_d = c * abs(d)
+    tail_d = tuple((-1.0 if (EULER_HEAD + k) & 1 else 1.0) * dk for k, dk in enumerate(d))
+    tail_m = tuple(2.0 * EULER_HEAD - 1.0 + k for k in range(len(d)))
+    phase = sum(abs(w) * m for w, m in head)
+    ops = 6.0 * sum(abs(w) for w, _ in head)
+    ops_slope = 6.0 * phase
+    c, f = rho_max, 9
+    for dk, m in zip(d, tail_m):
+        c_d = c * abs(dk)
         phase += c_d * m
         ops += c_d * f
         ops_slope += c_d * f * m
         c *= rho_max
-        m += 1
         f += 4
-    return tuple(stops), 0.5 * EPS * phase, 0.5 * EPS * ops, 0.5 * EPS * ops_slope
+    return _EulerTables(head, tail_d, tail_m, a, tuple(stops),
+                        0.5 * EPS * phase, 0.5 * EPS * ops, 0.5 * EPS * ops_slope)
 
 
-_EULER_STOPS, _EULER_PHASE, _EULER_OPS, _EULER_OPS_SLOPE = _euler_tables()
+def _log_sine_weight(x):
+    """h(x) = ln x / x, the weight of the log-sine series."""
+    return math.log(x) / x
 
 
-def _euler_sum(p):
-    """S(p) for 0 < |p| <= EULER_PHI by Euler's transformation: (value, est_error, terms).
+def _sawtooth_weight(x):
+    """h(x) = 1/x, the weight of the sawtooth series."""
+    return 1.0 / x
 
-    The value is the fsum of the head sum_{n<M} (-1)^n (ln n / n) sin(n p)
-    and of the K transformed terms (-1)^(M+k) d_k rho^(k+1) sin((2M-1+k) p/2),
-    k < K, with K from the stop table.  The estimate adds the truncation
+
+# d_k = (-1)^k k! (M-1)! / (M+k)!, correctly rounded; |d_k| falls with k, so
+# A_k = |d_k|.  K reaches 40 at EULER_PHI.
+_SAWTOOTH_D = tuple((-1) ** k * math.factorial(k) * math.factorial(EULER_HEAD - 1)
+                    / math.factorial(EULER_HEAD + k) for k in range(41))
+
+_LOG_SINE_EULER = _euler_tables(2, _log_sine_weight, _EULER_D, _EULER_A)
+_SAWTOOTH_EULER = _euler_tables(1, _sawtooth_weight, _SAWTOOTH_D, tuple(map(abs, _SAWTOOTH_D)))
+
+
+def _euler_sum(p, tables):
+    """Im sum_n (-1)^n h(n) e^{i n p} for |p| <= EULER_PHI by Euler's transformation.
+
+    Returns (value, est_error, terms), with the `_euler_tables` of h.  The
+    value is the fsum of the head sum_{n<M} (-1)^n h(n) sin(n p) and of the
+    K transformed terms (-1)^(M+k) d_k rho^(k+1) sin((2M-1+k) p/2), k < K,
+    with K from the stop table.  The estimate adds the truncation
     A_K rho^(K+1) / (1 - rho), times min(1, |p/2| (2M - 1 + K + rho/(1 - rho)))
     since |sin((2M-1+k) p/2)| <= (2M-1+k) |p/2|; the rounding of the terms,
-    |p/2| phase + min(ops, |p/2| ops_slope) with the constants of
-    `_euler_tables`; and half an ulp of the correctly rounded fsum.  Each bound is
-    proportional to |p| as p -> 0, as S is.
+    |p/2| phase + min(ops, |p/2| ops_slope); and half an ulp of the
+    correctly rounded fsum.  Each bound is proportional to |p| as p -> 0,
+    as the sum is.
     """
+    head, tail_d, tail_m, a, stops, phase, ops, ops_slope = tables
     h = 0.5 * p
     rho = 0.5 / math.cos(h)
-    k = bisect_left(_EULER_STOPS, rho)
+    k = bisect_left(stops, rho)
     sin = math.sin
-    terms = [w * sin(m * h) for w, m in _EULER_HEAD_PAIRS]
-    terms += [d * r * sin(m * h)
-              for d, r, m in zip(_EULER_TAIL_D, accumulate(repeat(rho, k), mul), _EULER_TAIL_M)]
+    terms = [w * sin(m * h) for w, m in head]
+    terms += [d * r * sin(m * h) for d, r, m in zip(tail_d, accumulate(repeat(rho, k), mul), tail_m)]
     value = math.fsum(terms)
     ah = abs(h)
     ratio = rho / (1.0 - rho)
-    truncation = (_EULER_A[k] * rho ** k * ratio
-                  * min(1.0, ah * (2 * EULER_HEAD - 1 + k + ratio)))
-    rounding = (ah * _EULER_PHASE + min(_EULER_OPS, ah * _EULER_OPS_SLOPE)
-                + 0.5 * EPS * abs(value))
-    return value, truncation + rounding, EULER_HEAD - 2 + k
+    truncation = a[k] * rho ** k * ratio * min(1.0, ah * (2 * EULER_HEAD - 1 + k + ratio))
+    rounding = ah * phase + min(ops, ah * ops_slope) + 0.5 * EPS * abs(value)
+    return value, truncation + rounding, len(head) + k
 
 
-def _euler_maclaurin_tables():
-    """The coefficients of the Euler-Maclaurin sum and its truncation bound.
+_EMTables = namedtuple("_EMTables",
+                       "head q mag0 mag1 tail truncation head_slope fixed log_const log_coef")
 
-    With h(x) = ln x / x, M = EM_HEAD, P = EM_ORDER and w = i theta, the
-    correction g(M)/2 - sum_{k<=P} B_2k/(2k)! g^(2k-1)(M) of
-    g(x) = h(x) e^{i theta x} is e^{i theta M} Q(w), by the binomial rule
-    g^(j) = e^{i theta x} sum_m C(j, m) h^(m) w^(j-m) and
-    h^(m)(M) = (-1)^m m! M^(-m-1) (ln M - H_m).  Q is returned as
-    Re Q = sum_j re[j] theta^2j and Im Q = theta sum_j im[j] theta^2j.
 
-    The tail integral is ln M E_1(z) + G(z) with z = -i theta M, where
-    G(z) = (1/2)(gamma + ln z)^2 + pi^2/12 + sum_k (-z)^k/(k^2 k!) is the
-    nu-derivative at 0 of z^-nu Gamma(nu, z).  With
-    E_1(z) = -gamma - ln z - sum_k (-z)^k/(k k!) and ln z = ln(theta M) - i pi/2,
-    its imaginary part is -(pi/2)(gamma + ln theta) plus the odd powers
-    theta sum_j tail[j] theta^2j of M^k (1 - k ln M)/(k^2 k!) w^k.  The
-    table ends at the first term below _TAIL_CUT at theta = EM_GAP.
+def _euler_maclaurin_tables(first, h, dh, tail_coef, log_const, log_coef):
+    """Euler-Maclaurin for Im sum_{n>=first} h(n) e^{i n theta}, theta <= pi - EULER_PHI.
 
-    The bound adds, for every theta < EM_GAP:
+    Takes h, its derivatives dh[m] = h^(m)(M), m <= 2P + 1, with M = EM_HEAD
+    and P = EM_ORDER, and the tail integral's imaginary part
+    log_const + log_coef ln theta + sum_j (-1)^j tail_coef(k) theta^k,
+    k = 2j + 1.  Returns the head pairs (n, h(n)) for first <= n < M, Q's
+    coefficients re[j] + i im[j] highest first, for Horner's rule, the
+    bound's coefficients mag0 and mag1 below, the tail table, the
+    truncation bound, sum n h(n) over the head (its phases' sensitivity to
+    theta), the number of head and Bernoulli terms, and log_const and
+    log_coef.
+
+    With w = i theta, the correction g(M)/2 - sum_{k<=P} B_2k/(2k)! g^(2k-1)(M)
+    of g(x) = h(x) e^{i theta x} is e^{i theta M} Q(w), by the binomial rule
+    g^(j) = e^{i theta x} sum_m C(j, m) h^(m) w^(j-m).  Q is returned as
+    Re Q = sum_j re[j] theta^2j and Im Q = theta sum_j im[j] theta^2j.  Since
+    theta^2j <= theta^2 _EM_THETA^(2j-2) for j >= 1, the summed magnitudes
+    sum_j |re[j]| theta^2j and sum_j |im[j]| theta^2j are at most the parts
+    of mag0 + theta^2 mag1, with mag0 = |re[0]| + i |im[0]| and mag1 the sum
+    over j >= 1 of (|re[j]| + i |im[j]|) _EM_THETA^(2j-2); the bound is within
+    1e-4 of the sums on 0 < theta <= _EM_THETA.  The tail table ends at the
+    first term below _TAIL_CUT at theta = _EM_THETA.
+
+    The bound adds, for every theta <= _EM_THETA:
     - the remainder: twice the first omitted Bernoulli term's bound
       |B_{2P+2}|/(2P+2)! sum_m C(2P+1, m) |h^(m)(M)| theta^(2P+1-m), taken
-      at EM_GAP, where it is largest.  Against 40-digit sums at M = 8,
-      P = 12 and theta from 0.01 to 0.5 the remainder stayed below 0.007
-      of that term;
-    - the tail series past its first term below _TAIL_CUT: on theta <=
-      EM_GAP the odd terms shrink by at least the factor rho below, so the
-      rest is below _TAIL_CUT rho / (1 - rho).
+      at _EM_THETA, where it is largest.  Against a 40-digit oracle on
+      3000 angles with 0.4 <= theta < _EM_THETA, the error of the
+      log-sine sum stayed below 0.013 of the whole estimate;
+    - the tail series past its first term below _TAIL_CUT: the ratios
+      |tail_coef(k + 2) / tail_coef(k)| fall with k, and term j is under
+      the cut only for theta below some theta_j, so every later term
+      shrinks by at least rho = max_j min(_EM_THETA, theta_j)^2 times that
+      ratio, and the rest is below _TAIL_CUT rho / (1 - rho).
     """
-    m, p = EM_HEAD, EM_ORDER
-    ln_m = math.log(m)
-    harmonic = [0.0]
-    for j in range(1, 2 * p + 2):
-        harmonic.append(harmonic[-1] + 1.0 / j)
-    dh = [(-1) ** j * math.factorial(j) * m ** (-j - 1) * (ln_m - harmonic[j])
-          for j in range(2 * p + 2)]
+    p = EM_ORDER
     bern = [b / math.factorial(2 * k) for k, b in enumerate(_BERNOULLI, 1)]
     # Q(w) = sum_r c[r] w^r, and w^r = i^r theta^r
     c = [0.5 * dh[0]] + [0.0] * (2 * p - 1)
     for k in range(1, p + 1):
         for r in range(2 * k):
             c[r] -= bern[k - 1] * math.comb(2 * k - 1, r) * dh[2 * k - 1 - r]
-    re = tuple((-1) ** j * c[2 * j] for j in range(p))
-    im = tuple((-1) ** j * c[2 * j + 1] for j in range(p))
+    q = [complex((-1) ** j * c[2 * j], (-1) ** j * c[2 * j + 1]) for j in range(p)]
+    mag = [complex(abs(a.real), abs(a.imag)) for a in q]
+    mag1 = sum(a * _EM_THETA ** (2 * j - 2) for j, a in enumerate(mag) if j)
 
     tail = []
-    while not tail or abs(tail[-1]) * EM_GAP ** (2 * len(tail) - 1) >= _TAIL_CUT:
-        k = 2 * len(tail) + 1
-        tail.append((-1) ** len(tail) * m ** k * (1.0 - k * ln_m) / (k * k * math.factorial(k)))
-    k = 2 * len(tail) + 1
-    beyond = m ** k * (k * ln_m - 1.0) / (k * k * math.factorial(k))
-    rho = EM_GAP ** 2 * max(abs(b / a) for a, b in zip(tail, tail[1:] + [beyond]))
+    while not tail or abs(tail[-1]) * _EM_THETA ** (2 * len(tail) - 1) >= _TAIL_CUT:
+        tail.append((-1) ** len(tail) * tail_coef(2 * len(tail) + 1))
+    rho = max(min(_EM_THETA, (_TAIL_CUT / abs(a)) ** (1.0 / (2 * j + 1))) ** 2
+              * abs(tail_coef(2 * j + 3) / a) for j, a in enumerate(tail))
 
     j = 2 * p + 1
-    remainder = (abs(bern[p]) * sum(math.comb(j, i) * abs(dh[i]) * EM_GAP ** (j - i)
+    remainder = (abs(bern[p]) * sum(math.comb(j, i) * abs(dh[i]) * _EM_THETA ** (j - i)
                                     for i in range(j + 1)))
-    return re[::-1], im[::-1], tuple(tail), 2.0 * remainder + _TAIL_CUT * rho / (1.0 - rho)
+    head = tuple((n, h(n)) for n in range(first, EM_HEAD))
+    return _EMTables(head, tuple(q[::-1]), mag[0], mag1, tuple(tail),
+                     2.0 * remainder + _TAIL_CUT * rho / (1.0 - rho),
+                     sum(n * w for n, w in head), len(head) + p, log_const, log_coef)
 
 
-# Q's coefficients highest first, for Horner's rule
-_EM_RE, _EM_IM, _EM_TAIL, _EM_TRUNCATION = _euler_maclaurin_tables()
-_EM_WEIGHTS = tuple((n, math.log(n) / n) for n in range(2, EM_HEAD))
-# ln (EM_HEAD - 1)!: sum of n w_n over the head, its phases' sensitivity to theta
-_EM_HEAD_SLOPE = math.lgamma(EM_HEAD)
-_EM_FIXED_TERMS = len(_EM_WEIGHTS) + EM_ORDER
-_HALF_PI = 0.5 * math.pi
+def _log_sine_em_tables():
+    """h(x) = ln x / x: h^(m)(M) = (-1)^m m! M^(-m-1) (ln M - H_m), and the
+    tail integral is ln M E_1(z) + G(z) with z = -i theta M, where
+    G(z) = (1/2)(gamma + ln z)^2 + pi^2/12 + sum_k (-z)^k/(k^2 k!) is the
+    nu-derivative at 0 of z^-nu Gamma(nu, z).  With
+    E_1(z) = -gamma - ln z - sum_k (-z)^k/(k k!) and ln z = ln(theta M) - i pi/2,
+    its imaginary part is -(pi/2)(gamma + ln theta) plus the odd powers of
+    M^k (1 - k ln M)/(k^2 k!) w^k."""
+    m = EM_HEAD
+    ln_m = math.log(m)
+    harmonic = [0.0]
+    for j in range(1, 2 * EM_ORDER + 2):
+        harmonic.append(harmonic[-1] + 1.0 / j)
+    dh = [(-1) ** j * math.factorial(j) * m ** (-j - 1) * (ln_m - harmonic[j])
+          for j in range(2 * EM_ORDER + 2)]
+    return _euler_maclaurin_tables(
+        2, _log_sine_weight, dh, lambda k: m ** k * (1.0 - k * ln_m) / (k * k * math.factorial(k)),
+        -0.5 * math.pi * EULER_GAMMA, -0.5 * math.pi)
 
 
-def _euler_maclaurin_sum(theta):
-    """Im T(theta) for 0 < theta < EM_GAP, T(theta) = sum_{n>=2} (ln n / n) e^{i n theta}.
+def _sawtooth_em_tables():
+    """h(x) = 1/x: h^(m)(M) = (-1)^m m! M^(-m-1), and the tail integral is
+    E_1(z), z = -i theta M, whose imaginary part is
+    pi/2 - Si(theta M) = pi/2 - sum_j (-1)^j (theta M)^k/(k k!), k = 2j + 1."""
+    m = EM_HEAD
+    dh = [(-1) ** j * math.factorial(j) * m ** (-j - 1) for j in range(2 * EM_ORDER + 2)]
+    return _euler_maclaurin_tables(
+        1, _sawtooth_weight, dh, lambda k: -m ** k / (k * math.factorial(k)), 0.5 * math.pi, 0.0)
 
-    Returns (value, est_error, terms).  The value adds the head
-    sum_{n<EM_HEAD} (ln n / n) sin(n theta), Im e^{i theta M} Q(i theta)
-    and the tail integral (see `_euler_maclaurin_tables`).  The estimate
-    adds the truncation bound _EM_TRUNCATION and the rounding: eps times
-    the number of terms times the summed magnitudes, plus the phases'
-    share, eps theta (ln (M-1)! + M |Q|), since theta (from `pi_gap`) and
-    each n theta are rounded by half an ulp, and (pi/2) eps for ln theta.
+
+_LOG_SINE_EM = _log_sine_em_tables()
+_SAWTOOTH_EM = _sawtooth_em_tables()
+
+
+def _euler_maclaurin_sum(theta, tables):
+    """Im sum_n h(n) e^{i n theta} for 0 < theta <= pi - EULER_PHI by Euler-Maclaurin.
+
+    Returns (value, est_error, terms), with the `_euler_maclaurin_tables`
+    of h.  The value adds the head sum_{n<EM_HEAD} h(n) sin(n theta),
+    Im e^{i theta M} Q(i theta) and the tail integral.  The estimate adds
+    the truncation bound and the rounding: eps times the number of terms
+    times the summed magnitudes, plus the phases' share,
+    eps theta (sum n h(n) + M |Q|), since theta (from `pi_gap`) and each
+    n theta are rounded by half an ulp, and eps |log_coef| for ln theta.
     """
+    head, q_c, mag0, mag1, tail_c, truncation, head_slope, fixed, log_const, log_coef = tables
     sin = math.sin
-    head = mag = 0.0
-    for n, w in _EM_WEIGHTS:
+    value = mag = 0.0
+    for n, w in head:
         t = w * sin(n * theta)
-        head += t
+        value += t
         mag += abs(t)
     tt = theta * theta
-    re_q = im_q = re_mag = im_mag = 0.0
-    for a, b in zip(_EM_RE, _EM_IM):
-        re_q = re_q * tt + a
-        im_q = im_q * tt + b
-        re_mag = re_mag * tt + abs(a)
-        im_mag = im_mag * tt + abs(b)
-    im_q *= theta
-    im_mag *= theta
+    # Re Q and Im Q / theta by one complex Horner's rule: q * tt scales each
+    # part by the float tt, bitwise as two real Horner's rules would
+    q = 0j
+    for a in q_c:
+        q = q * tt + a
     x = EM_HEAD * theta
-    correction = sin(x) * re_q + math.cos(x) * im_q
-    tail = 0.0
+    value += sin(x) * q.real + math.cos(x) * (q.imag * theta)
     power = theta
     used = 0
-    for a in _EM_TAIL:
+    for a in tail_c:
         t = a * power
-        tail += t
+        value += t
         mag += abs(t)
         used += 1
         if abs(t) < _TAIL_CUT:
             break
         power *= tt
-    log_part = -_HALF_PI * (EULER_GAMMA + math.log(theta))
-    value = head + correction + tail + log_part
-    terms = _EM_FIXED_TERMS + used
-    mag += re_mag + im_mag + abs(log_part)
-    rounding = EPS * (terms * mag + theta * (_EM_HEAD_SLOPE + EM_HEAD * (re_mag + im_mag))
-                      + _HALF_PI)
-    return value, _EM_TRUNCATION + rounding, terms
+    log_part = log_const + log_coef * math.log(theta)
+    value += log_part
+    terms = fixed + used
+    m = mag0 + tt * mag1
+    q_mag = m.real + m.imag * theta
+    mag += q_mag + abs(log_part)
+    rounding = EPS * (terms * mag + theta * (head_slope + EM_HEAD * q_mag)
+                      + abs(log_coef))
+    return value, truncation + rounding, terms
+
+
+def _alternating_sum(p, euler, em):
+    """Im sum_n (-1)^n h(n) e^{i n p} with the tables of h: (value, est_error, terms).
+
+    For |p| <= EULER_PHI it is `_euler_sum`.  Past it, with theta = pi - |p|
+    from `pi_gap`, (-1)^n e^{i n p} = e^{-+ i n theta} for p = +-(pi - theta),
+    and it is -+ `_euler_maclaurin_sum`.
+    """
+    if abs(p) <= EULER_PHI:
+        return _euler_sum(p, euler)
+    value, est, n = _euler_maclaurin_sum(pi_gap(p), em)
+    return (-value if p > 0.0 else value), est, n
+
+
+def sawtooth_sum(phi):
+    """sum_{n>=1} (-1)^{n+1} sin(n phi)/n (limit: phi/2), summed as the log-sine sum is."""
+    return -_alternating_sum(phi.phi, _SAWTOOTH_EULER, _SAWTOOTH_EM)[0]
 
 
 def _log_sine_sum_impl(phi, tol):
-    """The log-sine sum S(phi): (value, est_error, terms).
-
-    For |phi| <= EULER_PHI it is `_euler_sum`, and for pi - |phi| < EM_GAP
-    it is -+Im T(pi - |phi|) by `_euler_maclaurin_sum`.  In the band between
-    it sums N = kappa (LEVIN_K + 1) + 1 terms and extrapolates the sampled
-    partial sums to L_K.  The estimate then adds up:
-
-    - the truncation |L_K - L_{K-1}|;
-    - the rounding of the sums, eps (ln^2 N / 2 + |L_K|), times Gamma;
-    - the rounding of the phases, times Gamma: n phi is rounded by at most
-      eps n |phi| / 2, which moves term n by eps |phi| ln n / 2 and the
-      sums by at most eps |phi| ln N! / 2.
-    """
+    """The log-sine sum S(phi): (value, est_error, terms)."""
     require_regular(phi)
     require_tol(tol)
-    p = phi.phi
-    if abs(p) <= EULER_PHI:
-        return _euler_sum(p)
-    theta = pi_gap(p)
-    if theta < EM_GAP:
-        # (-1)^n e^{i n phi} = e^{-+ i n theta} for phi = +-(pi - theta)
-        value, est, n = _euler_maclaurin_sum(theta)
-        return (-value if p > 0.0 else value), est, n
-    limit, prev, stability, n = _levin_sum(kernels.LOG_SINE_WEIGHTS, p)
-    noise = EPS * (0.5 * math.log(n) ** 2 + abs(limit))
-    phase = EPS * 0.5 * abs(p) * math.lgamma(n + 1)
-    est = abs(limit - prev) + stability * noise + stability * phase
-    return limit.imag, est, n
+    return _alternating_sum(phi.phi, _LOG_SINE_EULER, _LOG_SINE_EM)
 
 
 def log_sine_sum(phi, tol=TOL):
-    """Extrapolated value of sum_{n>=2} (-1)^n ln n sin(n phi)/n."""
+    """sum_{n>=2} (-1)^n ln n sin(n phi)/n, summed in closed form."""
     value, est, _ = _log_sine_sum_impl(phi, tol)
     if est > tol:
         raise NonConvergenceError(

@@ -130,7 +130,7 @@ def test_criterion_07_sawtooth(capsys):
         abs(sawtooth_sum(Angle(p)) - p / 2.0) for p in band
     )
     _report(capsys, 7, worst <= 1e-8,
-            f"sawtooth series on the Levin engine: max |S - phi/2| "
+            f"sawtooth series: max |S - phi/2| "
             f"{worst:.2e} (tol 1e-8)")
 
 

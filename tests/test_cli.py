@@ -106,7 +106,9 @@ def test_eval_domain_errors_exit_2(capsys, argv):
 @pytest.mark.parametrize("method", ["series", "quad", "quad-unit"])
 def test_eval_rejects_a_tol_that_is_not_finite_and_positive(capsys, method, tol):
     assert main(["eval", "--phi", "1", "--method", method, f"--tol={tol}"]) == 2
-    assert "tol must be finite and > 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "tol must be finite and > 0" in err
+    assert f"got {float(tol)!r}" in err
     with pytest.raises(DomainError):
         evaluate(Angle(1.0), method, float(tol))
 

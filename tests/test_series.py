@@ -1,5 +1,6 @@
 """Tests for the Cauchy-product series route: coefficients, inner
-integrals, the sawtooth series, and the extrapolated full evaluation."""
+integrals, the sawtooth series, the tables of both summation branches, and
+the full evaluation."""
 
 import bisect
 import math
@@ -9,21 +10,17 @@ import mpmath
 import pytest
 from test_oracle import oracle
 
-from malmsten import kernels, series, verify
+from malmsten import series, verify
 from malmsten.closed_form import malmsten_closed
 from malmsten.domain import Angle, Method
 from malmsten.errors import DomainError, NonConvergenceError, ZeroAngleError
 from malmsten.series import (
-    EM_GAP,
     EM_HEAD,
     EM_ORDER,
     EULER_HEAD,
     EULER_PHI,
-    LEVIN_K,
-    MAX_TERMS,
     j_n,
     log_sine_sum,
-    sampling_stride,
     sawtooth_sum,
     series_eval,
 )
@@ -32,9 +29,13 @@ from malmsten.special_functions import EPS, EULER_GAMMA
 GRID = [s * v for s in (1.0, -1.0)
         for v in (0.1, 0.5, math.pi / 3, math.pi / 2, 2.0, 2 * math.pi / 3, 2.9)]
 
-# GRID, 0, the ends +-3.1 and seeded angles on |phi| <= 3.1
+# GRID, 0, the ends +-3.1, seeded angles on |phi| <= 3.1, and pi - d for d
+# from 1e-2 down to the last float below pi, where a capped sampling stride
+# once left the sum off by up to 1.57
 _RNG = random.Random(20261018)
-SAWTOOTH_ANGLES = GRID + [0.0, 3.1, -3.1] + [_RNG.uniform(-3.1, 3.1) for _ in range(60)]
+SAWTOOTH_ANGLES = (GRID + [0.0, 3.1, -3.1] + [_RNG.uniform(-3.1, 3.1) for _ in range(60)]
+                   + [s * (math.pi - d) for s in (1.0, -1.0)
+                      for d in (1e-2, 1e-3, 1e-6, 1e-12, math.pi - math.nextafter(math.pi, 0.0))])
 
 
 def _verify_angles():
@@ -79,10 +80,10 @@ def test_sawtooth_accelerated(phi):
 
 
 def test_sawtooth_raw_misses():
-    # the raw 200-term partial sum of the conditionally convergent series,
-    # straight from the sampling kernel, is nowhere near 1e-8
-    sums, _ = kernels.alternating_samples(kernels.SAWTOOTH_WEIGHTS, math.pi / 2, 199, 1)
-    assert abs(-sums[-1].imag - math.pi / 4.0) > 1e-4
+    # the raw 200-term partial sum of the conditionally convergent series
+    # is nowhere near 1e-8
+    raw = math.fsum((-1) ** (n + 1) * math.sin(n * math.pi / 2) / n for n in range(1, 201))
+    assert abs(raw - math.pi / 4.0) > 1e-4
 
 
 def test_log_sine_sum_matches_closed_assembly():
@@ -112,7 +113,7 @@ def test_series_band_widens_outside():
     # default tolerance there, so the route returns a value with an honest
     # error estimate rather than a hard failure
     phi = 3.05
-    assert math.pi - phi < EM_GAP
+    assert phi > EULER_PHI
     ev = series_eval(Angle(phi))
     truth = malmsten_closed(Angle(phi)).value
     assert abs(ev.value - truth) <= 10.0 * max(ev.est_error, 1e-15)
@@ -139,42 +140,30 @@ def test_log_sine_sum_nonconvergence_carries_best_estimate():
 
 @pytest.mark.parametrize("phi", [0.5, 2.0])
 def test_series_work_adapts_to_the_angle(phi):
+    # a quarter of the 2000 terms that the route once always summed
     ev = series_eval(Angle(phi))
-    assert ev.work <= MAX_TERMS // 4
+    assert ev.work <= 500
 
 
-def test_series_work_follows_the_sampling_stride():
-    # between EULER_PHI and pi - EM_GAP the Levin engine sums
-    # kappa (LEVIN_K + 1) + 1 terms, with kappa = 5 at the Euler-Maclaurin
-    # crossover and 2 at the Euler crossover
-    for d in (EM_GAP * 1.001, 0.8, math.pi - EULER_PHI * 1.001):
-        for phi in (math.pi - d, d - math.pi):
-            kappa = sampling_stride(phi)
-            assert 2 <= kappa <= 5
-            assert series_eval(Angle(phi)).work == kappa * (LEVIN_K + 1) + 1
-    assert sampling_stride(math.pi - EM_GAP * 1.001) == 5
-    assert sampling_stride(EULER_PHI * 1.001) == 2
-
-
-# pi - |phi| from the last float below pi up to just below EM_GAP, through
-# just below the former crossover 0.25
+# pi - |phi| from the last float below pi up to just below pi - EULER_PHI,
+# through just below the former crossovers 0.25 and 0.5
 EM_GAPS = [math.pi - math.nextafter(math.pi, 0.0), 1e-12, 1e-3, 0.02, 0.25 * 0.999,
-           EM_GAP * 0.999]
+           0.5 * 0.999, (math.pi - EULER_PHI) * 0.999]
 
 
 @pytest.mark.parametrize("d", EM_GAPS)
 def test_series_work_past_the_crossover(d):
-    # below EM_GAP Euler-Maclaurin sums EM_HEAD - 2 head terms, EM_ORDER
-    # Bernoulli terms and 1 to 18 terms of the tail integral's series; the
-    # series table is sized for theta = EM_GAP, so just below it every term
-    # is used
+    # past EULER_PHI Euler-Maclaurin sums EM_HEAD - 2 head terms, EM_ORDER
+    # Bernoulli terms and 1 to 24 terms of the tail integral's series; the
+    # series table is sized for theta = pi - EULER_PHI, so next to it every
+    # term is used
     fixed = EM_HEAD - 2 + EM_ORDER
     works = {series_eval(Angle(phi)).work for phi in (math.pi - d, d - math.pi)}
     assert len(works) == 1
     work = works.pop()
-    assert fixed < work <= fixed + len(series._EM_TAIL) == 36
+    assert fixed < work <= fixed + len(series._LOG_SINE_EM.tail) == 44
     if d == EM_GAPS[-1]:
-        assert work == 36
+        assert work == 44
 
 
 def test_series_work_falls_toward_pi():
@@ -191,42 +180,46 @@ def test_euler_work_grows_with_the_angle():
     # up to EULER_PHI Euler's transformation sums the EULER_HEAD - 2 head
     # terms and K transformed terms, K = bisect_left(_EULER_STOPS, rho); K
     # grows with rho = 1/(2 cos(phi/2)) and so with |phi|, up to 39 at
-    # EULER_PHI.  Past EULER_PHI the Levin engine sums 2 (LEVIN_K + 1) + 1.
+    # EULER_PHI.  Past EULER_PHI Euler-Maclaurin sums its whole tail table.
     works = []
     for p in EULER_ANGLES[:-1]:
         rho = 0.5 / math.cos(0.5 * p)
-        k = bisect.bisect_left(series._EULER_STOPS, rho)
+        k = bisect.bisect_left(series._LOG_SINE_EULER.stops, rho)
         for phi in (p, -p):
             assert series_eval(Angle(phi)).work == EULER_HEAD - 2 + k
         works.append(EULER_HEAD - 2 + k)
     assert works == sorted(works)
     assert works[0] == EULER_HEAD - 2 + 17
     assert works[-1] == EULER_HEAD - 2 + 39
-    assert series_eval(Angle(EULER_ANGLES[-1])).work == 2 * (LEVIN_K + 1) + 1
+    assert (series_eval(Angle(EULER_ANGLES[-1])).work
+            == EM_HEAD - 2 + EM_ORDER + len(series._LOG_SINE_EM.tail))
 
 
 def test_euler_stop_table_meets_its_target():
-    # each stop's truncation bound A_K rho^(K+1) / (1 - rho) is within 1%
-    # of the target, and the table reaches the largest rho of the branch
-    stops = series._EULER_STOPS
-    assert list(stops) == sorted(stops)
-    assert stops[-1] >= 0.5 / math.cos(0.5 * EULER_PHI) > stops[-2]
-    for k, rho in enumerate(stops):
-        bound = series._EULER_A[k] * rho ** (k + 1) / (1.0 - rho)
-        assert bound == pytest.approx(series._EULER_TRUNCATION, rel=0.01)
+    # for the log-sine and the sawtooth weights, each stop's truncation
+    # bound A_K rho^(K+1) / (1 - rho) is within 1% of the target, and the
+    # table reaches the largest rho of the branch
+    for tables in (series._LOG_SINE_EULER, series._SAWTOOTH_EULER):
+        stops = tables.stops
+        assert list(stops) == sorted(stops)
+        assert stops[-1] >= 0.5 / math.cos(0.5 * EULER_PHI) > stops[-2]
+        for k, rho in enumerate(stops):
+            bound = tables.a[k] * rho ** (k + 1) / (1.0 - rho)
+            assert bound == pytest.approx(series._EULER_TRUNCATION, rel=0.01)
 
 
-def _d_exact(k):
-    """Delta^k g(0), g(j) = ln(M + j)/(M + j): 40 digits after the cancellation."""
+def _d_exact(k, h):
+    """Delta^k g(0), g(j) = h(M + j): 40 digits after the cancellation."""
     m = EULER_HEAD
     with mpmath.workdps(40 + k):
-        return mpmath.fsum((-1) ** (k - i) * mpmath.binomial(k, i) * mpmath.log(m + i) / (m + i)
+        return mpmath.fsum((-1) ** (k - i) * mpmath.binomial(k, i) * h(mpmath.mpf(m + i))
                            for i in range(k + 1))
 
 
 def test_euler_table_matches_mpmath():
-    # d_k is its 40-digit value rounded to the nearest float; A_k is the
-    # integral of |ln t + gamma| e^{-Mt} (1 - e^{-t})^k rounded up, from
+    # for the log-sine weights, d_k is its 40-digit value rounded to the
+    # nearest float; A_k is the integral of |ln t + gamma| e^{-Mt} (1 - e^{-t})^k
+    # rounded up, from
     # A_k = (-1)^(k+1) d_k + 2 int_0^{e^-gamma} |ln t + gamma| e^{-Mt} (1 - e^{-t})^k dt,
     # and bounds |d_k| and every later |d_j|
     m = EULER_HEAD
@@ -234,13 +227,30 @@ def test_euler_table_matches_mpmath():
     with mpmath.workdps(40):
         t0 = mpmath.exp(-mpmath.euler)
         for k, (d, a) in enumerate(zip(series._EULER_D, series._EULER_A)):
-            exact = _d_exact(k)
+            exact = _d_exact(k, lambda x: mpmath.log(x) / x)
             assert d == float(exact)
             neg = mpmath.quad(lambda t, k=k: -(mpmath.log(t) + mpmath.euler) * mpmath.exp(-m * t)
                               * (1 - mpmath.exp(-t)) ** k, [0, t0])
             bound = (-1) ** (k + 1) * exact + 2 * neg
             assert bound <= a <= bound * (1 + 2 * EPS)
             assert all(abs(dj) <= a for dj in series._EULER_D[k:])
+    # for the sawtooth weights 1/x, d_k is its 40-digit value rounded to the
+    # nearest float, and A_k = |d_k| bounds every later |d_j|
+    tables = series._SAWTOOTH_EULER
+    assert len(series._SAWTOOTH_D) == len(tables.a) == 41
+    for k, (d, a) in enumerate(zip(series._SAWTOOTH_D, tables.a)):
+        assert d == float(_d_exact(k, lambda x: 1 / x))
+        assert a == abs(d)
+        assert all(abs(dj) <= a for dj in series._SAWTOOTH_D[k:])
+
+
+def test_bernoulli_table_matches_mpmath():
+    # every B_2k literal of the Euler-Maclaurin branch is B_2k rounded to
+    # the nearest float
+    assert len(series._BERNOULLI) == EM_ORDER + 1
+    with mpmath.workdps(40):
+        for k, b in enumerate(series._BERNOULLI, 1):
+            assert b == float(mpmath.bernoulli(2 * k))
 
 
 @pytest.mark.parametrize("phi", GRID + [2.36, -2.36])
@@ -269,7 +279,7 @@ def test_series_zero_angle():
     ],
 )
 def test_config_validation(kwargs):
-    # the tolerance is the series engine's one setting
+    # the tolerance is the series route's one setting
     with pytest.raises(DomainError):
         series_eval(Angle(1.0), **kwargs)
     with pytest.raises(DomainError):
