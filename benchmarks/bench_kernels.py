@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Benchmark the summation kernel, the two branches of the series route,
-the quadrature routes with cold and warm integrand tables, and each verify
-check group.
+"""Benchmark the summation kernel, the closed route, the two branches of
+the series route, the quadrature routes with cold and warm integrand
+tables, and each verify check group.
 
 Times the hot loop that generates complex partial sums (the raw partial
-sums of `kummer_partial` and of verify's series check).  Then times the two
+sums of `kummer_partial` and of verify's series check).  Then times
+`malmsten_closed` per call, with the terms K of the odd-zeta series it
+sums (its `work`), on both sides of CLOSED_SPLIT.  Then times the two
 branches that sum the series route's series, for each family of weights,
 the log-sine series of the series and Kummer routes and the sawtooth
 series, with the terms each sums: Euler's transformation for
@@ -26,7 +28,7 @@ import argparse
 import math
 import timeit
 
-from malmsten import kernels, quadrature, series, verify
+from malmsten import closed_form, kernels, quadrature, series, verify
 from malmsten.domain import Angle
 from malmsten.special_functions import pi_gap
 
@@ -34,6 +36,17 @@ from malmsten.special_functions import pi_gap
 def bench(label, fn, repeat):
     best = min(timeit.repeat(fn, number=1, repeat=repeat))
     print(f"  {label:<28} {best * 1e3:9.3f} ms")
+
+
+def bench_closed(repeat):
+    print(f"closed route (direct for |phi| <= CLOSED_SPLIT = {closed_form.CLOSED_SPLIT}, split past\n"
+          "it): best time per call and the terms K it sums")
+    for phi in (1.01e-6, 0.5, 1.0, 1.0001, 2.0, 2.9, math.pi - 1e-12):
+        angle = Angle(phi)
+        best = min(timeit.repeat(lambda angle=angle: closed_form.malmsten_closed(angle),
+                                 number=100, repeat=repeat)) / 100
+        work = closed_form.malmsten_closed(angle).work
+        print(f"  phi={phi!r:<20} work={work:<3} {best * 1e6:8.2f} us")
 
 
 def bench_series(repeat):
@@ -117,6 +130,7 @@ def main():
         args.repeat,
     )
 
+    bench_closed(args.repeat)
     bench_series(args.repeat)
     bench_quadrature(args.repeat)
     bench_verify(args.repeat)

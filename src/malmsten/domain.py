@@ -6,8 +6,9 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ZeroAngleError
 
-# Below this |phi| the generic closed form loses ~6 digits to cancellation
-# in sin(phi); such angles are classified ZERO and served by zero_limit.
+# Below this |phi| the kummer route, whose log-gamma difference cancels, keeps
+# fewer than 10 digits (relative error 9.5e-10 at 1.01e-6); such angles are
+# classified ZERO and served by zero_limit.
 ZERO_THRESHOLD = 1e-6
 
 

@@ -29,7 +29,6 @@ family of weights as data.  Kummer's series for ln Gamma
 
 import math
 from bisect import bisect_left
-from collections import namedtuple
 from itertools import accumulate, repeat
 from operator import mul
 
@@ -120,9 +119,6 @@ def j_n(n):
     return -(EULER_GAMMA + math.log(n + 1)) / (n + 1)
 
 
-_EulerTables = namedtuple("_EulerTables", "head tail_d tail_m a stops phase ops ops_slope")
-
-
 def _euler_tables(first, h, d, a):
     """Euler's transformation of sum_{n>=first} (-1)^n h(n) e^{i n phi}.
 
@@ -175,8 +171,8 @@ def _euler_tables(first, h, d, a):
         ops_slope += c_d * f * m
         c *= rho_max
         f += 4
-    return _EulerTables(head, tail_d, tail_m, a, tuple(stops),
-                        0.5 * EPS * phase, 0.5 * EPS * ops, 0.5 * EPS * ops_slope)
+    return (head, tail_d, tail_m, a, tuple(stops),
+            0.5 * EPS * phase, 0.5 * EPS * ops, 0.5 * EPS * ops_slope)
 
 
 def _log_sine_weight(x):
@@ -226,10 +222,6 @@ def _euler_sum(p, tables):
     return value, truncation + rounding, len(head) + k
 
 
-_EMTables = namedtuple("_EMTables",
-                       "head q mag0 mag1 tail truncation head_slope fixed log_const log_coef")
-
-
 def _euler_maclaurin_tables(first, h, dh, tail_coef, log_const, log_coef):
     """Euler-Maclaurin for Im sum_{n>=first} h(n) e^{i n theta}, theta <= pi - EULER_PHI.
 
@@ -270,26 +262,30 @@ def _euler_maclaurin_tables(first, h, dh, tail_coef, log_const, log_coef):
     bern = [b / math.factorial(2 * k) for k, b in enumerate(_BERNOULLI, 1)]
     # Q(w) = sum_r c[r] w^r, and w^r = i^r theta^r
     c = [0.5 * dh[0]] + [0.0] * (2 * p - 1)
-    for k in range(1, p + 1):
-        for r in range(2 * k):
-            c[r] -= bern[k - 1] * math.comb(2 * k - 1, r) * dh[2 * k - 1 - r]
+    comb = math.comb
+    for b, n in zip(bern, range(1, 2 * p, 2)):
+        for r in range(n + 1):
+            c[r] -= b * comb(n, r) * dh[n - r]
     q = [complex((-1) ** j * c[2 * j], (-1) ** j * c[2 * j + 1]) for j in range(p)]
     mag = [complex(abs(a.real), abs(a.imag)) for a in q]
     mag1 = sum(a * _EM_THETA ** (2 * j - 2) for j, a in enumerate(mag) if j)
 
-    tail = []
-    while not tail or abs(tail[-1]) * _EM_THETA ** (2 * len(tail) - 1) >= _TAIL_CUT:
-        tail.append((-1) ** len(tail) * tail_coef(2 * len(tail) + 1))
+    # the tail coefficients, and one past the last, for the ratios
+    coef = [tail_coef(1)]
+    while abs(coef[-1]) * _EM_THETA ** (2 * len(coef) - 1) >= _TAIL_CUT:
+        coef.append(tail_coef(2 * len(coef) + 1))
+    coef.append(tail_coef(2 * len(coef) + 1))
+    tail = [(-1) ** j * a for j, a in enumerate(coef[:-1])]
     rho = max(min(_EM_THETA, (_TAIL_CUT / abs(a)) ** (1.0 / (2 * j + 1))) ** 2
-              * abs(tail_coef(2 * j + 3) / a) for j, a in enumerate(tail))
+              * abs(b / a) for j, (a, b) in enumerate(zip(coef, coef[1:])))
 
     j = 2 * p + 1
     remainder = (abs(bern[p]) * sum(math.comb(j, i) * abs(dh[i]) * _EM_THETA ** (j - i)
                                     for i in range(j + 1)))
     head = tuple((n, h(n)) for n in range(first, EM_HEAD))
-    return _EMTables(head, tuple(q[::-1]), mag[0], mag1, tuple(tail),
-                     2.0 * remainder + _TAIL_CUT * rho / (1.0 - rho),
-                     sum(n * w for n, w in head), len(head) + p, log_const, log_coef)
+    return (head, tuple(q[::-1]), mag[0], mag1, tuple(tail),
+            2.0 * remainder + _TAIL_CUT * rho / (1.0 - rho),
+            sum(n * w for n, w in head), len(head) + p, log_const, log_coef)
 
 
 def _log_sine_em_tables():

@@ -1,15 +1,20 @@
-"""Tests for the gamma closed form, its special values, and the zero limit.
+"""Tests for the gamma closed form, its odd-zeta tables, its special
+values, and the zero limit.
 
 FROZEN_I values were computed with mpmath at 40 significant digits from the
 defining integral (independent oracle) and rounded to binary64.
 """
 
+import bisect
 import math
 import random
 
+import mpmath
 import pytest
 
+from malmsten import closed_form
 from malmsten.closed_form import (
+    CLOSED_SPLIT,
     SpecialCase,
     malmsten_closed,
     special_value,
@@ -111,3 +116,76 @@ def test_evaluation_metadata():
     assert ev.est_error >= 0.0
     assert ev.work >= 1
     assert ev.phi.phi == 2.0
+
+
+def test_zeta_tables_match_mpmath():
+    # ln(pi/2) - gamma, every c_k = (2^s - 1) zeta(s)/s and every
+    # r_k = (2^s - 1)(zeta(s) - 1 - 2^-s)/s, s = 2k + 1, is its 40-digit
+    # value rounded to the nearest float
+    assert len(closed_form._ZETA_C) == 16 and len(closed_form._ZETA_R) == 17
+    with mpmath.workdps(40):
+        assert closed_form._BRACKET_0 == float(mpmath.log(mpmath.pi / 2) - mpmath.euler)
+        for k, c in enumerate(closed_form._ZETA_C, 1):
+            s = 2 * k + 1
+            assert c == float((2 ** s - 1) * mpmath.zeta(s) / s)
+        for k, r in enumerate(closed_form._ZETA_R, 1):
+            s = 2 * k + 1
+            assert r == float((2 ** s - 1) * (mpmath.zeta(s) - 1 - mpmath.mpf(2) ** -s) / s)
+
+
+def test_zeta_tables_shrink_geometrically():
+    # the truncation bounds take c_(k+1) <= 4 c_k and r_(k+1) <= (4/9) r_k
+    for table, q in ((closed_form._ZETA_C, 4.0), (closed_form._ZETA_R, 4.0 / 9.0)):
+        for a, b in zip(table, table[1:]):
+            assert b <= q * a
+
+
+def _tail(k_terms, x, r_table):
+    """sum_{k > K} of the c_k or r_k series at x = t^2, at 40 digits."""
+    with mpmath.workdps(40):
+        def term(k):
+            s = 2 * k + 1
+            z = mpmath.zeta(s) - 1 - mpmath.mpf(2) ** -s if r_table else mpmath.zeta(s)
+            return (2 ** s - 1) * z / s * mpmath.mpf(x) ** k
+        return mpmath.nsum(term, [k_terms + 1, mpmath.inf])
+
+
+@pytest.mark.parametrize("tables, x_max, r_table", [
+    (closed_form._DIRECT, (CLOSED_SPLIT / (2.0 * math.pi)) ** 2, False),
+    (closed_form._SPLIT, 0.25, True),
+], ids=["direct", "split"])
+def test_closed_stop_table_meets_its_target(tables, x_max, r_table):
+    # entry K - 1 is the x = t^2 up to which K terms suffice: there the
+    # truncation bound coef_(K+1) x^(K+1) / (1 - q x) is within 1% of the
+    # target, and the true rest is below the bound; the table reaches the
+    # largest x of its branch
+    _, coef, stops, q = tables
+    assert list(stops) == sorted(stops)
+    assert stops[-1] >= x_max > stops[-2]
+    for k, x in enumerate(stops, 1):
+        bound = coef[k] * x ** (k + 1) / (1.0 - q * x)
+        assert bound == pytest.approx(closed_form._CLOSED_TRUNCATION, rel=0.01)
+        assert _tail(k, x, r_table) <= bound
+
+
+def test_closed_work_is_the_terms_summed():
+    # work is K, from one bisect into the stop table of the branch: one or
+    # two terms near the zero threshold, at most 15 on the direct branch
+    # and 16 on the split one, and non-decreasing in |phi| on each
+    for lo, hi, (_, _, stops, _) in ((1e-6, CLOSED_SPLIT, closed_form._DIRECT),
+                                     (math.nextafter(CLOSED_SPLIT, 4.0),
+                                      math.nextafter(math.pi, 0.0), closed_form._SPLIT)):
+        works = []
+        for i in range(201):
+            p = lo + (hi - lo) * i / 200
+            t = p * closed_form._INV_TWO_PI
+            work = malmsten_closed(Angle(p)).work
+            assert work == malmsten_closed(Angle(-p)).work
+            assert work == bisect.bisect_left(stops, t * t) + 1
+            works.append(work)
+        assert works == sorted(works)
+        assert works[-1] == len(stops)
+    assert malmsten_closed(Angle(1.01e-6)).work == 1
+    assert malmsten_closed(Angle(1e-3)).work == 2
+    assert (malmsten_closed(Angle(CLOSED_SPLIT)).work,
+            malmsten_closed(Angle(math.nextafter(math.pi, 0.0))).work) == (15, 16)

@@ -1,10 +1,12 @@
 """Routes against a 40-digit mpmath oracle at the edges of the domain: the
 ZERO-classified angles next to phi = 0, and angles within 1e-12 of +-pi;
-the series route over the whole domain, where its estimate must hold
-everywhere and be tight for |phi| >= 1e-3, and where its Euler-Maclaurin
-branch near +-pi must keep full accuracy; the quad and quad-unit routes up
-to the quadrature guard band, where their estimates must hold at the
-default and at other tolerances; and the inner integrals J_n of quad_jn."""
+the closed route over the whole domain, where its estimate must hold and be
+tight everywhere, at its branch crossover and next to +-pi; the series
+route over the whole domain, where its estimate must hold everywhere and be
+tight for |phi| >= 1e-3, and where its Euler-Maclaurin branch near +-pi
+must keep full accuracy; the quad and quad-unit routes up to the quadrature
+guard band, where their estimates must hold at the default and at other
+tolerances; and the inner integrals J_n of quad_jn."""
 
 import math
 import random
@@ -15,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malmsten import Angle, evaluate
+from malmsten.closed_form import CLOSED_SPLIT
+from malmsten.domain import ZERO_THRESHOLD
 from malmsten.quadrature import GUARD_BAND, quad_jn
 from malmsten.series import EULER_PHI
 from malmsten.special_functions import EPS
@@ -22,6 +26,13 @@ from malmsten.special_functions import EPS
 # For 1e-3 <= |phi| < pi the series estimate may exceed the larger of its
 # true error and one ulp of I by at most this factor.
 F_SERIES = 1e4
+
+# For ZERO_THRESHOLD <= |phi| < pi the closed estimate may exceed the larger
+# of its true error and one ulp of I by at most this factor.  est / (eps |I|)
+# reaches 99.5 just past CLOSED_SPLIT, where the closed part of the split
+# branch cancels from 1.57 to 0.07; it stays below 5 on the direct branch
+# and below 20 near +-pi.
+F_CLOSED = 200.0
 
 # Reproducible examples, and no example database left in the checkout.
 ORACLE_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -75,6 +86,36 @@ def test_closed_forms_keep_full_accuracy_near_pi(method, sign, d):
     err = _error(ev.value, phi)
     assert err <= ev.est_error
     assert err <= 1e-15 * abs(ev.value)
+
+
+def _closed_error(phi):
+    """(|value - I|, est_error, |I|) of the closed route at phi."""
+    ev = evaluate(Angle(phi), "closed")
+    with mpmath.workdps(40):
+        exact = oracle(phi)
+        return float(abs(mpmath.mpf(ev.value) - exact)), ev.est_error, float(abs(exact))
+
+
+@ORACLE_SETTINGS
+@given(st.floats(min_value=ZERO_THRESHOLD, max_value=math.pi, exclude_max=True),
+       st.sampled_from([1.0, -1.0]))
+def test_closed_estimate_holds_and_is_tight_everywhere(magnitude, sign):
+    err, est, exact = _closed_error(sign * magnitude)
+    assert err <= est <= F_CLOSED * max(err, EPS * exact)
+
+
+# both sides of the crossover CLOSED_SPLIT, just above the zero threshold,
+# and pi - d at the last float below pi, at 1e-15 and at 1e-12
+CLOSED_EDGE = [CLOSED_SPLIT * (1.0 - 1e-9), CLOSED_SPLIT * (1.0 + 1e-9),
+               ZERO_THRESHOLD * (1.0 + 1e-9), math.nextafter(math.pi, 0.0),
+               math.pi - 1e-15, math.pi - 1e-12]
+
+
+@pytest.mark.parametrize("phi", CLOSED_EDGE)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_closed_estimate_is_tight_at_the_edge(sign, phi):
+    err, est, exact = _closed_error(sign * phi)
+    assert err <= est <= F_CLOSED * max(err, EPS * exact)
 
 
 def _series_error(phi):

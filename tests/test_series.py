@@ -147,6 +147,9 @@ def test_series_work_adapts_to_the_angle(phi):
 
 # pi - |phi| from the last float below pi up to just below pi - EULER_PHI,
 # through just below the former crossovers 0.25 and 0.5
+# the tail table of the log-sine Euler-Maclaurin branch
+_LOG_SINE_EM_TAIL = series._LOG_SINE_EM[4]
+
 EM_GAPS = [math.pi - math.nextafter(math.pi, 0.0), 1e-12, 1e-3, 0.02, 0.25 * 0.999,
            0.5 * 0.999, (math.pi - EULER_PHI) * 0.999]
 
@@ -161,7 +164,7 @@ def test_series_work_past_the_crossover(d):
     works = {series_eval(Angle(phi)).work for phi in (math.pi - d, d - math.pi)}
     assert len(works) == 1
     work = works.pop()
-    assert fixed < work <= fixed + len(series._LOG_SINE_EM.tail) == 44
+    assert fixed < work <= fixed + len(_LOG_SINE_EM_TAIL) == 44
     if d == EM_GAPS[-1]:
         assert work == 44
 
@@ -184,7 +187,7 @@ def test_euler_work_grows_with_the_angle():
     works = []
     for p in EULER_ANGLES[:-1]:
         rho = 0.5 / math.cos(0.5 * p)
-        k = bisect.bisect_left(series._LOG_SINE_EULER.stops, rho)
+        k = bisect.bisect_left(series._LOG_SINE_EULER[4], rho)
         for phi in (p, -p):
             assert series_eval(Angle(phi)).work == EULER_HEAD - 2 + k
         works.append(EULER_HEAD - 2 + k)
@@ -192,7 +195,7 @@ def test_euler_work_grows_with_the_angle():
     assert works[0] == EULER_HEAD - 2 + 17
     assert works[-1] == EULER_HEAD - 2 + 39
     assert (series_eval(Angle(EULER_ANGLES[-1])).work
-            == EM_HEAD - 2 + EM_ORDER + len(series._LOG_SINE_EM.tail))
+            == EM_HEAD - 2 + EM_ORDER + len(_LOG_SINE_EM_TAIL))
 
 
 def test_euler_stop_table_meets_its_target():
@@ -200,11 +203,11 @@ def test_euler_stop_table_meets_its_target():
     # bound A_K rho^(K+1) / (1 - rho) is within 1% of the target, and the
     # table reaches the largest rho of the branch
     for tables in (series._LOG_SINE_EULER, series._SAWTOOTH_EULER):
-        stops = tables.stops
+        _, _, _, a, stops, *_ = tables
         assert list(stops) == sorted(stops)
         assert stops[-1] >= 0.5 / math.cos(0.5 * EULER_PHI) > stops[-2]
         for k, rho in enumerate(stops):
-            bound = tables.a[k] * rho ** (k + 1) / (1.0 - rho)
+            bound = a[k] * rho ** (k + 1) / (1.0 - rho)
             assert bound == pytest.approx(series._EULER_TRUNCATION, rel=0.01)
 
 
@@ -236,9 +239,9 @@ def test_euler_table_matches_mpmath():
             assert all(abs(dj) <= a for dj in series._EULER_D[k:])
     # for the sawtooth weights 1/x, d_k is its 40-digit value rounded to the
     # nearest float, and A_k = |d_k| bounds every later |d_j|
-    tables = series._SAWTOOTH_EULER
-    assert len(series._SAWTOOTH_D) == len(tables.a) == 41
-    for k, (d, a) in enumerate(zip(series._SAWTOOTH_D, tables.a)):
+    bounds = series._SAWTOOTH_EULER[3]
+    assert len(series._SAWTOOTH_D) == len(bounds) == 41
+    for k, (d, a) in enumerate(zip(series._SAWTOOTH_D, bounds)):
         assert d == float(_d_exact(k, lambda x: 1 / x))
         assert a == abs(d)
         assert all(abs(dj) <= a for dj in series._SAWTOOTH_D[k:])
