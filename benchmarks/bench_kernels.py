@@ -18,18 +18,24 @@ or one power for J_n, and one divide per node, plus the level driver).
 Each point also prints the nodes its evaluation used and the entries a
 cold call left stored in each integrand table: a strip is stored whole
 the first time an evaluation reaches it, so the tables hold more nodes
-than it used.  Last, times each `verify` check group,
+than it used.  Then times each `verify` check group,
 `run_checks(only=[group])`, in this process, and all of them together.
+Last, times the construction of the records every evaluation builds,
+`Angle(phi)` and `Evaluation(...)` by position and by keyword, and a cold
+`import malmsten.cli` in a fresh child interpreter (`python -I`).
 
 Usage: python benchmarks/bench_kernels.py [--terms N] [--repeat R]
 """
 
 import argparse
 import math
+import subprocess
+import sys
 import timeit
+from pathlib import Path
 
 from malmsten import closed_form, kernels, quadrature, series, verify
-from malmsten.domain import Angle
+from malmsten.domain import Angle, Evaluation, Method
 from malmsten.special_functions import pi_gap
 
 
@@ -114,6 +120,32 @@ def bench_verify(repeat):
     print(f"  {'sum':<12} {total * 1e3:9.3f} ms")
 
 
+def bench_records(repeat):
+    print("records: best time per construction, and per cold import in a child\n"
+          "interpreter")
+    angle = Angle(1.0)
+    number = 20_000
+    for label, fn in (
+        ("Angle(phi)", lambda: Angle(1.0)),
+        ("Evaluation, by position", lambda: Evaluation(angle, 0.1, Method.CLOSED, 1e-16, 3)),
+        ("Evaluation, by keyword", lambda: Evaluation(phi=angle, value=0.1, method=Method.CLOSED,
+                                                      est_error=1e-16, work=3)),
+    ):
+        best = min(timeit.repeat(fn, number=number, repeat=repeat)) / number
+        print(f"  {label:<28} {best * 1e9:9.0f} ns")
+    src = Path(verify.__file__).resolve().parents[1]
+    code = ("import sys, time; t0 = time.perf_counter(); "
+            f"sys.path.insert(0, {str(src)!r}); import malmsten.cli; "
+            "print(time.perf_counter() - t0)")
+
+    def cold_import():
+        return float(subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+                                    text=True, check=True, timeout=60).stdout)
+
+    best = min(cold_import() for _ in range(repeat))
+    print(f"  {'import malmsten.cli (cold)':<28} {best * 1e3:9.3f} ms")
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--terms", type=int, default=200_000)
@@ -134,6 +166,7 @@ def main():
     bench_series(args.repeat)
     bench_quadrature(args.repeat)
     bench_verify(args.repeat)
+    bench_records(args.repeat)
 
 
 if __name__ == "__main__":

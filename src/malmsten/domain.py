@@ -2,7 +2,7 @@
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, ZeroAngleError
 
@@ -43,37 +43,56 @@ class Method(enum.Enum):
     KUMMER = "kummer"
 
 
-@dataclass(frozen=True)
-class Angle:
+class Record:
+    """Mixin for a read-only record on a namedtuple: it equals and hashes by
+    its fields, and only records of its own type, never a plain tuple.
+    Subclasses declare `__slots__ = ()`, so no attribute can be set."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return tuple.__eq__(self, other)
+        # a plain tuple's own __eq__ would compare fields, so answer for it
+        return False if isinstance(other, tuple) else NotImplemented
+
+    # object's: the negation of __eq__, where tuple's own compares fields
+    __ne__ = object.__ne__
+
+    __hash__ = tuple.__hash__
+
+    @classmethod
+    def _make(cls, iterable):
+        # through __new__, so that _replace validates too
+        return cls(*iterable)
+
+
+class Angle(Record, namedtuple("Angle", "phi")):
     """An evaluation point phi, strictly inside the open interval (-pi, pi)."""
 
-    phi: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not abs(self.phi) < math.pi:
-            raise DomainError(
-                f"phi must lie strictly in (-pi, pi), got {self.phi!r}"
-            )
+    def __new__(cls, phi):
+        if not abs(phi) < math.pi:
+            raise DomainError(f"phi must lie strictly in (-pi, pi), got {phi!r}")
+        return tuple.__new__(cls, (phi,))
 
     @property
     def is_zero(self):
         return abs(self.phi) < ZERO_THRESHOLD
 
 
-@dataclass(frozen=True)
-class Evaluation:
+class Evaluation(Record, namedtuple("Evaluation", "phi value method est_error work")):
     """One numeric result: value, method tag, error estimate, work count."""
 
-    phi: Angle
-    value: float
-    method: Method
-    est_error: float
-    work: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.est_error < 0.0:
-            raise ValueError("est_error must be nonnegative")
-        if self.work < 1:
-            raise ValueError("work must be >= 1")
-        if self.method is Method.QUAD_TAN:
-            require_quad_tan_angle(self.phi)
+    def __new__(cls, phi, value, method, est_error, work):
+        # `not x >= bound` rejects NaN too
+        if not est_error >= 0.0:
+            raise ValueError(f"est_error must be nonnegative, got {est_error!r}")
+        if not work >= 1:
+            raise ValueError(f"work must be >= 1, got {work!r}")
+        if method is Method.QUAD_TAN:
+            require_quad_tan_angle(phi)
+        return tuple.__new__(cls, (phi, value, method, est_error, work))

@@ -35,10 +35,10 @@ not depend on which evaluation stored it, so neither does a result.
 
 import math
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import starmap
 
-from .domain import require_tol
+from .domain import Record, require_tol
 from .errors import DomainError, InternalInconsistencyError
 from .special_functions import EPS
 
@@ -61,12 +61,8 @@ _NODES_LOCK = threading.Lock()
 _NO_PHI = (1.0, 0.0, 2.0)
 
 
-@dataclass(frozen=True)
-class QuadResult:
-    value: float
-    est_error: float
-    nodes: int
-    converged: bool
+class QuadResult(Record, namedtuple("QuadResult", "value est_error nodes converged")):
+    __slots__ = ()
 
 
 def _strip(node, level, sign):

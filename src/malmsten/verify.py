@@ -9,12 +9,12 @@ checks.
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import kernels
 from .closed_form import SpecialCase, malmsten_closed, special_value, two_pi_over_3_forms, zero_limit
 from .dispatch import evaluate
-from .domain import Angle, require_tol
+from .domain import Angle, Record, require_tol
 from .kummer import derived_sum_identity, kummer_closed_eval, kummer_partial, kummer_sum
 from .quadrature import quad_eval, quad_jn, quad_tan_form, quad_unit_eval
 from .series import j_n, sawtooth_sum, series_eval
@@ -29,14 +29,8 @@ DEFAULT_GRID = sorted(
 )
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    name: str
-    lhs: float
-    rhs: float
-    residual: float
-    tolerance: float
-    passed: bool
+class CheckRecord(Record, namedtuple("CheckRecord", "name lhs rhs residual tolerance passed")):
+    __slots__ = ()
 
     def as_dict(self):
         return {
