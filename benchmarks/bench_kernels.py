@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Benchmark the summation kernel, the closed route, the two branches of
+"""Benchmark the raw partial sum of Kummer's series, the closed route, the two branches of
 the series route, the quadrature routes with cold and warm integrand
 tables, and each verify check group.
 
-Times the hot loop that generates complex partial sums (the raw partial
-sums of `kummer_partial` and of verify's series check).  Then times
+Times `kummer.log_sine_partial`, the real running sum
+sum_{n=2}^{N} (ln n / n) sin(n theta) behind `kummer_partial` and verify's
+raw-partial check.  Then times
 `malmsten_closed` per call, with the terms K of the odd-zeta series it
 sums (its `work`), on both sides of CLOSED_SPLIT.  Then times the two
 branches that sum the series route's series, for each family of weights,
@@ -34,7 +35,7 @@ import sys
 import timeit
 from pathlib import Path
 
-from malmsten import closed_form, kernels, quadrature, series, verify
+from malmsten import closed_form, kummer, quadrature, series, verify
 from malmsten.domain import Angle, Evaluation, Method
 from malmsten.special_functions import pi_gap
 
@@ -153,14 +154,9 @@ def main():
     args = ap.parse_args()
 
     theta = math.pi / 2 + math.pi
-    window = 40
-
-    print("summation kernels: best time per call")
-    bench(
-        f"log_sine_partials(N={args.terms})",
-        lambda: kernels.log_sine_partials(theta, args.terms, window),
-        args.repeat,
-    )
+    print("raw partial sum: best time per call")
+    bench(f"log_sine_partial(N={args.terms})",
+          lambda: kummer.log_sine_partial(theta, args.terms), args.repeat)
 
     bench_closed(args.repeat)
     bench_series(args.repeat)

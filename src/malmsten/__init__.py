@@ -21,7 +21,6 @@ from .errors import (
     NonConvergenceError,
     ZeroAngleError,
 )
-from .kernels import BACKEND
 from .kummer import derived_sum_identity, kummer_closed_eval, kummer_partial, kummer_sum
 from .quadrature import (
     QuadResult,
@@ -39,6 +38,9 @@ from .series import (
     sawtooth_sum,
     series_eval,
 )
-from .special_functions import EULER_GAMMA, digamma, log_gamma, reflection_product
+from .special_functions import EULER_GAMMA, log_gamma, reflection_product
 
 __version__ = "0.1.0"
+
+# read into the metadata of benchmark runs: the library is plain Python
+BACKEND = "python"

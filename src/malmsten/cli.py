@@ -2,7 +2,7 @@
 all routes, sweep phi ranges, and emit machine-readable reports.
 
 Exit codes: 0 success / all checks pass, 1 numeric check failed,
-2 usage or domain error, 3 nonconvergence.
+2 usage, domain or output-file error, 3 nonconvergence.
 """
 
 import argparse
@@ -295,7 +295,7 @@ def main(argv=None):
     except NonConvergenceError as exc:
         print(f"error: nonconvergence: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, ValueError, OverflowError) as exc:
+    except (DomainError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,12 +13,12 @@ Both series are summed in their alternating form by `series.log_sine_sum`
 through the parity map (-1)^n sin(n phi) = -sin(n(pi - phi)): Kummer's
 sum_{n>=1} ln n sin(2 pi n x)/n is log_sine_sum at phi = 2 pi x - pi
 (`kummer_sum`), and the identity's series side is -log_sine_sum(phi).
-`kummer_partial` is the raw truncation.
+`kummer_partial` is the raw truncation, its series summed term by term by
+`log_sine_partial`, which verify's raw-partial check also uses.
 """
 
 import math
 
-from . import kernels
 from .domain import Angle, Evaluation, Method, require_regular
 from .errors import DomainError
 from .series import log_sine_sum
@@ -69,19 +69,27 @@ def kummer_sum(x):
     return closed_part + series / math.pi
 
 
+def log_sine_partial(theta, n_terms):
+    """The raw partial sum sum_{n=2}^{n_terms} (ln n / n) sin(n theta), 0.0
+    for n_terms < 2."""
+    log, sin = math.log, math.sin
+    total = 0.0
+    for n in range(2, n_terms + 1):
+        total += log(n) / n * sin(n * theta)
+    return total
+
+
 def kummer_partial(x, n_terms):
     """Kummer's expansion of ln Gamma(x) truncated after n_terms series terms."""
     closed_part = _closed_part(x)
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")
-    if n_terms == 1:
-        return closed_part  # the n = 1 term is ln(1) = 0
     if x == 0.5:
         # every series term is sin(pi n) = 0 analytically; short-circuit so
         # the midpoint stays exactly (1/2) ln pi at every truncation instead
         # of picking up sin(n * rounded-pi) rounding dust
         return closed_part
-    series = kernels.log_sine_partials(2.0 * math.pi * x, n_terms, 1)[-1].imag
+    series = log_sine_partial(2.0 * math.pi * x, n_terms)
     return closed_part + series / math.pi
 
 

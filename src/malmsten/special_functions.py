@@ -1,8 +1,8 @@
-"""Self-contained real-argument special functions: log-gamma and digamma.
+"""Self-contained real-argument special functions: log-gamma, the gamma
+reflection product, and pi - |phi| to full accuracy near pi.
 
 log_gamma uses the Lanczos approximation (g = 7, 9 coefficients) with the
-reflection formula below x = 0.5.  digamma uses upward recurrence to x >= 8
-followed by the Bernoulli asymptotic series.  Everything is binary64; no
+reflection formula below x = 0.5.  Everything is binary64; no
 arbitrary-precision backend.
 """
 
@@ -35,17 +35,6 @@ _LANCZOS_C = (
     1.5056327351493116e-7,
 )
 
-# Bernoulli-number coefficients B_{2k}/(2k) for the digamma asymptotic tail.
-_DIGAMMA_TAIL = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
-
 _OVERFLOW_X = 2.5e305  # (x - 0.5) * ln(x + g) would overflow past this
 
 
@@ -72,23 +61,6 @@ def log_gamma(x):
     z = x - 1.0
     t = z + _LANCZOS_G + 0.5
     return 0.5 * LN_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(_lanczos_series(x))
-
-
-def digamma(x):
-    """psi(x) = d/dx ln Gamma(x) for real x > 0, absolute error <= 1e-12."""
-    if not x > 0.0:
-        raise DomainError(f"digamma requires x > 0, got {x!r}")
-    acc = 0.0
-    while x < 8.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    tail = 0.0
-    p = inv2
-    for c in _DIGAMMA_TAIL:
-        tail += c * p
-        p *= inv2
-    return acc + math.log(x) - 0.5 / x - tail
 
 
 def pi_gap(phi):

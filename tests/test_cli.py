@@ -311,6 +311,20 @@ def test_sweep_rejects_too_many_points_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["missing_dir", "existing_dir"])
+def test_sweep_unwritable_out_exit_2(tmp_path, capsys, where):
+    # mkstemp finds no directory to write in, or os.replace cannot put the
+    # file over a directory: a usage error, not a failed numeric check
+    out = tmp_path / "no_such_dir" / "x.csv" if where == "missing_dir" else tmp_path / "x.csv"
+    if where == "existing_dir":
+        out.mkdir()
+    assert main(["sweep", "--from", "0.5", "--to", "1.0", "--step", "0.5",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not list(tmp_path.rglob(".sweep-*"))
+
+
 def test_table_text(capsys):
     assert main(["table"]) == 0
     out = capsys.readouterr().out

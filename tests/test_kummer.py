@@ -1,11 +1,12 @@
-"""Tests for the Fourier expansion of ln Gamma on (0, 1) and the log-sine
-sum identity derived from it."""
+"""Tests for the Fourier expansion of ln Gamma on (0, 1), its raw partial
+sum, and the log-sine sum identity derived from it."""
 
 import math
 
 import mpmath
 import pytest
 
+import malmsten
 from malmsten.closed_form import malmsten_closed
 from malmsten.domain import Angle, Method
 from malmsten.errors import DomainError, ZeroAngleError
@@ -14,6 +15,7 @@ from malmsten.kummer import (
     kummer_closed_eval,
     kummer_partial,
     kummer_sum,
+    log_sine_partial,
 )
 from malmsten.special_functions import EULER_GAMMA, log_gamma
 
@@ -58,6 +60,40 @@ def test_unaccelerated_partial_misses():
     # the ln n / n tail decays too slowly for raw truncation at 2000 terms
     err = abs(kummer_partial(0.3, 2000) - log_gamma(0.3))
     assert err > 1e-5
+
+
+def test_backend_name():
+    # perfbench/run.py reads it into the metadata of every run
+    assert malmsten.BACKEND == "python"
+
+
+def test_log_sine_partial_starts_at_two():
+    assert log_sine_partial(1.0, 2) == 0.5 * math.log(2.0) * math.sin(2.0)
+    assert log_sine_partial(1.0, 1) == 0.0  # the empty sum
+
+
+def _old_log_sine_partials(theta, n_terms, window):
+    """The last `window` complex partial sums of sum (ln n / n) e^{i n theta},
+    in the per-term form of the deleted complex kernel."""
+    out = []
+    re = im = 0.0
+    for n in range(2, n_terms + 1):
+        c = math.log(n) / n
+        re += c * math.cos(n * theta)
+        im += c * math.sin(n * theta)
+        if n > n_terms - window:
+            out.append(complex(re, im))
+    return out
+
+
+@pytest.mark.parametrize("theta, n_terms, window", [
+    (1.5 * math.pi, 10_000, 1),  # verify's raw log-sine check
+    (0.0, 50, 49), (math.pi - 1e-12, 2000, 1), (2.0 * math.pi * 0.37, 200, 1),
+    # drawn once with random.Random(13)
+    (0.43840652585825524, 878, 19), (-6.580364286585715, 519, 39), (6.972094447926084, 1131, 10),
+    (-5.81068968625377, 1076, 29), (3.426502139230905, 573, 17), (-2.0196799196366513, 960, 32)])
+def test_log_sine_partial_bitwise_old_form(theta, n_terms, window):
+    assert log_sine_partial(theta, n_terms) == _old_log_sine_partials(theta, n_terms, window)[-1].imag
 
 
 def test_endpoint_guard():

@@ -1,4 +1,5 @@
-"""Tests for the self-contained log-gamma / digamma implementations.
+"""Tests for the self-contained log-gamma implementation and the reflection
+product.
 
 mpmath serves the tests as an independent high-precision oracle; the
 package itself never imports it.
@@ -14,7 +15,6 @@ from malmsten.special_functions import (
     EULER_GAMMA,
     LN_PI,
     LN_TWO_PI,
-    digamma,
     log_gamma,
     reflection_product,
 )
@@ -27,10 +27,6 @@ FROZEN_LOG_GAMMA = {
     0.001: 6.9071788853838536825,
     100.0: 359.13420536957539878,
     1000.0: 5905.2204232091812118,
-}
-FROZEN_DIGAMMA = {
-    0.001: -1000.5755719318103005,
-    1000.0: 6.9072551956488120521,
 }
 
 
@@ -75,37 +71,6 @@ def test_log_gamma_recurrence():
         assert abs(lhs - math.log(x)) <= 1e-12 * max(1.0, abs(math.log(x)))
 
 
-@pytest.mark.parametrize(
-    "x, expected",
-    [
-        (1.0, -EULER_GAMMA),
-        (0.5, -EULER_GAMMA - 2.0 * math.log(2.0)),
-        (2.0, 1.0 - EULER_GAMMA),
-    ],
-)
-def test_digamma_exact_points(x, expected):
-    assert abs(digamma(x) - expected) < 1e-13
-
-
-@pytest.mark.parametrize("x, expected", sorted(FROZEN_DIGAMMA.items()))
-def test_digamma_frozen_oracle(x, expected):
-    assert abs(digamma(x) - expected) <= 1e-12 * max(1.0, abs(expected))
-
-
-def test_digamma_against_oracle_grid():
-    for k in range(61):
-        x = 10.0 ** (-3.0 + 6.0 * k / 60.0)
-        ref = float(mpmath.digamma(mpmath.mpf(x)))
-        assert abs(digamma(x) - ref) <= 1e-12 * max(1.0, abs(ref))
-
-
-def test_digamma_matches_log_gamma_derivative():
-    h = 1e-5
-    for x in (0.5, 1.0, 2.5, 5.0, 10.0):
-        fd = (log_gamma(x + h) - log_gamma(x - h)) / (2.0 * h)
-        assert abs(fd - digamma(x)) < 1e-6
-
-
 def test_reflection_product_residual():
     for k in range(100):
         t = -0.49 + 0.98 * (k + 0.5) / 100.0
@@ -122,12 +87,6 @@ def test_log_gamma_domain(bad):
 def test_log_gamma_overflow():
     with pytest.raises(OverflowError):
         log_gamma(3e305)
-
-
-@pytest.mark.parametrize("bad", [0.0, -2.0])
-def test_digamma_domain(bad):
-    with pytest.raises(DomainError):
-        digamma(bad)
 
 
 @pytest.mark.parametrize("bad", [0.5, -0.5, 1.0])
