@@ -14,8 +14,9 @@ series, with the terms each sums: Euler's transformation for
 |phi| <= EULER_PHI, and Euler-Maclaurin past it.  Then times
 quad_eval and quad_unit_eval per point, and quad_jn at n = 0, 7 and 20:
 with every table emptied before each call (cold: each node and its
-numerator computed), and with every table filled (warm: one denominator,
-or one power for J_n, and one divide per node, plus the level driver).
+numerator computed, and each strip's envelopes), and with every table
+filled (warm: one denominator and one divide per node, or one power and
+one multiply for J_n, plus the level driver).
 Each point also prints the nodes its evaluation used and the entries a
 cold call left stored in each integrand table: a strip is stored whole
 the first time an evaluation reaches it, so the tables hold more nodes
@@ -81,8 +82,8 @@ def bench_series(repeat):
 def _stored():
     """Entries stored per integrand table."""
     stored = {}
-    for (table, _, _), strip in quadrature._NODES.items():
-        stored[table] = stored.get(table, 0) + len(strip)
+    for (table, _, _), (entries, _, _) in quadrature._NODES.items():
+        stored[table] = stored.get(table, 0) + len(entries)
     return stored
 
 

@@ -117,8 +117,9 @@ def _sweep_records(phis, methods):
 
 def _atomic_write(path, text):
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sweep-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sweep-")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         # mkstemp makes the file 0600; give it the mode open() gives a new file
@@ -126,9 +127,12 @@ def _atomic_write(path, text):
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            # name the path the user gave, not the temporary file
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

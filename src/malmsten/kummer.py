@@ -132,4 +132,4 @@ def kummer_closed_eval(phi):
     p = phi.phi
     value = -(0.5 * EULER_GAMMA * p + derived_closed_side(phi)) / math.sin(p)
     est = 5e-13 * math.pi / abs(math.sin(p))
-    return Evaluation(phi=phi, value=value, method=Method.KUMMER, est_error=est, work=1)
+    return Evaluation(phi, value, Method.KUMMER, est, 1)

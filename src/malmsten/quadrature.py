@@ -10,7 +10,8 @@ oracle.  Node count doubles per level; termination when two successive
 levels agree within `tol` (absolute or relative).  est_error is the larger
 of the last inter-level delta and a rounding floor of 2 EPS per term,
 2 EPS h sum|terms|, which also covers cancellation in the node sum.  Node
-sums use math.fsum (compensated accumulation).
+sums use math.fsum (compensated accumulation): one per strip, and one over
+the strip sums per level.
 
 Integrand tables.  The abscissae and weights do not depend on phi, and neither
 does the numerator of either integrand: only the denominator
@@ -27,14 +28,22 @@ quad-tan, whose denominator is then exactly 1.
 `quad_jn` reads quad's table too: its terms are (weight * numerator) y^n.
 A warm node so costs one denominator and one divide, with no log or exp.
 The first evaluation to reach a strip builds all of it, under a lock, so
-no entry is computed twice and no reader sees a part-built strip; an
-evaluation then walks only as far along it as its terms stay large.  Every
-angle, route and tolerance reads the same tables, and a stored entry does
-not depend on which evaluation stored it, so neither does a result.
+no entry is computed twice and no reader sees a part-built strip.
+
+Where a strip is cut.  Beside its entries each strip keeps two phi-free
+envelopes, the suffix maxima of |wn| and of |wn| / (1 - y)^2.  On
+0 <= y <= 1 the denominator is at least (1 - y)^2 and at least sin^2 phi,
+and at least 1 where cos phi >= 0.  So one bisect into each envelope finds,
+before any term is computed, where every further term stays below
+1e-20 times the last level's total, and an evaluation sums each strip up
+to that cut with one list comprehension and one fsum.  Every angle, route
+and tolerance reads the same tables, and a stored strip does not depend on
+which evaluation stored it, so neither does a result.
 """
 
 import math
 import threading
+from bisect import bisect_left
 from collections import namedtuple
 from itertools import starmap
 
@@ -56,8 +65,8 @@ _Q_MIN = 1e-280
 _NODES = {}
 _NODES_LOCK = threading.Lock()
 
-# Denominator parts (c, s^2, 1 + c) that make every denominator exactly 1.0,
-# for the integrands with no phi: x / 1.0 == x bitwise.
+# Denominator parts (c, s^2, 1 + c) that make the denominator exactly 1.0
+# at y = 0, for the tangent form, which has no phi: x / 1.0 == x bitwise.
 _NO_PHI = (1.0, 0.0, 2.0)
 
 
@@ -90,9 +99,29 @@ def _integrand_strip(numerator, node, level, sign):
     return tuple(starmap(numerator, _strip(node, level, sign)))
 
 
+def _envelopes(entries):
+    """The phi-free suffix maxima of a strip, negated so that they ascend for
+    bisect: at each k, -max_{i>=k} |wn_i| and -max_{i>=k} |wn_i| / (1 - y_i)^2."""
+    # one walk from the end: cheaper than accumulate(..., max), whose calls
+    # to the builtin max cost more than the compares
+    neg_e1, neg_e2 = [], []
+    e1 = e2 = 0.0
+    for wn, _, one_minus_y in reversed(entries):
+        a = abs(wn)
+        if a > e1:
+            e1 = a
+        a = a / one_minus_y / one_minus_y
+        if a > e2:
+            e2 = a
+        neg_e1.append(-e1)
+        neg_e2.append(-e2)
+    return tuple(reversed(neg_e1)), tuple(reversed(neg_e2))
+
+
 def _stored(table, numerator, node):
     """strip_at(level, sign) of the integrand table `table`: the strip stored
-    under (table, level, sign), built by _integrand_strip on first use."""
+    under (table, level, sign) as (entries, *_envelopes(entries)), its
+    entries built by _integrand_strip on first use."""
     get = _NODES.get
 
     def strip_at(level, sign):
@@ -102,60 +131,76 @@ def _stored(table, numerator, node):
             with _NODES_LOCK:
                 strip = get(name)
                 if strip is None:
-                    strip = _NODES[name] = _integrand_strip(numerator, node, level, sign)
+                    entries = _integrand_strip(numerator, node, level, sign)
+                    strip = _NODES[name] = (entries, *_envelopes(entries))
         return strip
 
     return strip_at
 
 
+def _cut(strip, small_at, d_min):
+    """How many leading entries of `strip` to sum: past them every term is
+    at most small_at, for a term wn / den with den >= d_min and
+    den >= (1 - y)^2.  The margin of 1/2 covers the rounding of den and of
+    the divide."""
+    _, neg_e1, neg_e2 = strip
+    return min(bisect_left(neg_e1, -0.5 * small_at * d_min), bisect_left(neg_e2, -0.5 * small_at))
+
+
+def _term_rule(parts):
+    """(d_min, terms): terms(entries) is the list of a strip's terms at
+    `entries`, each of them wn / den with d_min <= den, (1 - y)^2 <= den.
+
+    parts = (c, s^2, 1 + c) of `_denominator_parts` gives
+    den = _denominator(y, 1 - y, parts), which is at least sin^2 phi and,
+    where cos phi >= 0, at least 1.  A number parts = n >= 0 gives
+    quad_jn's wn y^n over den = 1.
+    """
+    if not isinstance(parts, tuple):
+        n = parts
+        return 1.0, lambda entries: [wn * y ** n for wn, y, _ in entries]
+    c, s2, one_plus_c = parts
+    # _denominator, inline: these run once per node
+    if c < -0.5:
+        return s2, lambda entries: [wn / ((yc := one_plus_c - one_minus_y) * yc + s2)
+                                    for wn, _, one_minus_y in entries]
+    return (1.0 if c >= 0.0 else s2), lambda entries: [wn / ((yc := y + c) * yc + s2)
+                                                       for wn, y, _ in entries]
+
+
 def _refine_levels(strip_at, parts, tol):
     """Shared level driver: trapezoid in t, node doubling per level.
 
-    strip_at(level, sign) gives the phi-free (weight * numerator, y, 1 - y)
-    triples of one level on one side of the centre (sign 0: the centre
-    alone); parts = (c, s^2, 1 + c) of `_denominator_parts`, and each term
-    is weight * numerator / _denominator(y, 1 - y, parts).
+    strip_at(level, sign) gives the strip of one level on one side of the
+    centre (sign 0: the centre alone), whose entries are the phi-free
+    (weight * numerator, y, 1 - y) triples; `_term_rule(parts)` makes their
+    terms.  Each strip is summed up to its `_cut`, past which no term
+    exceeds 1e-20 times the last level's total (or 1e-20), and each level's
+    total is the fsum of the strip sums so far.
     """
     require_tol(tol)
-    c, s2, one_plus_c = parts
-    regroup = c < -0.5
-    terms = []
-    append = terms.append
-
-    def add_level(level, signs, total):
+    d_min, strip_terms = _term_rule(parts)
+    terms = []  # every term summed, for the node count and the rounding floor
+    sums = []  # one fsum per strip
+    total = 0.0
+    value = math.inf
+    for level in range(MAX_LEVEL + 1):
         small_at = 1e-20 * max(abs(total), 1.0)
-        for sign in signs:
-            small = 0
-            for wn, y, one_minus_y in strip_at(level, sign):
-                # _denominator, inline: this loop runs once per node
-                yc = one_plus_c - one_minus_y if regroup else y + c
-                den = yc * yc + s2
-                if not den > 0.0:
-                    raise _denominator_error(den, y)
-                v = wn / den
-                append(v)
-                if abs(v) <= small_at:
-                    small += 1
-                    if small >= 2:
-                        break
-                else:
-                    small = 0
-
-    add_level(0, (0.0,), 0.0)
-    add_level(0, (1.0, -1.0), terms[0])
-    # one fsum per level serves both that level's value and the next scale
-    h = 1.0
-    total = math.fsum(terms)
-    value = h * total
-    est = math.inf
-    for level in range(1, MAX_LEVEL + 1):
-        h *= 0.5
-        add_level(level, (1.0, -1.0), total)
-        total = math.fsum(terms)
+        for sign in (0.0, 1.0, -1.0) if level == 0 else (1.0, -1.0):
+            strip = strip_at(level, sign)
+            try:
+                new = strip_terms(strip[0][:_cut(strip, small_at, d_min)])
+            except ZeroDivisionError:
+                raise InternalInconsistencyError(
+                    f"zero integrand denominator at level {level}, sign {sign}") from None
+            sums.append(math.fsum(new))
+            terms += new
+        total = math.fsum(sums)
+        h = 0.5 ** level
         new_value = h * total
         est = abs(new_value - value)
         value = new_value
-        if est <= max(tol, tol * abs(value)):
+        if level and est <= max(tol, tol * abs(value)):
             # each term carries a few ulps of rounding, and the node sum
             # can cancel: a floor of 2 EPS per term bounds both, where the
             # inter-level delta (which can be 0) does not
@@ -213,10 +258,6 @@ def _denominator(y, one_minus_y, parts):
     c, s2, one_plus_c = parts
     yc = one_plus_c - one_minus_y if c < -0.5 else y + c
     return yc * yc + s2
-
-
-def _denominator_error(den, y):
-    return InternalInconsistencyError(f"integrand denominator {den!r} at y = {y!r}")
 
 
 def _unit_numerator(weight, x, da, db):
@@ -301,9 +342,4 @@ def quad_jn(n, tol=TOL):
     """
     if n < 0:
         raise DomainError("n must be >= 0")
-    strip_at = _stored("exp", _exp_numerator, _EXP_NODES)
-
-    def powered(level, sign):
-        return ((wn * y ** n, 0.0, 1.0) for wn, y, _ in strip_at(level, sign))
-
-    return _refine_levels(powered, _NO_PHI, tol)
+    return _refine_levels(_stored("exp", _exp_numerator, _EXP_NODES), n, tol)

@@ -420,5 +420,4 @@ def series_eval(phi, tol=TOL):
             best_estimate=value,
             est_error=est_error,
         )
-    return Evaluation(phi=phi, value=value, method=Method.SERIES,
-                      est_error=est_error, work=work)
+    return Evaluation(phi, value, Method.SERIES, est_error, work)

@@ -322,6 +322,8 @@ def test_sweep_unwritable_out_exit_2(tmp_path, capsys, where):
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    # the message names the --out path given, not the temporary file
+    assert repr(str(out)) in err and ".sweep-" not in err
     assert not list(tmp_path.rglob(".sweep-*"))
 
 

@@ -9,10 +9,12 @@ from functools import partial
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from malmsten import dispatch, evaluate, quadrature
 from malmsten.domain import Angle, Evaluation, Method
-from malmsten.errors import DomainError
+from malmsten.errors import DomainError, InternalInconsistencyError
 from malmsten.quadrature import (
     GUARD_BAND,
     integrand_exp,
@@ -137,6 +139,50 @@ def test_guard_band():
         quad_eval(Angle(-edge))
 
 
+@pytest.mark.parametrize("c, y, one_minus_y", [(-0.25, 0.25, 0.75), (-0.75, 0.75, 0.25)])
+def test_a_zero_denominator_raises_a_typed_error(empty_tables, c, y, one_minus_y):
+    # y + c == 0 with s^2 == 0 makes a denominator exactly 0, on the plain
+    # branch and on the regrouped one: a fault of the tables or the parts,
+    # reported as one and not as a ZeroDivisionError
+    def node(t):
+        return (1.0, y, y, one_minus_y) if t == 0.0 else None
+
+    def numerator(weight, x, dist_a, dist_b):
+        return weight, x, dist_b
+
+    strip_at = quadrature._stored("stub", numerator, node)
+    with pytest.raises(InternalInconsistencyError):
+        quadrature._refine_levels(strip_at, (c, 0.0, 1.0 + c), 1e-12)
+
+
+def _table_strips(table):
+    """Every strip of the integrand table `table`, at every level a
+    quadrature can reach."""
+    numerator_name, node_name, interval = TABLES[table]
+    strip_at = quadrature._stored(table, getattr(quadrature, numerator_name),
+                                  partial(getattr(quadrature, node_name), *interval))
+    return [strip_at(level, sign) for level in range(quadrature.MAX_LEVEL + 1)
+            for sign in ((0.0, 1.0, -1.0) if level == 0 else (1.0, -1.0))]
+
+
+@pytest.mark.parametrize("table", ["exp", "unit", "tan", "jn"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(phi=st.floats(min_value=-(math.pi - GUARD_BAND), max_value=math.pi - GUARD_BAND),
+       decades=st.floats(min_value=0.0, max_value=8.0), n=st.integers(0, 40))
+def test_no_term_past_a_cut_exceeds_small_at(table, phi, decades, n):
+    # the cut comes from phi-free envelopes and a lower bound on the
+    # denominator; every term past it, computed in floats as the level driver
+    # computes it, is at most small_at.  jn sums w y^n over quad's own table;
+    # quad-tan's denominator is 1 at every angle
+    parts = {"exp": quadrature._denominator_parts(phi), "unit": quadrature._denominator_parts(phi),
+             "tan": quadrature._NO_PHI, "jn": n}[table]
+    small_at = 1e-20 * 10.0 ** decades
+    d_min, strip_terms = quadrature._term_rule(parts)
+    for strip in _table_strips("exp" if table == "jn" else table):
+        past = strip[0][quadrature._cut(strip, small_at, d_min):]
+        assert all(abs(term) <= small_at for term in strip_terms(past))
+
+
 @pytest.mark.parametrize("n", range(21))
 def test_quad_jn_matches_closed(n):
     r = quad_jn(n)
@@ -175,27 +221,25 @@ def test_result_metadata():
     assert r.est_error <= 1e-11
 
 
-# (value, est_error) as float.hex() and node count.  The quad-unit rows
-# were frozen when the integrand numerators went into the node tables, and
-# their node counts date from before them.  The quad and jn rows were frozen
-# when quad became one exp-sinh piece on (0, inf): they moved with that new
-# node family, and each value is within its est_error of the 40-digit
-# oracle (quad) or of the closed form (jn).  The quad-tan value and node
-# count date from before the node tables, its est_error moved only with the
-# rounding floor.  A result must not depend on the state of the tables.
+# (value, est_error) as float.hex() and node count.  Every row was frozen
+# again when each strip came to be cut at its phi-free envelope: the node
+# counts fell, and two values moved by 1 ulp (quad at 2.9, quad-unit at 0.5).
+# Each value is within its est_error of the 40-digit oracle (quad,
+# quad-unit, quad-tan) or of the closed form (jn).  A result must not depend
+# on the state of the tables.
 FROZEN_HEX = {
-    ("quad", 0.5): ("-0x1.32d5f1b233fddp-4", "0x1.d5ae0f9b21ef1p-53", 211),
-    ("quad-unit", 0.5): ("-0x1.32d5f1b233fddp-4", "0x1.d5d9f17c17118p-53", 132),
-    ("quad", 2.0): ("-0x1.1bb98c6f38cb5p-1", "0x1.10bd914a6148bp-51", 211),
-    ("quad-unit", 2.0): ("-0x1.1bb98c6f38cb5p-1", "0x1.4000000000000p-51", 132),
-    ("quad", 2.9): ("-0x1.3ecd2369460c8p+3", "0x1.5cffdeadd5602p-48", 211),
-    ("quad-unit", 2.9): ("-0x1.3ecd2369460c8p+3", "0x1.5d0548f98ea80p-48", 245),
-    ("quad", -3.1): ("-0x1.e305697eb5a90p+6", "0x1.f6b370be2ad8bp-45", 211),
-    ("quad-unit", -3.1): ("-0x1.e305697eb5a91p+6", "0x1.0000000000000p-42", 243),
-    ("quad-tan", None): ("-0x1.0ab184de2a327p-2", "0x1.8530000000000p-42", 72),
-    ("jn", 0): ("-0x1.2788cfc6fb619p-1", "0x1.0d5f03d96b978p-51", 211),
-    ("jn", 7): ("-0x1.540d57e5798f9p-2", "0x1.603eb25111c51p-53", 103),
-    ("jn", 20): ("-0x1.6134a88cbe4bcp-3", "0x1.6ddc3df39b45cp-54", 95),
+    ("quad", 0.5): ("-0x1.32d5f1b233fddp-4", "0x1.d5ae0f9b21ef1p-53", 188),
+    ("quad-unit", 0.5): ("-0x1.32d5f1b233fdep-4", "0x1.d5d9f17c17118p-53", 113),
+    ("quad", 2.0): ("-0x1.1bb98c6f38cb5p-1", "0x1.10bd914a6148bp-51", 186),
+    ("quad-unit", 2.0): ("-0x1.1bb98c6f38cb5p-1", "0x1.4000000000000p-51", 113),
+    ("quad", 2.9): ("-0x1.3ecd2369460c9p+3", "0x1.5cffdeadd5602p-48", 186),
+    ("quad-unit", 2.9): ("-0x1.3ecd2369460c8p+3", "0x1.5d0548f98ea80p-48", 221),
+    ("quad", -3.1): ("-0x1.e305697eb5a90p+6", "0x1.f6b370be2ad8bp-45", 188),
+    ("quad-unit", -3.1): ("-0x1.e305697eb5a91p+6", "0x1.0000000000000p-42", 219),
+    ("quad-tan", None): ("-0x1.0ab184de2a327p-2", "0x1.8530000000000p-42", 56),
+    ("jn", 0): ("-0x1.2788cfc6fb619p-1", "0x1.0d5f03d96b978p-51", 186),
+    ("jn", 7): ("-0x1.540d57e5798f9p-2", "0x1.603eb25111c51p-53", 93),
+    ("jn", 20): ("-0x1.6134a88cbe4bcp-3", "0x1.6ddc3df39b45cp-54", 93),
 }
 DEEP_PHI = math.pi - 1.0001e-3  # just inside the guard band: the deepest tables
 
@@ -227,6 +271,7 @@ def _bits(r):
 def empty_tables():
     quadrature._NODES.clear()
     yield quadrature._NODES
+    quadrature._NODES.clear()
 
 
 def _count_calls(monkeypatch, name, calls):
@@ -258,6 +303,28 @@ def numerator_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def envelope_calls(monkeypatch):
+    """For each call to `_envelopes`: its strip entries, and whether the
+    table lock was held."""
+    calls = []
+    original = quadrature._envelopes
+
+    def counted(entries):
+        calls.append((entries, quadrature._NODES_LOCK.locked()))
+        return original(entries)
+
+    monkeypatch.setattr(quadrature, "_envelopes", counted)
+    return calls
+
+
+def _assert_envelopes_built_once_under_the_lock(envelope_calls, tables):
+    assert len(envelope_calls) == len(tables)
+    assert all(locked for _, locked in envelope_calls)
+    built = sorted(map(repr, (entries for entries, _ in envelope_calls)))
+    assert built == sorted(map(repr, (strip[0] for strip in tables.values())))
+
+
 def _numerator_counts(numerator_calls):
     return {name: len(calls) for name, calls in numerator_calls.items()}
 
@@ -273,18 +340,18 @@ def _node_calls_behind(tables):
     # the None that ended each strip that left range before its t passed
     # _T_MAX; sign 0 holds the centre alone
     calls = 0
-    for (_, level, sign), strip in tables.items():
+    for (_, level, sign), (entries, _, _) in tables.items():
         h, step_j = _spacing(level)
-        left_range = sign != 0.0 and (1 + len(strip) * step_j) * h <= quadrature._T_MAX
-        calls += len(strip) + left_range
+        left_range = sign != 0.0 and (1 + len(entries) * step_j) * h <= quadrature._T_MAX
+        calls += len(entries) + left_range
     return calls
 
 
 def _stored_numerators(tables):
     # numerator function -> the entries stored in the tables built with it
     counts = dict.fromkeys(NUMERATORS, 0)
-    for (table, _, _), strip in tables.items():
-        counts[TABLES[table][0]] += len(strip)
+    for (table, _, _), (entries, _, _) in tables.items():
+        counts[TABLES[table][0]] += len(entries)
     return counts
 
 
@@ -328,8 +395,10 @@ def test_result_does_not_depend_on_evaluation_order(empty_tables):
     assert [_bits(quad_eval(Angle(DEEP_PHI))), _bits(quad_unit_eval(Angle(DEEP_PHI)))] == deep
 
 
-def test_each_node_is_computed_once(empty_tables, node_calls, numerator_calls):
-    # each entry of each table is computed once, from one node-function call
+def test_each_node_is_computed_once(empty_tables, node_calls, numerator_calls,
+                                    envelope_calls):
+    # each entry of each table is computed once, from one node-function
+    # call, and each strip's envelopes once, under the lock
     quad_eval(Angle(2.9))
     quad_unit_eval(Angle(2.9))
     computed = len(node_calls)
@@ -352,6 +421,7 @@ def test_each_node_is_computed_once(empty_tables, node_calls, numerator_calls):
     assert stored["_exp_numerator"] > numerators["_exp_numerator"]
     for name, calls in numerator_calls.items():
         assert len(calls) == len(set(calls)) == stored[name]
+    _assert_envelopes_built_once_under_the_lock(envelope_calls, empty_tables)
 
 
 def test_warm_evaluations_compute_no_node(empty_tables, node_calls, numerator_calls,
@@ -399,10 +469,11 @@ class _CountingMath:
         return counted
 
 
-def test_tables_shared_by_threads(empty_tables, node_calls, numerator_calls):
+def test_tables_shared_by_threads(empty_tables, node_calls, numerator_calls,
+                                  envelope_calls):
     # threads that fill the same cold tables at once, through both routes,
-    # store each entry once, from one node-function call, and see the same
-    # results as one thread
+    # store each entry once, from one node-function call, and each strip's
+    # envelopes once, under the lock, and see the same results as one thread
     work = [(quad_eval, DEEP_PHI), (quad_unit_eval, 0.5), (quad_eval, -2.9),
             (quad_unit_eval, -DEEP_PHI), (quad_eval, 2.0), (quad_unit_eval, 1e-3)]
     expected = [_bits(route(Angle(p))) for route, p in work]
@@ -413,6 +484,7 @@ def test_tables_shared_by_threads(empty_tables, node_calls, numerator_calls):
         for _ in range(5):
             empty_tables.clear()
             node_calls.clear()
+            envelope_calls.clear()
             for calls in numerator_calls.values():
                 calls.clear()
             start = threading.Barrier(n_threads)
@@ -432,24 +504,38 @@ def test_tables_shared_by_threads(empty_tables, node_calls, numerator_calls):
                 assert results[i] == expected[i:] + expected[:i]
             assert len(node_calls) == _node_calls_behind(empty_tables)
             assert _numerator_counts(numerator_calls) == _stored_numerators(empty_tables)
+            _assert_envelopes_built_once_under_the_lock(envelope_calls, empty_tables)
     finally:
         sys.setswitchinterval(interval)
+
+
+def _suffix_maxima(values):
+    """-max(values[k:]) at each k, by one plain walk from the end."""
+    out = []
+    top = -math.inf
+    for v in reversed(values):
+        top = max(top, v)
+        out.append(-top)
+    return tuple(reversed(out))
 
 
 def test_strips_are_whole(empty_tables):
     # each stored strip holds its numerator at every node of its level and
     # sign, up to the first None or t past _T_MAX, not only the nodes its
-    # first walk used
+    # first evaluation summed, and beside them its two envelopes: the suffix
+    # maxima of |wn| and of |wn| / (1 - y)^2, negated
     quad_eval(Angle(DEEP_PHI))
     quad_unit_eval(Angle(0.5))
     quad_tan_form()
     assert {table for table, _, _ in empty_tables} == set(TABLES)
-    for (table, level, sign), strip in empty_tables.items():
+    for (table, level, sign), (entries, neg_e1, neg_e2) in empty_tables.items():
+        assert neg_e1 == _suffix_maxima([abs(wn) for wn, _, _ in entries])
+        assert neg_e2 == _suffix_maxima([abs(wn) / d / d for wn, _, d in entries])
         numerator_name, node_name, interval = TABLES[table]
         numerator = getattr(quadrature, numerator_name)
         node = partial(getattr(quadrature, node_name), *interval)
         if sign == 0.0:
-            assert strip == (numerator(*node(0.0)),)
+            assert entries == (numerator(*node(0.0)),)
             continue
         h, step_j = _spacing(level)
         expected = []
@@ -457,4 +543,4 @@ def test_strips_are_whole(empty_tables):
         while j * h <= quadrature._T_MAX and node(sign * j * h) is not None:
             expected.append(numerator(*node(sign * j * h)))
             j += step_j
-        assert strip == tuple(expected)
+        assert entries == tuple(expected)
