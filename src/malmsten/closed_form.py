@@ -35,7 +35,7 @@ from bisect import bisect_left
 
 from .domain import Angle, Evaluation, Method, require_regular
 from .errors import DomainError, InternalInconsistencyError
-from .special_functions import EPS, LN_TWO_PI, gamma_gap, log_gamma
+from .special_functions import EPS, LN_TWO_PI, gamma_gap, log_gamma, stop_table
 
 # Up to this |phi| S(t)/t is summed directly; past it, split.
 CLOSED_SPLIT = 1.0
@@ -75,25 +75,14 @@ def _closed_tables(coef, q, x_max):
     """The tables of sum_{k>=1} coef_k x^k, x = t^2, for x <= x_max, where
     coef_(k+1) <= q coef_k for every k.
 
-    Taking the terms k <= K leaves at most coef_(K+1) x^(K+1) / (1 - q x).
-    Entry K - 1 of the stop table is the x at which that equals
-    _CLOSED_TRUNCATION, by three steps of the contraction
-    x <- (tau (1 - q x) / coef_(K+1))^(1/(K+1)) from the entry before.  It
-    grows with K, so K = bisect_left(stops, x) + 1 is the first K whose
-    bound meets the target at x, to the accuracy of the steps; the estimate
-    takes the bound itself.  The table ends at the first entry >= x_max.
-    Returns the coefficients highest first, for Horner's rule, the
-    coefficients, the stop table and q.
+    Taking the terms k <= K leaves at most coef_(K+1) x^(K+1) / (1 - q x),
+    so K = bisect_left(stops, x) + 1 is the first K whose bound meets
+    _CLOSED_TRUNCATION at x, with the `stop_table` of coef_2, coef_3, ...
+    from the power 2; the estimate takes the bound itself.  Returns the
+    coefficients highest first, for Horner's rule, the coefficients, the
+    stop table and q.
     """
-    stops = []
-    x = 0.0
-    for k, a in enumerate(coef[1:], 1):
-        for _ in range(3):
-            x = (_CLOSED_TRUNCATION * (1.0 - q * x) / a) ** (1.0 / (k + 1))
-        stops.append(x)
-        if x >= x_max:
-            break
-    return coef[::-1], coef, tuple(stops), q
+    return coef[::-1], coef, stop_table(coef[1:], 2, q, _CLOSED_TRUNCATION, x_max), q
 
 
 # |t| <= CLOSED_SPLIT/(2 pi) on the direct branch, and |t| <= 1/2 past it:

@@ -31,11 +31,6 @@ ENDPOINT_GUARD = 1e-6
 _LN2 = math.log(2.0)
 
 
-# eta'(0) = sum_{n>=2} (-1)^n ln n (Abel) = (1/2) ln(pi/2): the slope of
-# log_sine_sum at phi = 0, whose next Taylor term is O(phi^3)
-_HALF_LN_HALF_PI = 0.5 * math.log(0.5 * math.pi)
-
-
 def _closed_part(x):
     """The terms of Kummer's expansion of ln Gamma(x) outside the series."""
     if not ENDPOINT_GUARD < x < 1.0 - ENDPOINT_GUARD:
@@ -52,20 +47,14 @@ def _closed_part(x):
 def kummer_sum(x):
     """ln Gamma(x) from Kummer's expansion, its series summed by log_sine_sum.
 
-    The series is log_sine_sum at phi = 2 pi x - pi.  Where that angle is
-    ZERO (x within about 1.6e-7 of 1/2, x = 1/2 itself included) it is the
-    odd Taylor term eta'(0) phi instead of a ZeroAngleError.  For
+    The series is log_sine_sum at phi = 2 pi x - pi, 0 at x = 1/2.  For
     |x - 1/2| <= EULER_PHI / (2 pi) the sum runs on Euler's transformation,
     and past it on the Euler-Maclaurin branch.  Near the ends the rounding
     of 2 pi x - pi, about 6e-16, moves the result by up to about
     6e-16 / (4 pi min(x, 1 - x)).
     """
     closed_part = _closed_part(x)
-    phi = Angle(2.0 * math.pi * x - math.pi)
-    if phi.is_zero:
-        series = _HALF_LN_HALF_PI * phi.phi
-    else:
-        series = log_sine_sum(phi)
+    series = log_sine_sum(Angle(2.0 * math.pi * x - math.pi))
     return closed_part + series / math.pi
 
 
@@ -110,15 +99,9 @@ def derived_sum_identity(phi):
     """Both sides of the identity for sum_{n>=2} ln n sin(n(pi - phi))/n.
 
     Returns (series_side, closed_side).  The series side goes through the
-    parity map to the alternating log-sine sum of the series route; at a
-    ZERO-classified phi every series term is sin(n pi) = 0 exactly.
+    parity map to the alternating log-sine sum of the series route.
     """
-    closed_side = derived_closed_side(phi)
-    if phi.is_zero:
-        series_side = 0.0
-    else:
-        series_side = -log_sine_sum(phi)
-    return series_side, closed_side
+    return -log_sine_sum(phi), derived_closed_side(phi)
 
 
 def kummer_closed_eval(phi):

@@ -19,13 +19,16 @@ does the numerator of either integrand: only the denominator
 computed once per node per process and kept in `_NODES`, one strip at a
 time: under (table, level, sign) sits that level's entries for the sign of
 t, in order of j, up to where the transform leaves representable range or
-t passes _T_MAX; sign 0 holds the centre node alone.  The tables are
-"unit" for quad-unit on (0, 1), "exp" for quad on (0, inf), and "tan" for
-quad-tan on (pi/4, pi/2).  Their entries are the phi-free triples
-(weight * numerator, y, 1 - y): y = x with numerator ln ln(1/x) for
-quad-unit, y = e^{-u} with numerator e^{-u} ln u for quad, and y = 0 for
-quad-tan, whose denominator is then exactly 1.
-`quad_jn` reads quad's table too: its terms are (weight * numerator) y^n.
+t passes _T_MAX; sign 0 holds the centre node alone.  `_TABLES` names the
+tables and gives each its node function of t and its numerator: "unit" for
+quad-unit on (0, 1), "exp" for quad on (0, inf), and "tan" for quad-tan on
+(pi/4, pi/2).  Their entries are the phi-free triples (weight * numerator,
+y, 1 - y): y = x with numerator ln ln(1/x) for quad-unit, y = e^{-u} with
+numerator e^{-u} ln u for quad, and y = 0 for quad-tan.  A term rule turns
+entries into terms, one rule per kind: `_phi_terms` divides by the
+denominator at an angle, for quad, quad-unit and the pointwise integrands;
+`_power_terms(n)` gives (weight * numerator) y^n over a denominator of 1,
+for `quad_jn` on quad's table and, with n = 0, for quad-tan.
 A warm node so costs one denominator and one divide, with no log or exp.
 The first evaluation to reach a strip builds all of it, under a lock, so
 no entry is computed twice and no reader sees a part-built strip.
@@ -65,10 +68,6 @@ _Q_MIN = 1e-280
 _NODES = {}
 _NODES_LOCK = threading.Lock()
 
-# Denominator parts (c, s^2, 1 + c) that make the denominator exactly 1.0
-# at y = 0, for the tangent form, which has no phi: x / 1.0 == x bitwise.
-_NO_PHI = (1.0, 0.0, 2.0)
-
 
 class QuadResult(Record, namedtuple("QuadResult", "value est_error nodes converged")):
     __slots__ = ()
@@ -94,11 +93,6 @@ def _strip(node, level, sign):
     return tuple(strip)
 
 
-def _integrand_strip(numerator, node, level, sign):
-    """numerator(weight, x, dist_a, dist_b) at each node of a strip."""
-    return tuple(starmap(numerator, _strip(node, level, sign)))
-
-
 def _envelopes(entries):
     """The phi-free suffix maxima of a strip, negated so that they ascend for
     bisect: at each k, -max_{i>=k} |wn_i| and -max_{i>=k} |wn_i| / (1 - y_i)^2."""
@@ -118,24 +112,19 @@ def _envelopes(entries):
     return tuple(reversed(neg_e1)), tuple(reversed(neg_e2))
 
 
-def _stored(table, numerator, node):
-    """strip_at(level, sign) of the integrand table `table`: the strip stored
-    under (table, level, sign) as (entries, *_envelopes(entries)), its
-    entries built by _integrand_strip on first use."""
-    get = _NODES.get
-
-    def strip_at(level, sign):
-        name = (table, level, sign)
-        strip = get(name)
-        if strip is None:
-            with _NODES_LOCK:
-                strip = get(name)
-                if strip is None:
-                    entries = _integrand_strip(numerator, node, level, sign)
-                    strip = _NODES[name] = (entries, *_envelopes(entries))
-        return strip
-
-    return strip_at
+def _strip_at(table, level, sign):
+    """The strip stored under (table, level, sign) as
+    (entries, *_envelopes(entries)), built from `_TABLES[table]` on first use."""
+    name = (table, level, sign)
+    strip = _NODES.get(name)
+    if strip is None:
+        with _NODES_LOCK:
+            strip = _NODES.get(name)
+            if strip is None:
+                node, numerator = _TABLES[table]
+                entries = tuple(starmap(numerator, _strip(node, level, sign)))
+                strip = _NODES[name] = (entries, *_envelopes(entries))
+    return strip
 
 
 def _cut(strip, small_at, d_min):
@@ -147,20 +136,12 @@ def _cut(strip, small_at, d_min):
     return min(bisect_left(neg_e1, -0.5 * small_at * d_min), bisect_left(neg_e2, -0.5 * small_at))
 
 
-def _term_rule(parts):
-    """(d_min, terms): terms(entries) is the list of a strip's terms at
-    `entries`, each of them wn / den with d_min <= den, (1 - y)^2 <= den.
-
-    parts = (c, s^2, 1 + c) of `_denominator_parts` gives
-    den = _denominator(y, 1 - y, parts), which is at least sin^2 phi and,
-    where cos phi >= 0, at least 1.  A number parts = n >= 0 gives
-    quad_jn's wn y^n over den = 1.
-    """
-    if not isinstance(parts, tuple):
-        n = parts
-        return 1.0, lambda entries: [wn * y ** n for wn, y, _ in entries]
-    c, s2, one_plus_c = parts
-    # _denominator, inline: these run once per node
+def _phi_terms(phi_val):
+    """The term rule (d_min, terms) at the angle phi_val: terms(entries) is
+    the list of wn / den, den = 1 + 2 y cos(phi) + y^2 from
+    `_denominator_parts`, with d_min <= den and (1 - y)^2 <= den; d_min is
+    sin^2 phi, or 1 where cos phi >= 0."""
+    c, s2, one_plus_c = _denominator_parts(phi_val)
     if c < -0.5:
         return s2, lambda entries: [wn / ((yc := one_plus_c - one_minus_y) * yc + s2)
                                     for wn, _, one_minus_y in entries]
@@ -168,18 +149,23 @@ def _term_rule(parts):
                                                        for wn, y, _ in entries]
 
 
-def _refine_levels(strip_at, parts, tol):
+def _power_terms(n):
+    """The term rule (d_min, terms) of wn y^n over a denominator of 1."""
+    return 1.0, lambda entries: [wn * y ** n for wn, y, _ in entries]
+
+
+def _refine_levels(table, rule, tol):
     """Shared level driver: trapezoid in t, node doubling per level.
 
-    strip_at(level, sign) gives the strip of one level on one side of the
-    centre (sign 0: the centre alone), whose entries are the phi-free
-    (weight * numerator, y, 1 - y) triples; `_term_rule(parts)` makes their
-    terms.  Each strip is summed up to its `_cut`, past which no term
-    exceeds 1e-20 times the last level's total (or 1e-20), and each level's
-    total is the fsum of the strip sums so far.
+    `_strip_at(table, level, sign)` gives the strip of one level on one side
+    of the centre (sign 0: the centre alone), whose entries are the phi-free
+    (weight * numerator, y, 1 - y) triples; the term rule (d_min, terms)
+    makes their terms.  Each strip is summed up to its `_cut`, past which no
+    term exceeds 1e-20 times the last level's total (or 1e-20), and each
+    level's total is the fsum of the strip sums so far.
     """
     require_tol(tol)
-    d_min, strip_terms = _term_rule(parts)
+    d_min, strip_terms = rule
     terms = []  # every term summed, for the node count and the rounding floor
     sums = []  # one fsum per strip
     total = 0.0
@@ -187,7 +173,7 @@ def _refine_levels(strip_at, parts, tol):
     for level in range(MAX_LEVEL + 1):
         small_at = 1e-20 * max(abs(total), 1.0)
         for sign in (0.0, 1.0, -1.0) if level == 0 else (1.0, -1.0):
-            strip = strip_at(level, sign)
+            strip = _strip_at(table, level, sign)
             try:
                 new = strip_terms(strip[0][:_cut(strip, small_at, d_min)])
             except ZeroDivisionError:
@@ -225,20 +211,14 @@ def _tanh_sinh_node(a, b, t):
     return 0.5 * width * w, a + near, near, far
 
 
-def _exp_sinh_node(a, t):
+def _exp_sinh_node(t):
     g = 0.5 * math.pi * math.sinh(t)
     if g > 690.0:
         return None
     eg = math.exp(g)
     if eg < _Q_MIN:
         return None
-    return 0.5 * math.pi * math.cosh(t) * eg, a + eg, eg, None
-
-
-# The node functions of t: (weight, x, dist_a, dist_b) on each interval
-_UNIT_NODES = lambda t: _tanh_sinh_node(0.0, 1.0, t)
-_EXP_NODES = lambda t: _exp_sinh_node(0.0, t)
-_TAN_NODES = lambda t: _tanh_sinh_node(math.pi / 4, math.pi / 2, t)
+    return 0.5 * math.pi * math.cosh(t) * eg, eg, eg, None
 
 
 def _denominator_parts(phi_val):
@@ -251,13 +231,6 @@ def _denominator_parts(phi_val):
     endpoint distance.
     """
     return math.cos(phi_val), math.sin(phi_val) ** 2, 2.0 * math.cos(0.5 * phi_val) ** 2
-
-
-def _denominator(y, one_minus_y, parts):
-    """1 + 2 y cos(phi) + y^2 from `_denominator_parts`."""
-    c, s2, one_plus_c = parts
-    yc = one_plus_c - one_minus_y if c < -0.5 else y + c
-    return yc * yc + s2
 
 
 def _unit_numerator(weight, x, da, db):
@@ -275,7 +248,7 @@ def _exp_numerator(weight, u, da, db):
 
 def _tan_numerator(weight, y, da, db):
     """(weight * ln ln tan y, 0, 1) at a node of (pi/4, pi/2): da = y - pi/4,
-    db = pi/2 - y, and y = 0 makes the denominator 1."""
+    db = pi/2 - y."""
     # tan(y) = (1 + tan da)/(1 - tan da) = cot(db)
     if da <= math.pi / 8:
         td = math.tan(da)
@@ -285,20 +258,28 @@ def _tan_numerator(weight, y, da, db):
     return weight * math.log(lntan), 0.0, 1.0
 
 
+# table -> (node function of t: (weight, x, dist_a, dist_b) or None, numerator)
+_TABLES = {
+    "unit": (lambda t: _tanh_sinh_node(0.0, 1.0, t), _unit_numerator),
+    "exp": (_exp_sinh_node, _exp_numerator),
+    "tan": (lambda t: _tanh_sinh_node(math.pi / 4, math.pi / 2, t), _tan_numerator),
+}
+
+
 def integrand_unit(x, phi):
     """ln ln(1/x) / (1 + 2 x cos phi + x^2), pointwise."""
     if not 0.0 < x < 1.0:
         raise DomainError(f"x must lie strictly in (0, 1), got {x!r}")
-    num, y, one_minus_y = _unit_numerator(1.0, x, x, 1.0 - x)
-    return num / _denominator(y, one_minus_y, _denominator_parts(phi.phi))
+    _, terms = _phi_terms(phi.phi)
+    return terms([_unit_numerator(1.0, x, x, 1.0 - x)])[0]
 
 
 def integrand_exp(u, phi):
     """e^{-u} ln u / (1 + 2 e^{-u} cos phi + e^{-2u}), pointwise."""
     if not u > 0.0:
         raise DomainError(f"u must be positive, got {u!r}")
-    num, y, one_minus_y = _exp_numerator(1.0, u, u, None)
-    return num / _denominator(y, one_minus_y, _denominator_parts(phi.phi))
+    _, terms = _phi_terms(phi.phi)
+    return terms([_exp_numerator(1.0, u, u, None)])[0]
 
 
 def integrand_tan(y):
@@ -318,20 +299,19 @@ def _check_guard_band(p):
 def quad_eval(phi, tol=TOL):
     """I(phi) by the exp-substituted representation on (0, inf)."""
     _check_guard_band(phi.phi)
-    return _refine_levels(_stored("exp", _exp_numerator, _EXP_NODES),
-                          _denominator_parts(phi.phi), tol)
+    return _refine_levels("exp", _phi_terms(phi.phi), tol)
 
 
 def quad_unit_eval(phi, tol=TOL):
     """I(phi) by tanh-sinh straight on the unit-interval representation."""
     _check_guard_band(phi.phi)
-    return _refine_levels(_stored("unit", _unit_numerator, _UNIT_NODES),
-                          _denominator_parts(phi.phi), tol)
+    return _refine_levels("unit", _phi_terms(phi.phi), tol)
 
 
 def quad_tan_form(tol=TOL):
     """Vardi's tangent form: integral_{pi/4}^{pi/2} ln ln tan y dy."""
-    return _refine_levels(_stored("tan", _tan_numerator, _TAN_NODES), _NO_PHI, tol)
+    # no phi: y^0 = 1, so each term is wn, bitwise wn / 1.0
+    return _refine_levels("tan", _power_terms(0), tol)
 
 
 def quad_jn(n, tol=TOL):
@@ -342,4 +322,4 @@ def quad_jn(n, tol=TOL):
     """
     if n < 0:
         raise DomainError("n must be >= 0")
-    return _refine_levels(_stored("exp", _exp_numerator, _EXP_NODES), n, tol)
+    return _refine_levels("exp", _power_terms(n), tol)

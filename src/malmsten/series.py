@@ -34,7 +34,7 @@ from operator import mul
 
 from .domain import Evaluation, Method, require_regular, require_tol
 from .errors import DomainError, NonConvergenceError
-from .special_functions import EPS, EULER_GAMMA, pi_gap
+from .special_functions import EPS, EULER_GAMMA, pi_gap, stop_table
 
 # Up to this |phi| a series is summed by Euler's transformation, where
 # rho = 1/(2 cos(phi/2)) <= 0.93 and the log-sine sum needs at most 39
@@ -129,12 +129,10 @@ def _euler_tables(first, h, d, a):
     constants.
 
     Taking the terms k < K of the transformed series leaves at most
-    A_K rho^(K+1) / (1 - rho), since |d_k| <= A_K for k >= K.  Entry K of the
-    stop table is the rho at which that equals _EULER_TRUNCATION, by three
-    steps of the contraction rho <- (tau (1 - rho) / A_K)^(1/(K+1)) from
-    entry K - 1.  It grows with K, so K = bisect_left(table, rho) is the
-    first K whose bound meets the target at rho, to the accuracy of the
-    steps; the estimate takes the bound itself.  The table ends at the
+    A_K rho^(K+1) / (1 - rho), since |d_k| <= A_K for k >= K, so
+    K = bisect_left(stops, rho) is the first K whose bound meets
+    _EULER_TRUNCATION at rho, with the `stop_table` of the A_K from the
+    power 1; the estimate takes the bound itself.  The table ends at the
     largest rho = 1/(2 cos(EULER_PHI/2)).
 
     The rounding constants bound the first-order rounding of the terms
@@ -150,14 +148,7 @@ def _euler_tables(first, h, d, a):
     """
     head = tuple(((-1.0 if n & 1 else 1.0) * h(n), 2.0 * n) for n in range(first, EULER_HEAD))
     rho_max = 0.5 / math.cos(0.5 * EULER_PHI)
-    stops = []
-    rho = 0.0
-    for k, bound in enumerate(a, 1):
-        for _ in range(3):
-            rho = (_EULER_TRUNCATION * (1.0 - rho) / bound) ** (1.0 / k)
-        stops.append(rho)
-        if rho >= rho_max:
-            break
+    stops = stop_table(a, 1, 1.0, _EULER_TRUNCATION, rho_max)
     tail_d = tuple((-1.0 if (EULER_HEAD + k) & 1 else 1.0) * dk for k, dk in enumerate(d))
     tail_m = tuple(2.0 * EULER_HEAD - 1.0 + k for k in range(len(d)))
     phase = sum(abs(w) * m for w, m in head)
@@ -171,7 +162,7 @@ def _euler_tables(first, h, d, a):
         ops_slope += c_d * f * m
         c *= rho_max
         f += 4
-    return (head, tail_d, tail_m, a, tuple(stops),
+    return (head, tail_d, tail_m, a, stops,
             0.5 * EPS * phase, 0.5 * EPS * ops, 0.5 * EPS * ops_slope)
 
 
@@ -389,13 +380,16 @@ def sawtooth_sum(phi):
 
 def _log_sine_sum_impl(phi, tol):
     """The log-sine sum S(phi): (value, est_error, terms)."""
-    require_regular(phi)
     require_tol(tol)
     return _alternating_sum(phi.phi, _LOG_SINE_EULER, _LOG_SINE_EM)
 
 
 def log_sine_sum(phi, tol=TOL):
-    """sum_{n>=2} (-1)^n ln n sin(n phi)/n, summed in closed form."""
+    """sum_{n>=2} (-1)^n ln n sin(n phi)/n, summed in closed form.
+
+    S has no 1/sin(phi), so it takes every angle, 0 and ZERO ones included:
+    S(0) = 0, and near 0 Euler's branch gives its slope (1/2) ln(pi/2).
+    """
     value, est, _ = _log_sine_sum_impl(phi, tol)
     if est > tol:
         raise NonConvergenceError(
@@ -409,6 +403,7 @@ def log_sine_sum(phi, tol=TOL):
 
 def series_eval(phi, tol=TOL):
     """I(phi) assembled from the sawtooth constant and the log-sine series."""
+    require_regular(phi)
     p = phi.phi
     tail, est, work = _log_sine_sum_impl(phi, tol)
     value = (-EULER_GAMMA * p / 2.0 + tail) / math.sin(p)

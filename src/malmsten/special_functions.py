@@ -1,5 +1,6 @@
 """Self-contained real-argument special functions: log-gamma, the gamma
-reflection product, and pi - |phi| to full accuracy near pi.
+reflection product, pi - |phi| to full accuracy near pi, and the stop
+tables of the closed and series routes' truncated power series.
 
 log_gamma uses the Lanczos approximation (g = 7, 9 coefficients) with the
 reflection formula below x = 0.5.  Everything is binary64; no
@@ -74,6 +75,27 @@ def gamma_gap(phi):
     """1/2 - |phi|/(2 pi) = (pi - |phi|)/(2 pi), to full relative accuracy as
     |phi| -> pi; 0.5 - |phi|/(2 pi) would cancel."""
     return pi_gap(phi) / (2.0 * PI)
+
+
+def stop_table(bounds, first, q, tau, r_max):
+    """Where a power series in r may stop: its terms past the first K sum to
+    at most bounds[K] r^(first + K) / (1 - q r).
+
+    Entry K is the r at which that bound equals tau, by three steps of the
+    contraction r <- (tau (1 - q r) / bounds[K])^(1/(first + K)) from entry
+    K - 1 (from 0 for entry 0).  It grows with K, so bisect_left(stops, r)
+    is the first K whose bound meets tau at r, to the accuracy of the steps.
+    The table ends at the first entry >= r_max.
+    """
+    stops = []
+    r = 0.0
+    for k, bound in enumerate(bounds, first):
+        for _ in range(3):
+            r = (tau * (1.0 - q * r) / bound) ** (1.0 / k)
+        stops.append(r)
+        if r >= r_max:
+            break
+    return tuple(stops)
 
 
 def reflection_product(t):

@@ -172,10 +172,8 @@ def _checks_coeffs():
     worst_brute = max(brute for brute, _ in residuals)
     worst_cheb = max(cheb for _, cheb in residuals)
     return [
-        CheckRecord("coeff_closed_vs_brute_max_scaled", worst_brute, 0.0,
-                    worst_brute, 1e-12, worst_brute <= 1e-12),
-        CheckRecord("coeff_chebyshev_recurrence_max_scaled", worst_cheb, 0.0,
-                    worst_cheb, 1e-11, worst_cheb <= 1e-11),
+        _rec("coeff_closed_vs_brute_max_scaled", worst_brute, 0.0, 1e-12),
+        _rec("coeff_chebyshev_recurrence_max_scaled", worst_cheb, 0.0, 1e-11),
     ]
 
 
@@ -233,8 +231,7 @@ def _checks_reflection():
         t = -0.49 + 0.98 * (k + 0.5) / 100.0
         lhs, rhs = reflection_product(t)
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    out = [CheckRecord("reflection_relative_residual_max", worst, 0.0,
-                       worst, 1e-11, worst <= 1e-11)]
+    out = [_rec("reflection_relative_residual_max", worst, 0.0, 1e-11)]
     for p in DEFAULT_GRID:
         a = Angle(p)
         if a.is_zero:

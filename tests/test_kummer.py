@@ -52,7 +52,7 @@ def test_sum_near_the_endpoints(x):
 
 @pytest.mark.parametrize("x", [0.5 - 1e-8, 0.5 + 1e-8])
 def test_sum_near_midpoint(x):
-    # 2 pi x - pi is a ZERO angle here, served by the odd Taylor term
+    # 2 pi x - pi is a ZERO angle here, summed by Euler's branch as any other
     assert abs(kummer_sum(x) - log_gamma(x)) <= 1e-14
 
 

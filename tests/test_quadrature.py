@@ -58,6 +58,27 @@ def test_integrand_exp_matches_unit():
         assert abs(lhs - rhs) <= 1e-14 * max(1.0, abs(rhs))
 
 
+# cos(phi) < -0.5, where the denominator regroups y + cos(phi) as
+# (1 + cos phi) - (1 - y); the ends +-(pi - 1e-3) of the guard band included
+REGROUPED_PHI = [2.1, 2.5, -2.5, 2.9, -3.0, math.pi - 1e-3, -(math.pi - 1e-3)]
+
+
+@pytest.mark.parametrize("phi", REGROUPED_PHI)
+def test_integrands_on_the_regrouped_branch(phi):
+    # against 40 digits at the exact binary64 arguments, with x -> 1 and
+    # u -> 0, where the denominator tends to 2 (1 + cos phi) and cancels most
+    with mpmath.workdps(40):
+        c = mpmath.cos(mpmath.mpf(phi))
+        for x in (1e-300, 1e-9, 0.01, 0.2, 0.5, 0.9, 0.999, 1.0 - 1e-9, 1.0 - 2.0 ** -53):
+            xm = mpmath.mpf(x)
+            exact = mpmath.log(mpmath.log(1 / xm)) / (1 + 2 * xm * c + xm * xm)
+            assert abs(integrand_unit(x, Angle(phi)) - exact) <= 4e-15 * abs(exact)
+        for u in (1e-300, 1e-9, 1e-3, 0.1, 0.5, 2.0, 5.0, 30.0, 700.0):
+            y = mpmath.exp(-mpmath.mpf(u))
+            exact = y * mpmath.log(mpmath.mpf(u)) / (1 + 2 * y * c + y * y)
+            assert abs(integrand_exp(u, Angle(phi)) - exact) <= 4e-15 * abs(exact)
+
+
 def test_integrand_tan_zero_crossing():
     y = math.atan(math.e)
     assert abs(integrand_tan(y)) < 1e-13
@@ -140,28 +161,27 @@ def test_guard_band():
 
 
 @pytest.mark.parametrize("c, y, one_minus_y", [(-0.25, 0.25, 0.75), (-0.75, 0.75, 0.25)])
-def test_a_zero_denominator_raises_a_typed_error(empty_tables, c, y, one_minus_y):
+def test_a_zero_denominator_raises_a_typed_error(empty_tables, monkeypatch, c, y, one_minus_y):
     # y + c == 0 with s^2 == 0 makes a denominator exactly 0, on the plain
     # branch and on the regrouped one: a fault of the tables or the parts,
-    # reported as one and not as a ZeroDivisionError
+    # reported as one and not as a ZeroDivisionError.  quad_eval runs as it
+    # is, on a stub of its table (the centre node alone) and impossible parts
     def node(t):
         return (1.0, y, y, one_minus_y) if t == 0.0 else None
 
     def numerator(weight, x, dist_a, dist_b):
         return weight, x, dist_b
 
-    strip_at = quadrature._stored("stub", numerator, node)
+    monkeypatch.setitem(quadrature._TABLES, "exp", (node, numerator))
+    monkeypatch.setattr(quadrature, "_denominator_parts", lambda phi_val: (c, 0.0, 1.0 + c))
     with pytest.raises(InternalInconsistencyError):
-        quadrature._refine_levels(strip_at, (c, 0.0, 1.0 + c), 1e-12)
+        quad_eval(Angle(1.0))
 
 
 def _table_strips(table):
     """Every strip of the integrand table `table`, at every level a
     quadrature can reach."""
-    numerator_name, node_name, interval = TABLES[table]
-    strip_at = quadrature._stored(table, getattr(quadrature, numerator_name),
-                                  partial(getattr(quadrature, node_name), *interval))
-    return [strip_at(level, sign) for level in range(quadrature.MAX_LEVEL + 1)
+    return [quadrature._strip_at(table, level, sign) for level in range(quadrature.MAX_LEVEL + 1)
             for sign in ((0.0, 1.0, -1.0) if level == 0 else (1.0, -1.0))]
 
 
@@ -173,11 +193,12 @@ def test_no_term_past_a_cut_exceeds_small_at(table, phi, decades, n):
     # the cut comes from phi-free envelopes and a lower bound on the
     # denominator; every term past it, computed in floats as the level driver
     # computes it, is at most small_at.  jn sums w y^n over quad's own table;
-    # quad-tan's denominator is 1 at every angle
-    parts = {"exp": quadrature._denominator_parts(phi), "unit": quadrature._denominator_parts(phi),
-             "tan": quadrature._NO_PHI, "jn": n}[table]
+    # quad-tan sums its weighted numerators alone, as jn does at n = 0
+    rule = {"exp": quadrature._phi_terms, "unit": quadrature._phi_terms,
+            "tan": lambda phi: quadrature._power_terms(0),
+            "jn": lambda phi: quadrature._power_terms(n)}[table](phi)
     small_at = 1e-20 * 10.0 ** decades
-    d_min, strip_terms = quadrature._term_rule(parts)
+    d_min, strip_terms = rule
     for strip in _table_strips("exp" if table == "jn" else table):
         past = strip[0][quadrature._cut(strip, small_at, d_min):]
         assert all(abs(term) <= small_at for term in strip_terms(past))
@@ -246,11 +267,9 @@ DEEP_PHI = math.pi - 1.0001e-3  # just inside the guard band: the deepest tables
 # integrand table -> (numerator, node function, the node function's interval)
 TABLES = {
     "unit": ("_unit_numerator", "_tanh_sinh_node", (0.0, 1.0)),
-    "exp": ("_exp_numerator", "_exp_sinh_node", (0.0,)),
+    "exp": ("_exp_numerator", "_exp_sinh_node", ()),
     "tan": ("_tan_numerator", "_tanh_sinh_node", (math.pi / 4, math.pi / 2)),
 }
-NODE_FUNCTIONS = ("_tanh_sinh_node", "_exp_sinh_node")
-NUMERATORS = ("_unit_numerator", "_exp_numerator", "_tan_numerator")
 
 
 def _run(route, arg):
@@ -274,32 +293,33 @@ def empty_tables():
     quadrature._NODES.clear()
 
 
-def _count_calls(monkeypatch, name, calls):
-    """Append the arguments of each call to the quadrature function `name` to calls."""
-    original = getattr(quadrature, name)
+def _count_calls(monkeypatch, slot, calls_of):
+    """Patch slot `slot` of each entry of `_TABLES` (0: the node function,
+    1: the numerator) to append the arguments of each call to calls_of(table)."""
+    for table, entry in list(quadrature._TABLES.items()):
+        calls = calls_of(table)
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+        def counted(*args, original=entry[slot], calls=calls):
+            calls.append(args)
+            return original(*args)
 
-    monkeypatch.setattr(quadrature, name, counted)
+        monkeypatch.setitem(quadrature._TABLES, table,
+                            entry[:slot] + (counted,) + entry[slot + 1:])
 
 
 @pytest.fixture
 def node_calls(monkeypatch):
     """The calls to the node functions the tables are built from."""
     calls = []
-    for name in NODE_FUNCTIONS:
-        _count_calls(monkeypatch, name, calls)
+    _count_calls(monkeypatch, 0, lambda table: calls)
     return calls
 
 
 @pytest.fixture
 def numerator_calls(monkeypatch):
-    """The calls to each integrand's numerator, keyed by its function name."""
-    calls = {name: [] for name in NUMERATORS}
-    for name in NUMERATORS:
-        _count_calls(monkeypatch, name, calls[name])
+    """The calls to each table's numerator, keyed by table."""
+    calls = {table: [] for table in TABLES}
+    _count_calls(monkeypatch, 1, calls.__getitem__)
     return calls
 
 
@@ -348,10 +368,10 @@ def _node_calls_behind(tables):
 
 
 def _stored_numerators(tables):
-    # numerator function -> the entries stored in the tables built with it
-    counts = dict.fromkeys(NUMERATORS, 0)
+    # table -> the entries stored in its strips
+    counts = dict.fromkeys(TABLES, 0)
     for (table, _, _), (entries, _, _) in tables.items():
-        counts[TABLES[table][0]] += len(entries)
+        counts[table] += len(entries)
     return counts
 
 
@@ -405,7 +425,7 @@ def test_each_node_is_computed_once(empty_tables, node_calls, numerator_calls,
     assert computed == _node_calls_behind(empty_tables) > 0
     numerators = _numerator_counts(numerator_calls)
     assert numerators == _stored_numerators(empty_tables)
-    assert numerators["_unit_numerator"] > 0 and numerators["_exp_numerator"] > 0
+    assert numerators["unit"] > 0 and numerators["exp"] > 0
     # these reach no deeper level and no further along any strip
     for route in (quad_eval, quad_unit_eval):
         for p in (2.9, 0.5, -1.0):
@@ -418,7 +438,7 @@ def test_each_node_is_computed_once(empty_tables, node_calls, numerator_calls,
     quad_eval(Angle(DEEP_PHI))
     assert len(node_calls) == _node_calls_behind(empty_tables) > computed
     stored = _stored_numerators(empty_tables)
-    assert stored["_exp_numerator"] > numerators["_exp_numerator"]
+    assert stored["exp"] > numerators["exp"]
     for name, calls in numerator_calls.items():
         assert len(calls) == len(set(calls)) == stored[name]
     _assert_envelopes_built_once_under_the_lock(envelope_calls, empty_tables)

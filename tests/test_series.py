@@ -271,6 +271,40 @@ def test_series_zero_angle():
         series_eval(Angle(0.0))
 
 
+def _log_sine_oracle(phi):
+    """S(phi) = sin(phi) I(phi) + gamma phi / 2 at 40 digits, at the exact
+    binary64 phi, from the gamma closed form; the log-gammas cancel about
+    log10(1/|phi|) digits, so those are added to the working precision."""
+    lost = max(0, -math.floor(math.log10(abs(phi))))
+    with mpmath.workdps(40 + lost):
+        p = mpmath.mpf(phi)
+        t = p / (2 * mpmath.pi)
+        return (mpmath.pi / 2 * (2 * t * mpmath.log(2 * mpmath.pi)
+                                 + mpmath.loggamma(mpmath.mpf(0.5) + t)
+                                 - mpmath.loggamma(mpmath.mpf(0.5) - t))
+                + mpmath.euler * p / 2)
+
+
+@pytest.mark.parametrize("phi", [s * v for s in (1.0, -1.0)
+                                 for v in (1e-300, 1e-15, 1e-9, 5e-7, 9.9e-7)])
+def test_log_sine_sum_takes_a_zero_angle(phi):
+    # S has no 1/sin(phi): ZERO angles are summed on Euler's branch, with an
+    # honest estimate, to within a few ulps of the 40-digit value
+    value = log_sine_sum(Angle(phi))
+    _, est, _ = series._log_sine_sum_impl(Angle(phi), series.TOL)
+    with mpmath.workdps(40):
+        exact = _log_sine_oracle(phi)
+        err = float(abs(mpmath.mpf(value) - exact))
+    assert err <= est
+    assert err <= 4e-15 * abs(float(exact))
+
+
+def test_log_sine_sum_at_zero():
+    # S(0) = 0, and S(5e-324) = 0.226 * 5e-324 rounds to 0 too
+    assert log_sine_sum(Angle(0.0)) == 0.0
+    assert log_sine_sum(Angle(5e-324)) == 0.0
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

@@ -1,5 +1,5 @@
-"""Tests for the self-contained log-gamma implementation and the reflection
-product.
+"""Tests for the self-contained log-gamma implementation, the reflection
+product and the stop tables built by `stop_table`.
 
 mpmath serves the tests as an independent high-precision oracle; the
 package itself never imports it.
@@ -10,6 +10,7 @@ import math
 import mpmath
 import pytest
 
+from malmsten import closed_form, series
 from malmsten.errors import DomainError
 from malmsten.special_functions import (
     EULER_GAMMA,
@@ -93,3 +94,66 @@ def test_log_gamma_overflow():
 def test_reflection_domain(bad):
     with pytest.raises(DomainError):
         reflection_product(bad)
+
+
+# The stop tables that `stop_table` builds, as float.hex: frozen from the
+# builders they replace, one in each of closed_form and series, so that a
+# change to the shared contraction shows here bit for bit.
+FROZEN_STOPS = {
+    "_DIRECT": (
+        "0x1.56d2a53294cafp-30", "0x1.b6f7330b4c2f5p-21", "0x1.57846b4bab12bp-16",
+        "0x1.257d717ad2bddp-13", "0x1.06bbfeec2c416p-11", "0x1.458afec3cecf7p-10",
+        "0x1.40b22576f30bbp-9", "0x1.0f3eabe3071c6p-8", "0x1.9c81d1608c277p-8",
+        "0x1.225c5045cd365p-7", "0x1.81d251f972182p-7", "0x1.ea7018bf2d3afp-7",
+        "0x1.2d10bdf40b0b9p-6", "0x1.6784f3e6600f5p-6", "0x1.a3c6b6edbc0fcp-6"
+    ),
+    "_SPLIT": (
+        "0x1.218eddd1631bfp-26", "0x1.5284c6e4c199dp-17", "0x1.f2427acd5ae15p-13",
+        "0x1.979ee6ddc965fp-10", "0x1.617b9266d6915p-8", "0x1.ab9443908c142p-7",
+        "0x1.9d6ba7754af3ep-6", "0x1.58856e80f70e9p-5", "0x1.02d72959d30bbp-4",
+        "0x1.68cb617637db1p-4", "0x1.db72103f1ed34p-4", "0x1.2c0f27cbadc15p-3",
+        "0x1.6e2c2c9511c79p-3", "0x1.b2fa8dd1a15a6p-3", "0x1.f98e3b1fb33b3p-3",
+        "0x1.2091829ed61b6p-2"
+    ),
+    "_LOG_SINE_EULER": (
+        "0x1.33e22cea69fd5p-54", "0x1.87b1018af6ffcp-25", "0x1.0476cee8180c3p-15",
+        "0x1.7fc8b1f6490bbp-11", "0x1.2ec45bf101423p-8", "0x1.f41bfd9590b97p-7",
+        "0x1.1f0c64e0bf1b3p-5", "0x1.0769f664f63f9p-4", "0x1.a1557f3b1112ap-4",
+        "0x1.2aa7d8811dd96p-3", "0x1.8d49730655572p-3", "0x1.f4656285a8a77p-3",
+        "0x1.2e28c74d38a43p-2", "0x1.61050922dcd3cp-2", "0x1.91a916e352b74p-2",
+        "0x1.bf65301b7f126p-2", "0x1.e9f280c431f7fp-2", "0x1.08acc4d5a2385p-1",
+        "0x1.1ae7dc545b129p-1", "0x1.2bcd3ac570798p-1", "0x1.3b7efa94d5951p-1",
+        "0x1.4a1b16a57103bp-1", "0x1.57bad052bb04dp-1", "0x1.64734b2e2d6bcp-1",
+        "0x1.70567102c2f5cp-1", "0x1.7b73bdec1f07bp-1", "0x1.85d8db71e0df7p-1",
+        "0x1.8f920d9c046d8p-1", "0x1.98aa7cb076c55p-1", "0x1.a12c663d5c179p-1",
+        "0x1.a9213dcdbd0c1p-1", "0x1.b091c33daf518p-1", "0x1.b78612b49afb3p-1",
+        "0x1.be05b0ea0711bp-1", "0x1.c417956c0b37bp-1", "0x1.c9c23408dd01bp-1",
+        "0x1.cf0b862617f44p-1", "0x1.d3f914a4d505ap-1", "0x1.d89002dfe5655p-1",
+        "0x1.dcd51b428275dp-1"
+    ),
+    "_SAWTOOTH_EULER": (
+        "0x1.cd2b297d889bbp-53", "0x1.16587ec7c9df8p-24", "0x1.2cffcc9cf3be1p-15",
+        "0x1.94635540e00b0p-11", "0x1.2f147a7db4380p-8", "0x1.e4a7c4a6c4f9ep-7",
+        "0x1.1006427f0a751p-5", "0x1.eb26e27635748p-5", "0x1.804b79f195c58p-4",
+        "0x1.1075199ed6bc6p-3", "0x1.6802f07928fb0p-3", "0x1.c38ef6e2f490cp-3",
+        "0x1.103e3704cf555p-2", "0x1.3e68ae0c99933p-2", "0x1.6b90a4fe67692p-2",
+        "0x1.97391dde94d6fp-2", "0x1.c111629d22433p-2", "0x1.e8e9ef7af99abp-2",
+        "0x1.0755c314798a5p-1", "0x1.19281fca09b02p-1", "0x1.29ef2567a1900p-1",
+        "0x1.39b201568dd0fp-1", "0x1.487a866728268p-1", "0x1.5654212a5c736p-1",
+        "0x1.634b17dd2b046p-1", "0x1.6f6c026cfa9f1p-1", "0x1.7ac36bcf14b42p-1",
+        "0x1.855d9195d6f77p-1", "0x1.8f463982c8408p-1", "0x1.988896f9623a3p-1",
+        "0x1.a12f3bd269896p-1", "0x1.a9441143e342ep-1", "0x1.b0d056784133cp-1",
+        "0x1.b7dca31caf5abp-1", "0x1.be70ecb2625fep-1", "0x1.c4948dd5c0875p-1",
+        "0x1.ca4e4f01f3988p-1", "0x1.cfa4709f56194p-1", "0x1.d49cb66bef078p-1",
+        "0x1.d93c748622ec0p-1", "0x1.dd889e8566027p-1"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_STOPS))
+def test_stop_tables_are_frozen(name):
+    stops = {"_DIRECT": closed_form._DIRECT[2], "_SPLIT": closed_form._SPLIT[2],
+             "_LOG_SINE_EULER": series._LOG_SINE_EULER[4],
+             "_SAWTOOTH_EULER": series._SAWTOOTH_EULER[4]}[name]
+    assert tuple(x.hex() for x in stops) == FROZEN_STOPS[name]
+
