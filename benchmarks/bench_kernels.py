@@ -7,7 +7,9 @@ Times `kummer.log_sine_partial`, the real running sum
 sum_{n=2}^{N} (ln n / n) sin(n theta) behind `kummer_partial` and verify's
 raw-partial check.  Then times
 `malmsten_closed` per call, with the terms K of the odd-zeta series it
-sums (its `work`), on both sides of CLOSED_SPLIT.  Then times the two
+sums (its `work`), on both sides of CLOSED_SPLIT.  Then times
+`special_functions.log_gamma` per call, and `kummer_closed_eval`, which
+calls it once, per call.  Then times the two
 branches that sum the series route's series, for each family of weights,
 the log-sine series of the series and Kummer routes and the sawtooth
 series, with the terms each sums: Euler's transformation for
@@ -36,7 +38,7 @@ import sys
 import timeit
 from pathlib import Path
 
-from malmsten import closed_form, kummer, quadrature, series, verify
+from malmsten import closed_form, kummer, quadrature, series, special_functions, verify
 from malmsten.domain import Angle, Evaluation, Method
 from malmsten.special_functions import pi_gap
 
@@ -55,6 +57,21 @@ def bench_closed(repeat):
                                  number=100, repeat=repeat)) / 100
         work = closed_form.malmsten_closed(angle).work
         print(f"  phi={phi!r:<20} work={work:<3} {best * 1e6:8.2f} us")
+
+
+def bench_log_gamma(repeat):
+    print("log_gamma (math.lgamma behind its checks), and the kummer route,\n"
+          "which calls it once: best time per call")
+    number = 1000
+    for x in (1e-6, 0.25, 0.75, 1.2):
+        best = min(timeit.repeat(lambda x=x: special_functions.log_gamma(x),
+                                 number=number, repeat=repeat)) / number
+        print(f"  log_gamma x={x!r:<18} {best * 1e9:8.0f} ns")
+    for phi in (0.1, 1.0, 2.9):
+        angle = Angle(phi)
+        best = min(timeit.repeat(lambda angle=angle: kummer.kummer_closed_eval(angle),
+                                 number=number, repeat=repeat)) / number
+        print(f"  kummer_closed_eval phi={phi!r:<7} {best * 1e6:8.2f} us")
 
 
 def bench_series(repeat):
@@ -160,6 +177,7 @@ def main():
           lambda: kummer.log_sine_partial(theta, args.terms), args.repeat)
 
     bench_closed(args.repeat)
+    bench_log_gamma(args.repeat)
     bench_series(args.repeat)
     bench_quadrature(args.repeat)
     bench_verify(args.repeat)

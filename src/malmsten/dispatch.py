@@ -2,19 +2,13 @@
 
 from .closed_form import malmsten_closed, zero_limit
 from .domain import Evaluation, Method, require_quad_tan_angle, require_tol
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError
 from .kummer import kummer_closed_eval
 from .quadrature import quad_eval, quad_tan_form, quad_unit_eval
 from .series import series_eval
 
 
 def _quad_to_evaluation(angle, result, method):
-    if not result.converged:
-        raise NonConvergenceError(
-            f"quadrature did not converge (best estimate {result.value!r})",
-            best_estimate=result.value,
-            est_error=result.est_error,
-        )
     return Evaluation(angle, result.value, method, result.est_error, result.nodes)
 
 

@@ -7,8 +7,10 @@ exponentially both at u = 0 (the ln u endpoint singularity) and toward
 infinity (the exponential decay).  `quad_unit_eval` applies tanh-sinh
 straight to ln ln(1/x) on (0, 1) as a structurally different second
 oracle.  Node count doubles per level; termination when two successive
-levels agree within `tol` (absolute or relative).  est_error is the larger
-of the last inter-level delta and a rounding floor of 2 EPS per term,
+levels agree within `tol` (absolute or relative); past MAX_LEVEL a route
+raises NonConvergenceError with its best estimate, as the series route
+does, so a returned result has converged.  est_error is the larger of the
+last inter-level delta and a rounding floor of 2 EPS per term,
 2 EPS h sum|terms|, which also covers cancellation in the node sum.  Node
 sums use math.fsum (compensated accumulation): one per strip, and one over
 the strip sums per level.
@@ -51,7 +53,7 @@ from collections import namedtuple
 from itertools import starmap
 
 from .domain import Record, require_tol
-from .errors import DomainError, InternalInconsistencyError
+from .errors import DomainError, InternalInconsistencyError, NonConvergenceError
 from .special_functions import EPS
 
 # The integral diverges at |phi| = pi; accuracy claims stop at this band.
@@ -69,7 +71,7 @@ _NODES = {}
 _NODES_LOCK = threading.Lock()
 
 
-class QuadResult(Record, namedtuple("QuadResult", "value est_error nodes converged")):
+class QuadResult(Record, namedtuple("QuadResult", "value est_error nodes")):
     __slots__ = ()
 
 
@@ -162,7 +164,8 @@ def _refine_levels(table, rule, tol):
     (weight * numerator, y, 1 - y) triples; the term rule (d_min, terms)
     makes their terms.  Each strip is summed up to its `_cut`, past which no
     term exceeds 1e-20 times the last level's total (or 1e-20), and each
-    level's total is the fsum of the strip sums so far.
+    level's total is the fsum of the strip sums so far.  Raises
+    NonConvergenceError if no level up to MAX_LEVEL meets `tol`.
     """
     require_tol(tol)
     d_min, strip_terms = rule
@@ -191,8 +194,12 @@ def _refine_levels(table, rule, tol):
             # can cancel: a floor of 2 EPS per term bounds both, where the
             # inter-level delta (which can be 0) does not
             est = max(est, 2.0 * EPS * h * sum(map(abs, terms)))
-            return QuadResult(value, est, len(terms), True)
-    return QuadResult(value, est, len(terms), False)
+            return QuadResult(value, est, len(terms))
+    raise NonConvergenceError(
+        f"quadrature did not converge (best estimate {value!r})",
+        best_estimate=value,
+        est_error=est,
+    )
 
 
 def _tanh_sinh_node(a, b, t):

@@ -1,9 +1,9 @@
-"""Self-contained real-argument special functions: log-gamma, the gamma
-reflection product, pi - |phi| to full accuracy near pi, and the stop
-tables of the closed and series routes' truncated power series.
+"""Real-argument special functions: log-gamma, the gamma reflection
+product, pi - |phi| to full accuracy near pi, and the stop tables of the
+closed and series routes' truncated power series.
 
-log_gamma uses the Lanczos approximation (g = 7, 9 coefficients) with the
-reflection formula below x = 0.5.  Everything is binary64; no
+log_gamma is the standard library's math.lgamma behind the domain and
+overflow checks of its contract.  Everything is binary64; no
 arbitrary-precision backend.
 """
 
@@ -21,47 +21,18 @@ EPS = 2.3e-16  # binary64 machine epsilon 2**-52, rounded up: the error estimate
 # pi - float(pi): the low half of a two-float split of pi
 _PI_LO = 1.2246467991473532e-16
 
-# Lanczos coefficients for g = 7, n = 9 (Godfrey's set, as used by Boost
-# and the GSL).  Relative accuracy of the rational part is ~1e-15.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_OVERFLOW_X = 2.5e305  # (x - 0.5) * ln(x + g) would overflow past this
-
-
-def _lanczos_series(x):
-    s = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        s += _LANCZOS_C[k] / (x + k - 1.0)
-    return s
-
 
 def log_gamma(x):
-    """ln Gamma(x) for real x > 0.
+    """ln Gamma(x) for real x > 0: math.lgamma(x).
 
-    Absolute error is <= 1e-13 wherever binary64 can represent the result
-    that accurately; for very large x the error is a few ulps of the result.
+    DomainError for x <= 0 and for NaN; OverflowError where the result
+    overflows, which math.lgamma raises for finite x but not at x = inf.
     """
     if not x > 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x!r}")
-    if x > _OVERFLOW_X:
+    if x == math.inf:
         raise OverflowError(f"log_gamma overflows for x = {x!r}")
-    if x < 0.5:
-        # Reflection: ln Gamma(x) = ln pi - ln sin(pi x) - ln Gamma(1 - x).
-        return LN_PI - math.log(math.sin(PI * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    t = z + _LANCZOS_G + 0.5
-    return 0.5 * LN_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(_lanczos_series(x))
+    return math.lgamma(x)
 
 
 def pi_gap(phi):

@@ -9,10 +9,9 @@ import stat
 
 import pytest
 
-from malmsten import Angle, Method, cli, dispatch, evaluate, verify
+from malmsten import Angle, Method, cli, evaluate, quadrature, verify
 from malmsten.cli import main, parse_phi
 from malmsten.errors import DomainError
-from malmsten.quadrature import QuadResult
 from malmsten.verify import run_checks
 
 FROZEN_PI_OVER_2 = -0.26044280630098844554
@@ -194,8 +193,8 @@ def test_verify_passes_on_only_the_tolerance_flags_given(capsys, monkeypatch):
 
 
 def test_verify_unconverged_grid_point_exit_3(capsys, monkeypatch):
-    unconverged = QuadResult(-0.5, 1.0, 10, False)
-    monkeypatch.setattr(dispatch, "quad_eval", lambda angle, **kw: unconverged)
+    # no level past the first: every quadrature ends unconverged
+    monkeypatch.setattr(quadrature, "MAX_LEVEL", 0)
     assert main(["verify", "--only", "closed_quad", "--json"]) == 3
     assert "nonconvergence" in capsys.readouterr().err
 

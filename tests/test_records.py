@@ -26,8 +26,8 @@ EVALUATION = (
 )
 QUAD_RESULT = (
     QuadResult,
-    (1.0, 1e-16, 3, True),
-    "QuadResult(value=1.0, est_error=1e-16, nodes=3, converged=True)",
+    (1.0, 1e-16, 3),
+    "QuadResult(value=1.0, est_error=1e-16, nodes=3)",
 )
 CHECK_RECORD = (
     CheckRecord,
@@ -42,7 +42,7 @@ RECORDS = pytest.mark.parametrize(
 FIELDS = {
     Angle: ("phi",),
     Evaluation: ("phi", "value", "method", "est_error", "work"),
-    QuadResult: ("value", "est_error", "nodes", "converged"),
+    QuadResult: ("value", "est_error", "nodes"),
     CheckRecord: ("name", "lhs", "rhs", "residual", "tolerance", "passed"),
 }
 
@@ -99,7 +99,7 @@ def test_never_equal_to_a_plain_tuple_of_its_fields(cls, args, text):
 
 
 def test_quad_result_is_not_a_tuple_for_equality():
-    assert QuadResult(1.0, 1e-16, 3, True) != (1.0, 1e-16, 3, True)
+    assert QuadResult(1.0, 1e-16, 3) != (1.0, 1e-16, 3)
     assert Angle(1.0) != (1.0,)
     assert Angle(1.0) != 1.0
 

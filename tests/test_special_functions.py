@@ -1,5 +1,5 @@
-"""Tests for the self-contained log-gamma implementation, the reflection
-product and the stop tables built by `stop_table`.
+"""Tests for log_gamma (math.lgamma behind its domain and overflow checks),
+the reflection product and the stop tables built by `stop_table`.
 
 mpmath serves the tests as an independent high-precision oracle; the
 package itself never imports it.
@@ -16,6 +16,7 @@ from malmsten.special_functions import (
     EULER_GAMMA,
     LN_PI,
     LN_TWO_PI,
+    gamma_gap,
     log_gamma,
     reflection_product,
 )
@@ -65,6 +66,28 @@ def test_log_gamma_against_oracle_grid():
         assert abs(log_gamma(x) - ref) <= max(1e-13, 1e-14 * abs(ref))
 
 
+@pytest.mark.parametrize(
+    "x",
+    [
+        gamma_gap(math.nextafter(math.pi, 0.0)),  # ~9.0e-17, kummer's smallest argument
+        1e-10,
+        0.5 - 1e-12,
+        1.4616321449683622,  # the minimum of Gamma on x > 0
+    ],
+)
+def test_log_gamma_where_the_routes_reach(x):
+    ref = float(mpmath.loggamma(mpmath.mpf(x)))
+    assert abs(log_gamma(x) - ref) <= 1e-15 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-323, 1e-320, 1e-315])
+def test_log_gamma_at_subnormal_x(x):
+    # ln Gamma(x) = -ln x - gamma x + ..., so it needs no sin(pi x), which
+    # keeps only a few bits of a subnormal x
+    ref = mpmath.loggamma(mpmath.mpf(x))
+    assert abs(log_gamma(x) - ref) <= 1e-15 * abs(ref)
+
+
 def test_log_gamma_recurrence():
     for k in range(50):
         x = 10.0 ** (-2.0 + 4.0 * k / 49.0)
@@ -79,15 +102,16 @@ def test_reflection_product_residual():
         assert abs(lhs - rhs) <= 1e-11 * abs(rhs)
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, -0.5])
+@pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.nan])
 def test_log_gamma_domain(bad):
     with pytest.raises(DomainError):
         log_gamma(bad)
 
 
 def test_log_gamma_overflow():
-    with pytest.raises(OverflowError):
-        log_gamma(3e305)
+    for x in (3e305, math.inf):
+        with pytest.raises(OverflowError):
+            log_gamma(x)
 
 
 @pytest.mark.parametrize("bad", [0.5, -0.5, 1.0])
