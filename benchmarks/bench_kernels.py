@@ -22,7 +22,10 @@ one multiply for J_n, plus the level driver).
 Each point also prints the nodes its evaluation used and the entries a
 cold call left stored in each integrand table: a strip is stored whole
 the first time an evaluation reaches it, so the tables hold more nodes
-than it used.  Then times each `verify` check group,
+than it used.  Then times one `evaluate` of each method at a fixed phi
+(quad-tan at pi/2) three ways: with tol=None, with a tol the route meets
+there, and as the bare route call, with no dispatch and no tolerance
+rule.  Then times each `verify` check group,
 `run_checks(only=[group])`, in this process, and all of them together.
 Last, times the construction of the records every evaluation builds,
 `Angle(phi)` and `Evaluation(...)` by position and by keyword, and a cold
@@ -38,7 +41,7 @@ import sys
 import timeit
 from pathlib import Path
 
-from malmsten import closed_form, kummer, quadrature, series, special_functions, verify
+from malmsten import closed_form, evaluate, kummer, quadrature, series, special_functions, verify
 from malmsten.domain import Angle, Evaluation, Method
 from malmsten.special_functions import pi_gap
 
@@ -128,6 +131,36 @@ def bench_quadrature(repeat):
         print("    stored: " + ", ".join(f"{table} {n}" for table, n in stored.items()))
 
 
+# The bare route call behind each method, at its angle.
+_ROUTES = {
+    Method.CLOSED: closed_form.malmsten_closed,
+    Method.SERIES: series.series_eval,
+    Method.KUMMER: kummer.kummer_closed_eval,
+    Method.QUAD: quadrature.quad_eval,
+    Method.QUAD_UNIT: quadrature.quad_unit_eval,
+    Method.QUAD_TAN: lambda angle: quadrature.quad_tan_form(),
+}
+
+
+def bench_evaluate(repeat):
+    tol = 1e-9
+    print(f"evaluate: best time per call of each method at phi = 2 (quad-tan at\n"
+          f"pi/2), with tol=None, with tol={tol} (every route meets it there, with\n"
+          f"the record of tol=None) and as the bare route call")
+    number = 200
+    for method, route in _ROUTES.items():
+        angle = Angle(math.pi / 2 if method is Method.QUAD_TAN else 2.0)
+        ways = (("tol=None", lambda: evaluate(angle, method.value)),
+                (f"tol={tol}", lambda: evaluate(angle, method.value, tol)),
+                ("route", lambda: route(angle)))
+        cells = []
+        for label, fn in ways:
+            best = min(timeit.repeat(fn, number=number, repeat=repeat)) / number
+            cells.append(f"{label} {best * 1e6:7.2f} us")
+        work = evaluate(angle, method.value, tol).work
+        print(f"  {method.value:<9} work={work:<4} " + "  ".join(cells))
+
+
 def bench_verify(repeat):
     print("verify: best time per run of each check group, run_checks(only=[group])")
     total = 0.0
@@ -180,6 +213,7 @@ def main():
     bench_log_gamma(args.repeat)
     bench_series(args.repeat)
     bench_quadrature(args.repeat)
+    bench_evaluate(args.repeat)
     bench_verify(args.repeat)
     bench_records(args.repeat)
 

@@ -8,10 +8,11 @@ infinity (the exponential decay).  `quad_unit_eval` applies tanh-sinh
 straight to ln ln(1/x) on (0, 1) as a structurally different second
 oracle.  Node count doubles per level; termination when two successive
 levels agree within `tol` (absolute or relative); past MAX_LEVEL a route
-raises NonConvergenceError with its best estimate, as the series route
-does, so a returned result has converged.  est_error is the larger of the
-last inter-level delta and a rounding floor of 2 EPS per term,
-2 EPS h sum|terms|, which also covers cancellation in the node sum.  Node
+raises NonConvergenceError with its best estimate, so a returned result
+has converged.  est_error is the larger of the last inter-level delta and
+a rounding floor of 2 EPS per term, 2 EPS h sum|terms|, which also covers
+cancellation in the node sum; `dispatch.evaluate` checks it against the
+caller's `tol`, as it does every route's.  Node
 sums use math.fsum (compensated accumulation): one per strip, and one over
 the strip sums per level.
 

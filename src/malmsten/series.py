@@ -32,8 +32,8 @@ from bisect import bisect_left
 from itertools import accumulate, repeat
 from operator import mul
 
-from .domain import Evaluation, Method, require_regular, require_tol
-from .errors import DomainError, NonConvergenceError
+from .domain import Evaluation, Method, require_regular
+from .errors import DomainError
 from .special_functions import EPS, EULER_GAMMA, pi_gap, stop_table
 
 # Up to this |phi| a series is summed by Euler's transformation, where
@@ -107,9 +107,6 @@ _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
 # under one ulp of |sin(phi) I(phi)| >= 0.503 (least at |phi| = EULER_PHI)
 # and of |phi/2| >= 1 on |phi| >= EULER_PHI.
 _TAIL_CUT = 1e-20
-
-# Default bound on the estimated error of the log-sine sum.
-TOL = 1e-9
 
 
 def j_n(n):
@@ -194,9 +191,13 @@ def _euler_sum(p, tables):
     with K from the stop table.  The estimate adds the truncation
     A_K rho^(K+1) / (1 - rho), times min(1, |p/2| (2M - 1 + K + rho/(1 - rho)))
     since |sin((2M-1+k) p/2)| <= (2M-1+k) |p/2|; the rounding of the terms,
-    |p/2| phase + min(ops, |p/2| ops_slope); and half an ulp of the
-    correctly rounded fsum.  Each bound is proportional to |p| as p -> 0,
-    as the sum is.
+    |p/2| phase + min(ops, |p/2| ops_slope); half an ulp of the
+    correctly rounded fsum; and one subnormal spacing, 5e-324, per summed
+    term.  The last covers the roundings whose results are subnormal, each
+    up to half a spacing however small the result: every term's last
+    product, the fsum, and p/2, which moves the sum by at most half a
+    spacing since |dS/d(p/2)| <= 1 near 0; at least 18 terms are summed.
+    The other bounds are proportional to |p| as p -> 0, as the sum is.
     """
     head, tail_d, tail_m, a, stops, phase, ops, ops_slope = tables
     h = 0.5 * p
@@ -209,8 +210,9 @@ def _euler_sum(p, tables):
     ah = abs(h)
     ratio = rho / (1.0 - rho)
     truncation = a[k] * rho ** k * ratio * min(1.0, ah * (2 * EULER_HEAD - 1 + k + ratio))
-    rounding = ah * phase + min(ops, ah * ops_slope) + 0.5 * EPS * abs(value)
-    return value, truncation + rounding, len(head) + k
+    n = len(head) + k
+    rounding = ah * phase + min(ops, ah * ops_slope) + 0.5 * EPS * abs(value) + n * 5e-324
+    return value, truncation + rounding, n
 
 
 def _euler_maclaurin_tables(first, h, dh, tail_coef, log_const, log_coef):
@@ -378,41 +380,19 @@ def sawtooth_sum(phi):
     return -_alternating_sum(phi.phi, _SAWTOOTH_EULER, _SAWTOOTH_EM)[0]
 
 
-def _log_sine_sum_impl(phi, tol):
-    """The log-sine sum S(phi): (value, est_error, terms)."""
-    require_tol(tol)
-    return _alternating_sum(phi.phi, _LOG_SINE_EULER, _LOG_SINE_EM)
-
-
-def log_sine_sum(phi, tol=TOL):
+def log_sine_sum(phi):
     """sum_{n>=2} (-1)^n ln n sin(n phi)/n, summed in closed form.
 
     S has no 1/sin(phi), so it takes every angle, 0 and ZERO ones included:
     S(0) = 0, and near 0 Euler's branch gives its slope (1/2) ln(pi/2).
     """
-    value, est, _ = _log_sine_sum_impl(phi, tol)
-    if est > tol:
-        raise NonConvergenceError(
-            f"log-sine series did not reach tol={tol} "
-            f"(estimated error {est:.3e})",
-            best_estimate=value,
-            est_error=est,
-        )
-    return value
+    return _alternating_sum(phi.phi, _LOG_SINE_EULER, _LOG_SINE_EM)[0]
 
 
-def series_eval(phi, tol=TOL):
+def series_eval(phi):
     """I(phi) assembled from the sawtooth constant and the log-sine series."""
     require_regular(phi)
     p = phi.phi
-    tail, est, work = _log_sine_sum_impl(phi, tol)
-    value = (-EULER_GAMMA * p / 2.0 + tail) / math.sin(p)
-    est_error = est / abs(math.sin(p))
-    if est > tol:
-        raise NonConvergenceError(
-            f"series route did not converge at phi={p!r} "
-            f"(estimated error {est:.3e})",
-            best_estimate=value,
-            est_error=est_error,
-        )
-    return Evaluation(phi, value, Method.SERIES, est_error, work)
+    tail, est, work = _alternating_sum(p, _LOG_SINE_EULER, _LOG_SINE_EM)
+    s = math.sin(p)
+    return Evaluation(phi, (-EULER_GAMMA * p / 2.0 + tail) / s, Method.SERIES, est / abs(s), work)

@@ -9,9 +9,20 @@ import stat
 
 import pytest
 
-from malmsten import Angle, Method, cli, evaluate, quadrature, verify
+from malmsten import (
+    Angle,
+    Evaluation,
+    Method,
+    cli,
+    evaluate,
+    kummer_closed_eval,
+    malmsten_closed,
+    quadrature,
+    series_eval,
+    verify,
+)
 from malmsten.cli import main, parse_phi
-from malmsten.errors import DomainError
+from malmsten.errors import DomainError, NonConvergenceError
 from malmsten.verify import run_checks
 
 FROZEN_PI_OVER_2 = -0.26044280630098844554
@@ -125,6 +136,51 @@ def test_eval_rejects_a_bad_tol_at_a_zero_angle(capsys, method, tol):
 def test_eval_nonconvergence_exit_3(capsys):
     assert main(["eval", "--phi", "2.0", "--method", "series",
                  "--tol", "1e-16"]) == 3
+
+
+# Estimates that miss max(tol, tol |value|): each route computes its value
+# as it would without the tol (quadrature refines to it, and its rounding
+# floor stays), and evaluate refuses the result.
+@pytest.mark.parametrize("method, phi, tol", [
+    ("kummer", "1e-4", 1e-9),      # est 1.57e-8
+    ("closed", "1", 1e-17),        # est 1.3e-16
+    ("quad", "1", 1e-30),          # est 2.3e-16, the rounding floor
+    ("quad-unit", "1", 1e-30),
+    ("quad-tan", "pi/2", 1e-30),   # est 3.2e-16
+    ("series", "2", 1e-16),        # est 1.4e-14
+])
+def test_evaluate_refuses_an_estimate_above_tol(capsys, method, phi, tol):
+    with pytest.raises(NonConvergenceError) as exc_info:
+        evaluate(Angle(parse_phi(phi)), method, tol)
+    exc = exc_info.value
+    assert math.isfinite(exc.best_estimate)
+    assert exc.est_error > max(tol, tol * abs(exc.best_estimate))
+    assert str(exc) == (f"{method} route did not reach tol={tol} at phi={parse_phi(phi)!r} "
+                        f"(estimated error {exc.est_error:.3e})")
+    assert main(["eval", "--phi", phi, "--method", method, "--tol", repr(tol)]) == 3
+    assert "error: nonconvergence" in capsys.readouterr().err
+
+
+# Each method's route function, called without evaluate.
+ROUTES = {
+    "closed": malmsten_closed,
+    "series": series_eval,
+    "kummer": kummer_closed_eval,
+    "quad": quadrature.quad_eval,
+    "quad-unit": quadrature.quad_unit_eval,
+    "quad-tan": lambda angle: quadrature.quad_tan_form(),
+}
+
+
+@pytest.mark.parametrize("method", list(ROUTES))
+def test_evaluate_without_tol_returns_the_route_record(method):
+    angle = Angle(math.pi / 2 if method == "quad-tan" else 2.0)
+    expected = ROUTES[method](angle)
+    if isinstance(expected, quadrature.QuadResult):
+        expected = Evaluation(angle, expected.value, Method(method), expected.est_error,
+                              expected.nodes)
+    ev = evaluate(angle, method)
+    assert [(type(f), f) for f in ev] == [(type(f), f) for f in expected]
 
 
 def test_verify_default_passes(capsys):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malmsten import Angle, evaluate
+from malmsten import Angle, Method, NonConvergenceError, evaluate
 from malmsten.closed_form import CLOSED_SPLIT
 from malmsten.domain import ZERO_THRESHOLD
 from malmsten.quadrature import GUARD_BAND, quad_jn
@@ -251,6 +251,22 @@ def test_quadrature_estimate_holds_at_other_tolerances(method, tol, phi):
     # the refinement stops at another level, and the estimate must hold there
     err, est = _quad_error(method, phi, tol)
     assert err <= est
+
+
+@ORACLE_SETTINGS
+@given(st.floats(min_value=0.0, max_value=QUAD_EDGE), st.sampled_from([1.0, -1.0]),
+       st.sampled_from([m.value for m in Method]), st.sampled_from([1e-9, 1e-12, 1e-15]))
+def test_evaluate_meets_tol_or_raises(magnitude, sign, method, tol):
+    # one rule for every route: a returned estimate is at most
+    # max(tol, tol |value|) and holds; otherwise evaluate raises with a value
+    phi = math.pi / 2 if method == "quad-tan" else sign * magnitude
+    try:
+        ev = evaluate(Angle(phi), method, tol)
+    except NonConvergenceError as exc:
+        assert math.isfinite(exc.best_estimate)
+        return
+    assert ev.est_error <= max(tol, tol * abs(ev.value))
+    assert _error(ev.value, phi) <= ev.est_error
 
 
 @pytest.mark.parametrize("phi", [0.0, 1e-12, 5e-7, 1e-4, 1e-2])

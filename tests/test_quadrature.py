@@ -238,7 +238,7 @@ def test_config_validation(kwargs):
     ids=["quad_eval", "quad_unit_eval", "quad_tan_form", "quad_jn"])
 def test_an_unconverged_quadrature_raises(monkeypatch, route):
     # with the first level the last, no two levels can agree: each route
-    # raises, as the series route does, and carries its best estimate
+    # raises itself and carries its best estimate
     monkeypatch.setattr(quadrature, "MAX_LEVEL", 0)
     with pytest.raises(NonConvergenceError) as exc_info:
         route()

@@ -10,7 +10,7 @@ import mpmath
 import pytest
 from test_oracle import oracle
 
-from malmsten import series, verify
+from malmsten import evaluate, series, verify
 from malmsten.closed_form import malmsten_closed
 from malmsten.domain import Angle, Method
 from malmsten.errors import DomainError, NonConvergenceError, ZeroAngleError
@@ -121,20 +121,10 @@ def test_series_band_widens_outside():
 
 def test_series_nonconvergence_carries_best_estimate():
     with pytest.raises(NonConvergenceError) as exc_info:
-        series_eval(Angle(2.0), 1e-16)
+        evaluate(Angle(2.0), "series", 1e-16)
     err = exc_info.value
     truth = malmsten_closed(Angle(2.0)).value
     assert abs(err.best_estimate - truth) <= 1e-7
-    assert err.est_error > 1e-16
-
-
-def test_log_sine_sum_nonconvergence_carries_best_estimate():
-    with pytest.raises(NonConvergenceError) as exc_info:
-        log_sine_sum(Angle(2.0), 1e-16)
-    err = exc_info.value
-    expected = (math.sin(2.0) * malmsten_closed(Angle(2.0)).value
-                + 0.5 * EULER_GAMMA * 2.0)
-    assert abs(err.best_estimate - expected) <= 1e-9
     assert err.est_error > 1e-16
 
 
@@ -286,17 +276,19 @@ def _log_sine_oracle(phi):
 
 
 @pytest.mark.parametrize("phi", [s * v for s in (1.0, -1.0)
-                                 for v in (1e-300, 1e-15, 1e-9, 5e-7, 9.9e-7)])
+                                 for v in (1e-300, 1e-15, 1e-9, 5e-7, 9.9e-7,
+                                           5e-324, 1e-323, 1e-315)])
 def test_log_sine_sum_takes_a_zero_angle(phi):
     # S has no 1/sin(phi): ZERO angles are summed on Euler's branch, with an
-    # honest estimate, to within a few ulps of the 40-digit value
+    # honest estimate, to within a few ulps of the 40-digit value; where S is
+    # subnormal, an ulp is the subnormal spacing and the estimate is not 0
     value = log_sine_sum(Angle(phi))
-    _, est, _ = series._log_sine_sum_impl(Angle(phi), series.TOL)
+    _, est, _ = series._alternating_sum(phi, series._LOG_SINE_EULER, series._LOG_SINE_EM)
     with mpmath.workdps(40):
         exact = _log_sine_oracle(phi)
-        err = float(abs(mpmath.mpf(value) - exact))
-    assert err <= est
-    assert err <= 4e-15 * abs(float(exact))
+        err = abs(mpmath.mpf(value) - exact)
+        assert err <= est
+        assert err <= max(4e-15 * abs(exact), 4 * math.ulp(0.0))
 
 
 def test_log_sine_sum_at_zero():
@@ -316,8 +308,6 @@ def test_log_sine_sum_at_zero():
     ],
 )
 def test_config_validation(kwargs):
-    # the tolerance is the series route's one setting
+    # the series route has no setting, but evaluate checks a given tolerance
     with pytest.raises(DomainError):
-        series_eval(Angle(1.0), **kwargs)
-    with pytest.raises(DomainError):
-        log_sine_sum(Angle(1.0), **kwargs)
+        evaluate(Angle(1.0), "series", **kwargs)
