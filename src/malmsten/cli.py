@@ -107,12 +107,7 @@ def cmd_verify(args):
 def _sweep_records(phis, methods):
     for p in phis:
         angle = Angle(p)
-        evs = {m: evaluate(angle, m) for m in methods}
-        deltas = {}
-        for i, m1 in enumerate(methods):
-            for m2 in methods[i + 1:]:
-                deltas[f"{m1}|{m2}"] = abs(evs[m1].value - evs[m2].value)
-        yield p, evs, deltas
+        yield p, {m: evaluate(angle, m) for m in methods}
 
 
 def _atomic_write(path, text):
@@ -156,7 +151,7 @@ def cmd_sweep(args):
 
     if args.format == "csv":
         lines = ["phi,method,value,est_error,work"]
-        for p, evs, _ in _sweep_records(phis, methods):
+        for p, evs in _sweep_records(phis, methods):
             for m in methods:
                 ev = evs[m]
                 lines.append(
@@ -165,7 +160,7 @@ def cmd_sweep(args):
         _atomic_write(args.out, "\n".join(lines) + "\n")
     else:
         records = []
-        for p, evs, deltas in _sweep_records(phis, methods):
+        for p, evs in _sweep_records(phis, methods):
             records.append({
                 "phi": p,
                 "methods": {
@@ -173,7 +168,8 @@ def cmd_sweep(args):
                         "work": evs[m].work}
                     for m in methods
                 },
-                "deltas": deltas,
+                "deltas": {f"{m1}|{m2}": abs(evs[m1].value - evs[m2].value)
+                           for i, m1 in enumerate(methods) for m2 in methods[i + 1:]},
             })
         _atomic_write(args.out, json.dumps(records, indent=2) + "\n")
     print(f"wrote {len(phis)} grid points x {len(methods)} methods to {args.out}")

@@ -170,7 +170,8 @@ def two_pi_over_3_forms():
 
 
 def special_value(which):
-    """The classically tabulated right-hand sides at phi = pi/2, pi/3, 2pi/3.
+    """The classically tabulated right-hand sides at phi = pi/2, pi/3, 2pi/3,
+    named by a SpecialCase member; anything else is a DomainError.
 
     For TWO_PI_OVER_3 both printed forms are evaluated and must agree to
     1e-12, else InternalInconsistencyError.
@@ -183,13 +184,15 @@ def special_value(which):
         value = (math.pi / math.sqrt(3.0)) * (
             log_gamma(2.0 / 3.0) + LN_TWO_PI / 3.0 - log_gamma(1.0 / 3.0)
         )
-    else:
+    elif which is SpecialCase.TWO_PI_OVER_3:
         form_a, form_b = two_pi_over_3_forms()
         if abs(form_a - form_b) > 1e-12:
             raise InternalInconsistencyError(
                 f"the two printed forms at 2pi/3 disagree: {form_a!r} vs {form_b!r}"
             )
         value = form_a
+    else:
+        raise DomainError(f"special_value needs a SpecialCase member, got {which!r}")
     return Evaluation(
         phi=Angle(which.value),
         value=value,

@@ -3,26 +3,37 @@
 Every check produces a flat record {name, lhs, rhs, residual, tolerance,
 pass}; a check passes when residual <= tolerance (a few deliberately
 inverted demonstrations encode their condition so that this still holds).
-The quadrature oracle is always the independent side of cross-method
-checks.
+Every value of I(phi) comes from `evaluate(Angle(phi), method)` without a
+tol, the route's own record.  The groups compare, lhs against rhs:
+
+- closed_quad: closed against quad over DEFAULT_GRID;
+- repr: quad-unit against quad over 30 angles on [-3, 3];
+- special: the tabulated special values against closed and against quad,
+  and the two printed forms at 2 pi/3 against each other;
+- vardi: quad-tan against the special value and against quad at pi/2;
+- series: series against closed over DEFAULT_GRID without phi = 0, and the
+  raw partial sum, which must miss 1e-5 at pi/2;
+- coeffs, jn, sawtooth, kummer: the coefficients a_n, the integrals J_n,
+  the sawtooth series and Kummer's series for ln Gamma against their
+  closed forms;
+- identity: the two sides of the derived sum identity, and I assembled
+  from its series side against closed;
+- reflection: the reflection formula, and kummer against closed over
+  DEFAULT_GRID without phi = 0;
+- zero: the limit at phi = 0 (closed) against quad, and against closed at
+  +-1e-4.
 """
 
 import math
 import random
 from collections import namedtuple
 
-from .closed_form import SpecialCase, malmsten_closed, special_value, two_pi_over_3_forms, zero_limit
+from .closed_form import SpecialCase, special_value, two_pi_over_3_forms
 from .dispatch import evaluate
 from .domain import Angle, Record, require_tol
-from .kummer import (
-    derived_sum_identity,
-    kummer_closed_eval,
-    kummer_partial,
-    kummer_sum,
-    log_sine_partial,
-)
-from .quadrature import quad_eval, quad_jn, quad_tan_form, quad_unit_eval
-from .series import j_n, sawtooth_sum, series_eval
+from .kummer import derived_sum_identity, kummer_partial, kummer_sum, log_sine_partial
+from .quadrature import quad_jn
+from .series import j_n, sawtooth_sum
 from .special_functions import EULER_GAMMA, log_gamma, reflection_product
 
 # covers the special values, generic points, the zero limit, and +-2.9,
@@ -32,6 +43,13 @@ DEFAULT_GRID = sorted(
     + [s * v for s in (1.0, -1.0)
        for v in (0.1, 0.5, math.pi / 3, 1.2, math.pi / 2, 2.0, 2 * math.pi / 3, 2.9)]
 )
+
+# DEFAULT_GRID without phi = 0, where series and kummer are served by the
+# closed route's limit (16 points)
+_REGULAR_GRID = [p for p in DEFAULT_GRID if not Angle(p).is_zero]
+
+# 30 angles evenly spaced on [-3, 3], past DEFAULT_GRID's +-2.9
+_REPR_GRID = [-3.0 + 6.0 * k / 29.0 for k in range(30)]
 
 
 class CheckRecord(Record, namedtuple("CheckRecord", "name lhs rhs residual tolerance passed")):
@@ -53,36 +71,23 @@ def _rec(name, lhs, rhs, tol):
     return CheckRecord(name, lhs, rhs, residual, tol, residual <= tol)
 
 
-def _closed_value(phi):
-    return evaluate(Angle(phi), "closed").value
+def _value(phi, method):
+    return evaluate(Angle(phi), method).value
 
 
 def _fmt(phi):
     return f"{phi:+.6f}"
 
 
+def _routes(name, grid, lhs_method, rhs_method, tol):
+    """One record `name[phi=...]` per angle of `grid`: I(phi) by route
+    `lhs_method` against I(phi) by route `rhs_method`."""
+    return [_rec(f"{name}[phi={_fmt(p)}]", _value(p, lhs_method), _value(p, rhs_method), tol)
+            for p in grid]
+
+
 def _checks_closed_quad(tol):
-    out = []
-    for p in DEFAULT_GRID:
-        out.append(_rec(f"closed_vs_quad[phi={_fmt(p)}]", _closed_value(p),
-                        quad_eval(Angle(p)).value, tol))
-    return out
-
-
-def _checks_repr(tol_closed_quad):
-    out = []
-    for k in range(30):
-        p = -3.0 + 6.0 * k / 29.0
-        a = Angle(p)
-        out.append(
-            _rec(
-                f"quad_unit_vs_exp[phi={_fmt(p)}]",
-                quad_unit_eval(a).value,
-                quad_eval(a).value,
-                tol_closed_quad,
-            )
-        )
-    return out
+    return _routes("closed_vs_quad", DEFAULT_GRID, "closed", "quad", tol)
 
 
 def _checks_special(tol_closed_quad):
@@ -90,41 +95,29 @@ def _checks_special(tol_closed_quad):
     for case in SpecialCase:
         sv = special_value(case).value
         out.append(_rec(f"special_vs_closed[{case.name}]", sv,
-                        malmsten_closed(Angle(case.value)).value, 1e-12))
+                        _value(case.value, "closed"), 1e-12))
         out.append(_rec(f"special_vs_quad[{case.name}]", sv,
-                        quad_eval(Angle(case.value)).value, tol_closed_quad))
+                        _value(case.value, "quad"), tol_closed_quad))
     form_a, form_b = two_pi_over_3_forms()
     out.append(_rec("two_pi_over_3_printed_forms", form_a, form_b, 1e-12))
     return out
 
 
 def _checks_vardi():
-    tan = quad_tan_form()
-    out = [
-        _rec("vardi_tan_vs_special", tan.value,
-             special_value(SpecialCase.PI_OVER_2).value, 1e-9),
-        _rec("vardi_tan_vs_quad", tan.value,
-             quad_eval(Angle(math.pi / 2)).value, 1e-9),
+    tan = _value(math.pi / 2, "quad-tan")
+    return [
+        _rec("vardi_tan_vs_special", tan, special_value(SpecialCase.PI_OVER_2).value, 1e-9),
+        _rec("vardi_tan_vs_quad", tan, _value(math.pi / 2, "quad"), 1e-9),
     ]
-    return out
 
 
 def _checks_series(tol_series):
-    out = []
-    for p in DEFAULT_GRID:
-        a = Angle(p)
-        if a.is_zero:
-            continue
-        out.append(
-            _rec(f"series_vs_closed[phi={_fmt(p)}]",
-                 series_eval(a).value, _closed_value(p), tol_series)
-        )
+    out = _routes("series_vs_closed", _REGULAR_GRID, "series", "closed", tol_series)
     # the unaccelerated partial sum at 10^4 terms must MISS 1e-5 at pi/2:
     # residual is (threshold - raw_error), negative when the demonstration holds
     theta = math.pi / 2 + math.pi
     raw = log_sine_partial(theta, 10_000)
-    exact = (math.sin(math.pi / 2) * malmsten_closed(Angle(math.pi / 2)).value
-             + EULER_GAMMA * math.pi / 4)
+    exact = math.sin(math.pi / 2) * _value(math.pi / 2, "closed") + EULER_GAMMA * math.pi / 4
     raw_err = abs(raw - exact)
     out.append(CheckRecord(
         name="series_raw_partial_misses_tolerance[phi=pi/2]",
@@ -216,10 +209,12 @@ def _checks_identity(tol_kummer):
             _rec(f"derived_identity[phi={_fmt(p)}]", series_side, closed_side, tol_kummer)
         )
         if not a.is_zero:
+            # assembled from the identity's own series side, not the series
+            # route, which would sum S a second time
             assembled = -(0.5 * EULER_GAMMA * p + series_side) / math.sin(p)
             out.append(
                 _rec(f"i3_assembly_vs_closed[phi={_fmt(p)}]",
-                     assembled, malmsten_closed(a).value, tol_kummer)
+                     assembled, _value(p, "closed"), tol_kummer)
             )
     return out
 
@@ -230,25 +225,18 @@ def _checks_reflection():
         t = -0.49 + 0.98 * (k + 0.5) / 100.0
         lhs, rhs = reflection_product(t)
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    out = [_rec("reflection_relative_residual_max", worst, 0.0, 1e-11)]
-    for p in DEFAULT_GRID:
-        a = Angle(p)
-        if a.is_zero:
-            continue
-        out.append(
-            _rec(f"reflected_form_vs_closed[phi={_fmt(p)}]",
-                 kummer_closed_eval(a).value, malmsten_closed(a).value, 1e-12)
-        )
-    return out
+    return ([_rec("reflection_relative_residual_max", worst, 0.0, 1e-11)]
+            + _routes("reflected_form_vs_closed", _REGULAR_GRID, "kummer", "closed", 1e-12))
 
 
 def _checks_zero(tol_closed_quad):
-    z = zero_limit().value
+    z = _value(0.0, "closed")
     eps = 1e-4
-    avg = 0.5 * (malmsten_closed(Angle(eps)).value + malmsten_closed(Angle(-eps)).value)
+    near = _value(eps, "closed")
+    avg = 0.5 * (near + _value(-eps, "closed"))
     return [
-        _rec("zero_limit_vs_quad", z, quad_eval(Angle(0.0)).value, tol_closed_quad),
-        _rec("zero_limit_continuity", z, malmsten_closed(Angle(eps)).value, 1e-8),
+        _rec("zero_limit_vs_quad", z, _value(0.0, "quad"), tol_closed_quad),
+        _rec("zero_limit_continuity", z, near, 1e-8),
         # I approaches its limit quadratically with curvature ~0.046, so the
         # +-1e-4 average sits ~4.6e-10 away from the limit; 1e-9 is the
         # tightest honest tolerance here
@@ -272,7 +260,8 @@ def run_checks(only=None, tol_closed_quad=1e-10, tol_series=1e-8, tol_kummer=1e-
         require_tol(tol)
     producers = {
         "closed_quad": lambda: _checks_closed_quad(tol_closed_quad),
-        "repr": lambda: _checks_repr(tol_closed_quad),
+        "repr": lambda: _routes("quad_unit_vs_exp", _REPR_GRID, "quad-unit", "quad",
+                                tol_closed_quad),
         "special": lambda: _checks_special(tol_closed_quad),
         "vardi": _checks_vardi,
         "series": lambda: _checks_series(tol_series),

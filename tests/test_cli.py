@@ -13,6 +13,7 @@ from malmsten import (
     Angle,
     Evaluation,
     Method,
+    SpecialCase,
     cli,
     evaluate,
     kummer_closed_eval,
@@ -233,6 +234,41 @@ def test_run_checks_gives_the_203_records_of_the_verify_contract():
     per_group = {group: run_checks(only=[group]) for group in verify.GROUPS}
     assert {group: len(rs) for group, rs in per_group.items()} == GROUP_SIZES
     assert [r for rs in per_group.values() for r in rs] == records
+
+
+# the groups that compare two routes over a grid: the prefix of their
+# records' names, the grid, and the lhs and rhs routes; values compare by
+# their bits, through float.hex
+ROUTE_PAIR_GROUPS = {
+    "closed_quad": ("closed_vs_quad", verify.DEFAULT_GRID, "closed", "quad"),
+    "repr": ("quad_unit_vs_exp", verify._REPR_GRID, "quad-unit", "quad"),
+    "series": ("series_vs_closed", verify._REGULAR_GRID, "series", "closed"),
+    "reflection": ("reflected_form_vs_closed", verify._REGULAR_GRID, "kummer", "closed"),
+}
+
+
+@pytest.mark.parametrize("group", ROUTE_PAIR_GROUPS)
+def test_route_pair_records_are_the_values_of_evaluate(group):
+    prefix, grid, lhs, rhs = ROUTE_PAIR_GROUPS[group]
+    records = [r for r in run_checks(only=[group]) if r.name.startswith(prefix + "[")]
+    assert [r.name for r in records] == [f"{prefix}[phi={p:+.6f}]" for p in grid]
+    for r, p in zip(records, grid):
+        assert r.lhs.hex() == evaluate(Angle(p), lhs).value.hex()
+        assert r.rhs.hex() == evaluate(Angle(p), rhs).value.hex()
+
+
+def test_special_and_vardi_records_take_their_routes_from_evaluate():
+    records = {r.name: r for r in run_checks(only=["special", "vardi"])}
+    for case in SpecialCase:
+        angle = Angle(case.value)
+        assert (records[f"special_vs_closed[{case.name}]"].rhs.hex()
+                == evaluate(angle, "closed").value.hex())
+        assert (records[f"special_vs_quad[{case.name}]"].rhs.hex()
+                == evaluate(angle, "quad").value.hex())
+    half_pi = Angle(math.pi / 2)
+    tan = records["vardi_tan_vs_quad"]
+    assert tan.lhs.hex() == evaluate(half_pi, "quad-tan").value.hex()
+    assert tan.rhs.hex() == evaluate(half_pi, "quad").value.hex()
 
 
 def test_verify_without_tolerance_flags_gives_the_records_of_run_checks(capsys):

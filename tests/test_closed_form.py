@@ -54,6 +54,16 @@ def test_special_value_matches_closed(case):
     assert abs(sv.value - cl.value) <= 1e-12
 
 
+@pytest.mark.parametrize("which", ["pi/2", 1.0, None])
+def test_special_value_refuses_anything_but_a_special_case(which, monkeypatch):
+    # refused before any log-gamma is taken
+    calls = []
+    monkeypatch.setattr(closed_form, "log_gamma", lambda x: calls.append(x) or 0.0)
+    with pytest.raises(DomainError):
+        special_value(which)
+    assert calls == []
+
+
 def test_two_pi_over_3_printed_forms_agree():
     form_a, form_b = two_pi_over_3_forms()
     assert abs(form_a - form_b) <= 1e-12

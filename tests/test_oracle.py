@@ -64,17 +64,20 @@ def jn_oracle(n):
         return -(mpmath.euler + mpmath.log(n + 1)) / (n + 1)
 
 
-def _error(value, phi):
+def _route_error(method, phi, tol=None):
+    """(|value - I|, est_error, |I|) of `evaluate(Angle(phi), method, tol)`."""
+    ev = evaluate(Angle(phi), method, tol)
     with mpmath.workdps(40):
-        return float(abs(mpmath.mpf(value) - oracle(phi)))
+        exact = oracle(phi)
+        return float(abs(mpmath.mpf(ev.value) - exact)), ev.est_error, float(abs(exact))
 
 
 @pytest.mark.parametrize("phi", [5e-7, -5e-7, 9.9e-7, -9.9e-7])
 @pytest.mark.parametrize("method", ["closed", "series", "kummer"])
 def test_zero_angle_reports_the_angle_and_an_honest_value(method, phi):
-    ev = evaluate(Angle(phi), method)
-    assert ev.phi == Angle(phi)
-    assert _error(ev.value, phi) <= ev.est_error
+    assert evaluate(Angle(phi), method).phi == Angle(phi)
+    err, est, _ = _route_error(method, phi)
+    assert err <= est
 
 
 @pytest.mark.parametrize("d", [1e-12, 1e-8, 1e-4, 1e-2])
@@ -83,26 +86,16 @@ def test_zero_angle_reports_the_angle_and_an_honest_value(method, phi):
 def test_closed_forms_keep_full_accuracy_near_pi(method, sign, d):
     # the small gamma argument (pi - |phi|)/(2 pi) must not be formed as
     # 1/2 - |phi|/(2 pi), which keeps only about log10(1/d) digits
-    phi = sign * (math.pi - d)
-    ev = evaluate(Angle(phi), method)
-    err = _error(ev.value, phi)
-    assert err <= ev.est_error
-    assert err <= 1e-15 * abs(ev.value)
-
-
-def _closed_error(phi):
-    """(|value - I|, est_error, |I|) of the closed route at phi."""
-    ev = evaluate(Angle(phi), "closed")
-    with mpmath.workdps(40):
-        exact = oracle(phi)
-        return float(abs(mpmath.mpf(ev.value) - exact)), ev.est_error, float(abs(exact))
+    err, est, exact = _route_error(method, sign * (math.pi - d))
+    assert err <= est
+    assert err <= 1e-15 * exact
 
 
 @ORACLE_SETTINGS
 @given(st.floats(min_value=ZERO_THRESHOLD, max_value=math.pi, exclude_max=True),
        st.sampled_from([1.0, -1.0]))
 def test_closed_estimate_holds_and_is_tight_everywhere(magnitude, sign):
-    err, est, exact = _closed_error(sign * magnitude)
+    err, est, exact = _route_error("closed", sign * magnitude)
     assert err <= est <= F_CLOSED * max(err, EPS * exact)
 
 
@@ -116,21 +109,15 @@ CLOSED_EDGE = [CLOSED_SPLIT * (1.0 - 1e-9), CLOSED_SPLIT * (1.0 + 1e-9),
 @pytest.mark.parametrize("phi", CLOSED_EDGE)
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_closed_estimate_is_tight_at_the_edge(sign, phi):
-    err, est, exact = _closed_error(sign * phi)
+    err, est, exact = _route_error("closed", sign * phi)
     assert err <= est <= F_CLOSED * max(err, EPS * exact)
-
-
-def _kummer_error(phi):
-    """(|value - I|, est_error) of the kummer route at phi."""
-    ev = evaluate(Angle(phi), "kummer")
-    return _error(ev.value, phi), ev.est_error
 
 
 @ORACLE_SETTINGS
 @given(st.floats(min_value=ZERO_THRESHOLD, max_value=math.pi, exclude_max=True),
        st.sampled_from([1.0, -1.0]))
 def test_kummer_estimate_holds_everywhere(magnitude, sign):
-    err, est = _kummer_error(sign * magnitude)
+    err, est, _ = _route_error("kummer", sign * magnitude)
     assert err <= est
 
 
@@ -138,29 +125,21 @@ def test_kummer_estimate_holds_everywhere(magnitude, sign):
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_kummer_estimate_holds_near_zero(sign, phi):
     # its closed side cancels to O(phi) and is divided by sin(phi)
-    err, est = _kummer_error(sign * phi)
+    err, est, _ = _route_error("kummer", sign * phi)
     assert err <= est
-
-
-def _series_error(phi):
-    """(|value - I|, est_error, |I|) of the series route at phi."""
-    ev = evaluate(Angle(phi), "series")
-    with mpmath.workdps(40):
-        exact = oracle(phi)
-        return float(abs(mpmath.mpf(ev.value) - exact)), ev.est_error, float(abs(exact))
 
 
 @ORACLE_SETTINGS
 @given(st.floats(min_value=1e-6, max_value=math.pi, exclude_max=True), st.sampled_from([1.0, -1.0]))
 def test_series_estimate_holds_everywhere(magnitude, sign):
-    err, est, _ = _series_error(sign * magnitude)
+    err, est, _ = _route_error("series", sign * magnitude)
     assert err <= est
 
 
 @pytest.mark.parametrize("phi", [1e-6, 2e-6, 1e-5, 1e-4, 1e-3, 3e-3, 1e-2])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_series_estimate_holds_near_zero(sign, phi):
-    err, est, _ = _series_error(sign * phi)
+    err, est, _ = _route_error("series", sign * phi)
     assert err <= est
 
 
@@ -169,7 +148,7 @@ def test_series_estimate_holds_near_zero(sign, phi):
 def test_series_estimate_holds_near_pi(sign, d):
     # at pi - 1e-8 the Euler-averaged series returned -3.8e13 where
     # I = -2.9e9, with an estimate of 3.0e13
-    err, est, _ = _series_error(sign * (math.pi - d))
+    err, est, _ = _route_error("series", sign * (math.pi - d))
     assert err <= est
 
 
@@ -177,7 +156,7 @@ def test_series_estimate_holds_near_pi(sign, d):
 @given(st.floats(min_value=1e-3, max_value=math.nextafter(math.pi, 0.0)),
        st.sampled_from([1.0, -1.0]))
 def test_series_estimate_is_tight_inside(magnitude, sign):
-    err, est, exact = _series_error(sign * magnitude)
+    err, est, exact = _route_error("series", sign * magnitude)
     assert err <= est <= F_SERIES * max(err, EPS * exact)
 
 
@@ -194,7 +173,7 @@ SERIES_EDGE = [math.pi - math.nextafter(math.pi, 0.0), 1e-15, 1e-12, 1e-8, 1e-4,
 @pytest.mark.parametrize("d", SERIES_EDGE)
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_series_estimate_is_tight_at_the_edge(sign, d):
-    err, est, exact = _series_error(sign * (math.pi - d))
+    err, est, exact = _route_error("series", sign * (math.pi - d))
     assert err <= est <= F_SERIES * max(err, EPS * exact)
 
 
@@ -207,7 +186,7 @@ def test_series_keeps_full_accuracy_past_the_crossover():
     gaps += [0.5 * (0.5 + 0.5 * rng.random()) for _ in range(50)]
     for d in gaps:
         for sign in (1.0, -1.0):
-            err, _, exact = _series_error(sign * (math.pi - d))
+            err, _, exact = _route_error("series", sign * (math.pi - d))
             assert err <= 1e-14 * exact
 
 
@@ -215,17 +194,11 @@ QUADRATURE = ["quad", "quad-unit"]
 QUAD_EDGE = math.pi - GUARD_BAND
 
 
-def _quad_error(method, phi, tol=None):
-    """(|value - I|, est_error) of a quadrature route at phi."""
-    ev = evaluate(Angle(phi), method, tol)
-    return _error(ev.value, phi), ev.est_error
-
-
 @ORACLE_SETTINGS
 @given(st.floats(min_value=0.0, max_value=QUAD_EDGE), st.sampled_from([1.0, -1.0]),
        st.sampled_from(QUADRATURE))
 def test_quadrature_estimate_holds_everywhere(magnitude, sign, method):
-    err, est = _quad_error(method, sign * magnitude)
+    err, est, _ = _route_error(method, sign * magnitude)
     assert err <= est
 
 
@@ -240,7 +213,7 @@ MISSED = [
 @pytest.mark.parametrize("phi", MISSED)
 @pytest.mark.parametrize("method", QUADRATURE)
 def test_quadrature_estimate_holds_where_it_missed(method, phi):
-    err, est = _quad_error(method, phi)
+    err, est, _ = _route_error(method, phi)
     assert err <= est
 
 
@@ -249,7 +222,7 @@ def test_quadrature_estimate_holds_where_it_missed(method, phi):
 @pytest.mark.parametrize("method", QUADRATURE)
 def test_quadrature_estimate_holds_at_other_tolerances(method, tol, phi):
     # the refinement stops at another level, and the estimate must hold there
-    err, est = _quad_error(method, phi, tol)
+    err, est, _ = _route_error(method, phi, tol)
     assert err <= est
 
 
@@ -266,14 +239,15 @@ def test_evaluate_meets_tol_or_raises(magnitude, sign, method, tol):
         assert math.isfinite(exc.best_estimate)
         return
     assert ev.est_error <= max(tol, tol * abs(ev.value))
-    assert _error(ev.value, phi) <= ev.est_error
+    err, est, _ = _route_error(method, phi, tol)
+    assert err <= est
 
 
 @pytest.mark.parametrize("phi", [0.0, 1e-12, 5e-7, 1e-4, 1e-2])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("method", QUADRATURE)
 def test_quadrature_estimate_holds_near_zero(method, sign, phi):
-    err, est = _quad_error(method, sign * phi)
+    err, est, _ = _route_error(method, sign * phi)
     assert err <= est
 
 
