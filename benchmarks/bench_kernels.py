@@ -14,11 +14,14 @@ branches that sum the series route's series, for each family of weights,
 the log-sine series of the series and Kummer routes and the sawtooth
 series, with the terms each sums: Euler's transformation for
 |phi| <= EULER_PHI, and Euler-Maclaurin past it.  Then times
-quad_eval and quad_unit_eval per point, and quad_jn at n = 0, 7 and 20:
-with every table emptied before each call (cold: each node and its
-numerator computed, and each strip's envelopes), and with every table
-filled (warm: one denominator and one divide per node, or one power and
-one multiply for J_n, plus the level driver).
+quad_eval and quad_unit_eval per point, quad_eval also at
+pi - 1.0001e-3, just inside the guard band, where it needs the most
+nodes, and quad_jn at n = 0, 7, 20 and 100, where y^n moves the mass of
+the integrand toward u = 0 and the nodes with it: with every table
+emptied before each call (cold: each node and its numerator computed,
+and each strip's envelopes), and with every table filled (warm: one
+denominator and one divide per node, or one power and one multiply for
+J_n, plus the level driver).
 Each point also prints the nodes its evaluation used and the entries a
 cold call left stored in each integrand table: a strip is stored whole
 the first time an evaluation reaches it, so the tables hold more nodes
@@ -111,11 +114,13 @@ def bench_quadrature(repeat):
     print("quadrature: us per point with empty tables (cold) and with every\n"
           "table filled (warm); the nodes used, and the entries one cold call\n"
           "left stored in each integrand table")
-    points = [(f"{name:<15} phi={phi:<4}", route, Angle(phi))
+    points = [(f"{name:<15} phi={phi:<15}", route, Angle(phi))
               for name, route in (("quad_eval", quadrature.quad_eval),
                                   ("quad_unit_eval", quadrature.quad_unit_eval))
               for phi in (0.5, 2.0, 2.9)]
-    points += [(f"{'quad_jn':<15} n={n:<6}", quadrature.quad_jn, n) for n in (0, 7, 20)]
+    points.append((f"{'quad_eval':<15} phi={'pi-1.0001e-3':<15}", quadrature.quad_eval,
+                   Angle(math.pi - 1.0001e-3)))
+    points += [(f"{'quad_jn':<15} n={n:<17}", quadrature.quad_jn, n) for n in (0, 7, 20, 100)]
     for label, route, arg in points:
 
         def cold(route=route, arg=arg):

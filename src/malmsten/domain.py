@@ -19,6 +19,12 @@ def require_tol(tol):
         raise DomainError(f"tol must be finite and > 0, got {tol!r}")
 
 
+def require_power(n):
+    """Reject a power n of J_n that is not finite and >= 0."""
+    if not (math.isfinite(n) and n >= 0):
+        raise DomainError(f"n must be finite and >= 0, got {n!r}")
+
+
 def require_regular(angle):
     """Reject a ZERO angle, where a route divides by sin(phi)."""
     if angle.is_zero:

@@ -2,17 +2,20 @@
 
 Primary scheme: double-exponential quadrature.  `quad_eval` integrates
 e^{-u} ln u / (1 + 2 e^{-u} cos phi + e^{-2u}) over (0, inf) as one
-exp-sinh piece, u = exp((pi/2) sinh t), whose nodes cluster double
-exponentially both at u = 0 (the ln u endpoint singularity) and toward
-infinity (the exponential decay).  `quad_unit_eval` applies tanh-sinh
-straight to ln ln(1/x) on (0, 1) as a structurally different second
-oracle.  Node count doubles per level; termination when two successive
-levels agree within `tol` (absolute or relative); past MAX_LEVEL a route
-raises NonConvergenceError with its best estimate, so a returned result
-has converged.  est_error is the larger of the last inter-level delta and
-a rounding floor of 2 EPS per term, 2 EPS h sum|terms|, which also covers
-cancellation in the node sum; `dispatch.evaluate` checks it against the
-caller's `tol`, as it does every route's.  Node
+exp-exp piece, u = exp(t - e^{-t}) (Takahasi & Mori 1974; Mori &
+Sugihara, J. Comput. Appl. Math. 127, 2001), whose nodes cluster double
+exponentially at u = 0 (the ln u endpoint singularity) and spread single
+exponentially toward infinity, where e^{-u} finishes the decay.
+`quad_unit_eval` applies tanh-sinh straight to ln ln(1/x) on (0, 1) as
+a structurally different second oracle.  Node count doubles per level;
+termination when two successive levels agree within `tol` (absolute or
+relative); past MAX_LEVEL a route raises NonConvergenceError with its
+best estimate, so a returned result has converged.  est_error is the
+larger of the last inter-level delta and a rounding floor of `ulps` EPS
+per term, ulps EPS h sum|terms|, which also covers cancellation in the
+node sum: ulps is 2, or 2 + n for the w y^n of `quad_jn`, where y^n
+carries the rounding of y n-fold.  `dispatch.evaluate` checks est_error
+against the caller's `tol`, as it does every route's.  Node
 sums use math.fsum (compensated accumulation): one per strip, and one over
 the strip sums per level.
 
@@ -28,10 +31,11 @@ quad-unit on (0, 1), "exp" for quad on (0, inf), and "tan" for quad-tan on
 (pi/4, pi/2).  Their entries are the phi-free triples (weight * numerator,
 y, 1 - y): y = x with numerator ln ln(1/x) for quad-unit, y = e^{-u} with
 numerator e^{-u} ln u for quad, and y = 0 for quad-tan.  A term rule turns
-entries into terms, one rule per kind: `_phi_terms` divides by the
-denominator at an angle, for quad, quad-unit and the pointwise integrands;
-`_power_terms(n)` gives (weight * numerator) y^n over a denominator of 1,
-for `quad_jn` on quad's table and, with n = 0, for quad-tan.
+entries into terms and bounds their rounding, one rule per kind:
+`_phi_terms` divides by the denominator at an angle, for quad, quad-unit
+and the pointwise integrands; `_power_terms(n)` gives (weight *
+numerator) y^n over a denominator of 1, for `quad_jn` on quad's table
+and, with n = 0, for quad-tan.
 A warm node so costs one denominator and one divide, with no log or exp.
 The first evaluation to reach a strip builds all of it, under a lock, so
 no entry is computed twice and no reader sees a part-built strip.
@@ -53,7 +57,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from itertools import starmap
 
-from .domain import Record, require_tol
+from .domain import Record, require_power, require_tol
 from .errors import DomainError, InternalInconsistencyError, NonConvergenceError
 from .special_functions import EPS
 
@@ -140,21 +144,26 @@ def _cut(strip, small_at, d_min):
 
 
 def _phi_terms(phi_val):
-    """The term rule (d_min, terms) at the angle phi_val: terms(entries) is
-    the list of wn / den, den = 1 + 2 y cos(phi) + y^2 from
+    """The term rule (d_min, terms, ulps) at the angle phi_val: terms(entries)
+    is the list of wn / den, den = 1 + 2 y cos(phi) + y^2 from
     `_denominator_parts`, with d_min <= den and (1 - y)^2 <= den; d_min is
-    sin^2 phi, or 1 where cos phi >= 0."""
+    sin^2 phi, or 1 where cos phi >= 0.  Each term carries at most ulps = 2
+    EPS of relative rounding."""
     c, s2, one_plus_c = _denominator_parts(phi_val)
     if c < -0.5:
         return s2, lambda entries: [wn / ((yc := one_plus_c - one_minus_y) * yc + s2)
-                                    for wn, _, one_minus_y in entries]
+                                    for wn, _, one_minus_y in entries], 2.0
     return (1.0 if c >= 0.0 else s2), lambda entries: [wn / ((yc := y + c) * yc + s2)
-                                                       for wn, y, _ in entries]
+                                                       for wn, y, _ in entries], 2.0
 
 
 def _power_terms(n):
-    """The term rule (d_min, terms) of wn y^n over a denominator of 1."""
-    return 1.0, lambda entries: [wn * y ** n for wn, y, _ in entries]
+    """The term rule (d_min, terms, ulps) of wn y^n over a denominator of 1.
+
+    A stored y is within 1 ulp, EPS relative, of its exact value, and y^n
+    carries that rounding n-fold: each term carries at most ulps = 2 + n
+    times EPS of relative rounding, the 2 of every term and n for y^n."""
+    return 1.0, lambda entries: [wn * y ** n for wn, y, _ in entries], 2.0 + n
 
 
 def _refine_levels(table, rule, tol):
@@ -162,14 +171,14 @@ def _refine_levels(table, rule, tol):
 
     `_strip_at(table, level, sign)` gives the strip of one level on one side
     of the centre (sign 0: the centre alone), whose entries are the phi-free
-    (weight * numerator, y, 1 - y) triples; the term rule (d_min, terms)
+    (weight * numerator, y, 1 - y) triples; the term rule (d_min, terms, ulps)
     makes their terms.  Each strip is summed up to its `_cut`, past which no
     term exceeds 1e-20 times the last level's total (or 1e-20), and each
     level's total is the fsum of the strip sums so far.  Raises
     NonConvergenceError if no level up to MAX_LEVEL meets `tol`.
     """
     require_tol(tol)
-    d_min, strip_terms = rule
+    d_min, strip_terms, ulps = rule
     terms = []  # every term summed, for the node count and the rounding floor
     sums = []  # one fsum per strip
     total = 0.0
@@ -191,10 +200,10 @@ def _refine_levels(table, rule, tol):
         est = abs(new_value - value)
         value = new_value
         if level and est <= max(tol, tol * abs(value)):
-            # each term carries a few ulps of rounding, and the node sum
-            # can cancel: a floor of 2 EPS per term bounds both, where the
+            # each term carries `ulps` EPS of rounding, and the node sum
+            # can cancel: a floor of ulps EPS per term bounds both, where the
             # inter-level delta (which can be 0) does not
-            est = max(est, 2.0 * EPS * h * sum(map(abs, terms)))
+            est = max(est, ulps * EPS * h * sum(map(abs, terms)))
             return QuadResult(value, est, len(terms))
     raise NonConvergenceError(
         f"quadrature did not converge (best estimate {value!r})",
@@ -219,14 +228,16 @@ def _tanh_sinh_node(a, b, t):
     return 0.5 * width * w, a + near, near, far
 
 
-def _exp_sinh_node(t):
-    g = 0.5 * math.pi * math.sinh(t)
+def _exp_exp_node(t):
+    # u = exp(t - e^{-t}), du/dt = u (1 + e^{-t})
+    e = math.exp(-t)
+    g = t - e
     if g > 690.0:
         return None
-    eg = math.exp(g)
-    if eg < _Q_MIN:
+    u = math.exp(g)
+    if u < _Q_MIN:
         return None
-    return 0.5 * math.pi * math.cosh(t) * eg, eg, eg, None
+    return u * (1.0 + e), u, u, None
 
 
 def _denominator_parts(phi_val):
@@ -269,7 +280,7 @@ def _tan_numerator(weight, y, da, db):
 # table -> (node function of t: (weight, x, dist_a, dist_b) or None, numerator)
 _TABLES = {
     "unit": (lambda t: _tanh_sinh_node(0.0, 1.0, t), _unit_numerator),
-    "exp": (_exp_sinh_node, _exp_numerator),
+    "exp": (_exp_exp_node, _exp_numerator),
     "tan": (lambda t: _tanh_sinh_node(math.pi / 4, math.pi / 2, t), _tan_numerator),
 }
 
@@ -278,7 +289,7 @@ def integrand_unit(x, phi):
     """ln ln(1/x) / (1 + 2 x cos phi + x^2), pointwise."""
     if not 0.0 < x < 1.0:
         raise DomainError(f"x must lie strictly in (0, 1), got {x!r}")
-    _, terms = _phi_terms(phi.phi)
+    _, terms, _ = _phi_terms(phi.phi)
     return terms([_unit_numerator(1.0, x, x, 1.0 - x)])[0]
 
 
@@ -286,7 +297,7 @@ def integrand_exp(u, phi):
     """e^{-u} ln u / (1 + 2 e^{-u} cos phi + e^{-2u}), pointwise."""
     if not u > 0.0:
         raise DomainError(f"u must be positive, got {u!r}")
-    _, terms = _phi_terms(phi.phi)
+    _, terms, _ = _phi_terms(phi.phi)
     return terms([_exp_numerator(1.0, u, u, None)])[0]
 
 
@@ -328,6 +339,5 @@ def quad_jn(n, tol=TOL):
     Its terms are w y^n from quad's own strips, whose entries are
     (w, y) = (weight * e^{-u} ln u, e^{-u}): no log or exp once they are stored.
     """
-    if n < 0:
-        raise DomainError("n must be >= 0")
+    require_power(n)
     return _refine_levels("exp", _power_terms(n), tol)

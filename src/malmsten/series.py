@@ -32,8 +32,7 @@ from bisect import bisect_left
 from itertools import accumulate, repeat
 from operator import mul
 
-from .domain import Evaluation, Method, require_regular
-from .errors import DomainError
+from .domain import Evaluation, Method, require_power, require_regular
 from .special_functions import EPS, EULER_GAMMA, pi_gap, stop_table
 
 # Up to this |phi| a series is summed by Euler's transformation, where
@@ -111,8 +110,7 @@ _TAIL_CUT = 1e-20
 
 def j_n(n):
     """J_n = integral_0^1 x^n ln ln(1/x) dx = -(gamma + ln(n+1))/(n+1)."""
-    if n < 0:
-        raise DomainError("n must be >= 0")
+    require_power(n)
     return -(EULER_GAMMA + math.log(n + 1)) / (n + 1)
 
 

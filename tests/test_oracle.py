@@ -252,8 +252,11 @@ def test_quadrature_estimate_holds_near_zero(method, sign, phi):
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-12, 1e-15])
-@pytest.mark.parametrize("n", range(30))
+@pytest.mark.parametrize("n", list(range(30)) + [34, 40, 100, 200, 1000, 10**5, 10**6])
 def test_quad_jn_estimate_holds(n, tol):
+    # y^n amplifies the rounding of y = e^{-u} n-fold: with a floor of 2 EPS
+    # per term alone, the estimate missed from n = 34 on, and at 10**5 and
+    # 10**6 by a factor of up to 2
     r = quad_jn(n, tol)
     with mpmath.workdps(40):
         err = float(abs(mpmath.mpf(r.value) - jn_oracle(n)))

@@ -70,8 +70,13 @@ def test_coeff_witness_is_its_definition(p):
 def test_jn_closed_values():
     assert abs(j_n(0) + EULER_GAMMA) < 1e-15
     assert abs(j_n(1) + 0.5 * (EULER_GAMMA + math.log(2.0))) < 1e-15
-    with pytest.raises(DomainError):
-        j_n(-1)
+
+
+def test_jn_domain():
+    # j_n(nan) and j_n(inf) once returned nan
+    for n in (-1, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            j_n(n)
 
 
 @pytest.mark.parametrize("phi", SAWTOOTH_ANGLES)
