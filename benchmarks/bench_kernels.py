@@ -29,7 +29,8 @@ than it used.  Then times one `evaluate` of each method at a fixed phi
 (quad-tan at pi/2) three ways: with tol=None, with a tol the route meets
 there, and as the bare route call, with no dispatch and no tolerance
 rule.  Then times each `verify` check group,
-`run_checks(only=[group])`, in this process, and all of them together.
+`run_checks(only=[group])`, in this process, with its share of the
+groups' sum, and all of them together.
 Last, times the construction of the records every evaluation builds,
 `Angle(phi)` and `Evaluation(...)` by position and by keyword, and a cold
 `import malmsten.cli` in a fresh child interpreter (`python -I`).
@@ -167,13 +168,14 @@ def bench_evaluate(repeat):
 
 
 def bench_verify(repeat):
-    print("verify: best time per run of each check group, run_checks(only=[group])")
-    total = 0.0
-    for group in verify.GROUPS:
-        best = min(timeit.repeat(lambda: verify.run_checks(only=[group]),
-                                 number=1, repeat=repeat))
-        total += best
-        print(f"  {group:<12} {best * 1e3:9.3f} ms")
+    print("verify: best time per run of each check group, run_checks(only=[group]),\n"
+          "and its share of the groups' sum")
+    best = {group: min(timeit.repeat(lambda group=group: verify.run_checks(only=[group]),
+                                     number=1, repeat=repeat))
+            for group in verify.GROUPS}
+    total = sum(best.values())
+    for group, t in best.items():
+        print(f"  {group:<12} {t * 1e3:9.3f} ms {t / total:6.1%}")
     print(f"  {'sum':<12} {total * 1e3:9.3f} ms")
 
 

@@ -9,8 +9,9 @@ exponentially toward infinity, where e^{-u} finishes the decay.
 `quad_unit_eval` applies tanh-sinh straight to ln ln(1/x) on (0, 1) as
 a structurally different second oracle.  Node count doubles per level;
 termination when two successive levels agree within `tol` (absolute or
-relative); past MAX_LEVEL a route raises NonConvergenceError with its
-best estimate, so a returned result has converged.  est_error is the
+relative), for `quad_jn` only from the first level fine enough for the
+peak of its integrand; past MAX_LEVEL a route raises NonConvergenceError
+with its best estimate, so a returned result has converged.  est_error is the
 larger of the last inter-level delta and a rounding floor of `ulps` EPS
 per term, ulps EPS h sum|terms|, which also covers cancellation in the
 node sum: ulps is 2, or 2 + n for the w y^n of `quad_jn`, where y^n
@@ -166,7 +167,7 @@ def _power_terms(n):
     return 1.0, lambda entries: [wn * y ** n for wn, y, _ in entries], 2.0 + n
 
 
-def _refine_levels(table, rule, tol):
+def _refine_levels(table, rule, tol, first_level=1):
     """Shared level driver: trapezoid in t, node doubling per level.
 
     `_strip_at(table, level, sign)` gives the strip of one level on one side
@@ -174,7 +175,8 @@ def _refine_levels(table, rule, tol):
     (weight * numerator, y, 1 - y) triples; the term rule (d_min, terms, ulps)
     makes their terms.  Each strip is summed up to its `_cut`, past which no
     term exceeds 1e-20 times the last level's total (or 1e-20), and each
-    level's total is the fsum of the strip sums so far.  Raises
+    level's total is the fsum of the strip sums so far.  The delta between
+    two levels may stop the refinement from `first_level` on.  Raises
     NonConvergenceError if no level up to MAX_LEVEL meets `tol`.
     """
     require_tol(tol)
@@ -199,7 +201,7 @@ def _refine_levels(table, rule, tol):
         new_value = h * total
         est = abs(new_value - value)
         value = new_value
-        if level and est <= max(tol, tol * abs(value)):
+        if level >= first_level and est <= max(tol, tol * abs(value)):
             # each term carries `ulps` EPS of rounding, and the node sum
             # can cancel: a floor of ulps EPS per term bounds both, where the
             # inter-level delta (which can be 0) does not
@@ -333,11 +335,28 @@ def quad_tan_form(tol=TOL):
     return _refine_levels("tan", _power_terms(0), tol)
 
 
+# The first level whose inter-level delta may stop `quad_jn` at power n is
+# 1 + bisect_left(_JN_FIRST_LEVEL_AT, n + 1): the first L >= 1 with
+# n + 1 <= e^(2^L - 2), that is with a step h = 2^-L of at most
+# 1/(2 + ln(n+1)).  The mass of e^{-(n+1)u} ln u sits at u ~ 1/(n+1), in a
+# peak about one unit wide in s = ln u, and on the exp-exp map ds/dt =
+# 1 + e^{-t}, which there, where e^{-t} = t + ln(n+1) and t < 0.57, is below
+# 2 + ln(n+1).  So from level L on a step in t is at most 1 in s, and the
+# levels resolve the peak; coarser levels can step over it, two of them can
+# then agree on a value without it, and their delta is no estimate.
+_JN_FIRST_LEVEL_AT = tuple(math.exp(2.0 ** level - 2.0) for level in range(1, 7))
+
+
 def quad_jn(n, tol=TOL):
     """J_n = integral_0^1 x^n ln ln(1/x) dx, via the e^{-(n+1)u} ln u form.
 
     Its terms are w y^n from quad's own strips, whose entries are
     (w, y) = (weight * e^{-u} ln u, e^{-u}): no log or exp once they are stored.
+    Raises DomainError from n = 1/EPS on, where the rounding of y, carried
+    n-fold by y^n, leaves no correct digit.
     """
     require_power(n)
-    return _refine_levels("exp", _power_terms(n), tol)
+    if n * EPS >= 1.0:
+        raise DomainError(f"n must be below 1/EPS = {1.0 / EPS:.4g} for quad_jn, got {n!r}")
+    first_level = 1 + bisect_left(_JN_FIRST_LEVEL_AT, n + 1)
+    return _refine_levels("exp", _power_terms(n), tol, first_level)

@@ -27,6 +27,7 @@ tol, the route's own record.  The groups compare, lhs against rhs:
 import math
 import random
 from collections import namedtuple
+from itertools import accumulate
 
 from .closed_form import SpecialCase, special_value, two_pi_over_3_forms
 from .dispatch import evaluate
@@ -130,30 +131,57 @@ def _checks_series(tol_series):
     return out
 
 
-def _coeff_residuals(p):
-    """The worst scaled residuals over n = 0 .. 200 of a_n = sin((n+1) p)/sin p,
-    the coefficient of (-1)^n x^n in 1/(1 + 2 x cos p + x^2): against its
-    definition sum_{k=0}^{n} cos((n - 2k) p), and against the Chebyshev
-    recurrence a_n = 2 cos(p) a_{n-1} - a_{n-2}.
+def _exact_scale(terms):
+    """The k for which 2^k x is an exact integer for every double x in `terms`.
+
+    A nonzero double x with frexp exponent e is an integer multiple of
+    2^(e - 53), its last place, and so of 2^(e' - 53) for any e' <= e.  So
+    k = 53 - e for the smallest nonzero |x| serves every term; ldexp(x, k)
+    only shifts the exponent, exactly, while it stays finite.
+    """
+    return 53 - math.frexp(min(map(abs, filter(None, terms))))[1]
+
+
+def _coeff_definitions(p):
+    """The definition of a_n, sum_{k=0}^{n} cos((n - 2k) p), for n = 0 .. 200,
+    each bitwise fsum over its n + 1 cosines.
 
     The definition's terms pair up as cos(j p) + cos(-j p) = 2 cos(j p) for
     j = n, n - 2, ... > 0, plus cos(0) = 1 when n is even.  (-j) p is -(j p)
     exactly, cos is even and doubling is exact, so one table d[0] = 1,
-    d[j] = 2 cos(j p) serves every n: fsum(d[n % 2 : n + 1 : 2]) is the
-    correctly rounded sum of the same real terms, bitwise equal to fsum over
-    the definition's n + 1 cosines.
+    d[j] = 2 cos(j p) serves every n: the definition at n is the exact sum
+    of the parity chain d[n % 2], d[n % 2 + 2], ..., d[n].  Each chain is
+    summed once, as running sums of the integers 2^k d[j], k =
+    `_exact_scale(d)`; these stay finite, as |d[j]| <= 2 and no double lies
+    within 2^-61 of an odd multiple of pi/2, so |d[j]| > 2^-60 and k < 115.
+    Integer sums are exact, and CPython's int / int true division rounds the
+    exact quotient correctly, to nearest with ties to even, as fsum rounds
+    the exact sum: each sum / 2^k is bitwise fsum over the n + 1 cosines.
+    """
+    doubled = [1.0] + [2.0 * math.cos(j * p) for j in range(1, 201)]
+    k = _exact_scale(doubled)
+    scaled = [int(math.ldexp(d, k)) for d in doubled]
+    one = 1 << k
+    sums = [0.0] * 201
+    sums[0::2] = [s / one for s in accumulate(scaled[0::2])]
+    sums[1::2] = [s / one for s in accumulate(scaled[1::2])]
+    return sums
+
+
+def _coeff_residuals(p):
+    """The worst scaled residuals over n = 0 .. 200 of a_n = sin((n+1) p)/sin p,
+    the coefficient of (-1)^n x^n in 1/(1 + 2 x cos p + x^2): against its
+    definition, `_coeff_definitions(p)`, and against the Chebyshev
+    recurrence a_n = 2 cos(p) a_{n-1} - a_{n-2}.
     """
     sin_p = math.sin(p)
     two_cos = 2.0 * math.cos(p)
-    doubled = [1.0] + [2.0 * math.cos(j * p) for j in range(1, 201)]
-    worst_brute = worst_cheb = 0.0
-    prev2 = prev1 = None
-    for n in range(201):
-        a = math.sin((n + 1) * p) / sin_p
-        worst_brute = max(worst_brute, abs(a - math.fsum(doubled[n % 2:n + 1:2])) / (n + 1))
-        if n >= 2:
-            worst_cheb = max(worst_cheb, abs(a - (two_cos * prev1 - prev2)) / (n + 1))
-        prev2, prev1 = prev1, a
+    a = [math.sin(m * p) / sin_p for m in range(1, 202)]
+    worst_brute = max([abs(an - bn) / m
+                       for m, an, bn in zip(range(1, 202), a, _coeff_definitions(p))])
+    # a[n], a[n - 1], a[n - 2] for n = 2 .. 200, scaled by m = n + 1
+    worst_cheb = max([abs(an - (two_cos * a1 - a2)) / m
+                      for m, an, a1, a2 in zip(range(3, 202), a[2:], a[1:], a)])
     return worst_brute, worst_cheb
 
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malmsten import Angle, Method, NonConvergenceError, evaluate
+from malmsten import Angle, DomainError, Method, NonConvergenceError, evaluate
 from malmsten.closed_form import CLOSED_SPLIT
 from malmsten.domain import ZERO_THRESHOLD
 from malmsten.quadrature import GUARD_BAND, quad_jn
@@ -251,12 +251,47 @@ def test_quadrature_estimate_holds_near_zero(method, sign, phi):
     assert err <= est
 
 
-@pytest.mark.parametrize("tol", [1e-9, 1e-12, 1e-15])
-@pytest.mark.parametrize("n", list(range(30)) + [34, 40, 100, 200, 1000, 10**5, 10**6])
+# quad-tan's est / max(err, EPS |I|) at pi/2, its one angle, scanned at tol
+# None (1e-12), 1e-9, 1e-12, 1e-14 and 1e-15: 5.77e3 up to 1e-12, where 56
+# nodes return the last inter-level delta, 3.46e-13, for an error of
+# 7.1e-18, and 5.30 at 1e-14 and 1e-15 (112 nodes).  Tols of 1e-6 and above
+# stop at 28 nodes with an F of 1.96e6 and are not gated.  F_TAN only goes
+# down from here.
+F_TAN = 6e3
+
+
+@pytest.mark.parametrize("tol", [None, 1e-9, 1e-12, 1e-14, 1e-15])
+def test_quad_tan_estimate_holds_and_is_tight(tol):
+    err, est, exact = _route_error("quad-tan", math.pi / 2, tol)
+    assert err <= est <= F_TAN * max(err, EPS * exact)
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-9, 1e-12, 1e-15])
+@pytest.mark.parametrize("n", list(range(30)) + [34, 40, 100, 200, 1000, 10**5, 10**6,
+                                                 17782794, 10**11])
 def test_quad_jn_estimate_holds(n, tol):
     # y^n amplifies the rounding of y = e^{-u} n-fold: with a floor of 2 EPS
     # per term alone, the estimate missed from n = 34 on, and at 10**5 and
-    # 10**6 by a factor of up to 2
+    # 10**6 by a factor of up to 2.  The mass of the integrand sits at
+    # u ~ 1/(n + 1): when the first levels were trusted, two of them could
+    # step over it and agree, and at tol 1e-3 the estimate missed at
+    # n = 1000, 10**5, 17782794 (by 4.1e3) and 10**11 (by 144)
+    r = quad_jn(n, tol)
+    with mpmath.workdps(40):
+        err = float(abs(mpmath.mpf(r.value) - jn_oracle(n)))
+    assert err <= r.est_error
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12, 1e-15])
+@pytest.mark.parametrize("n", [10**12, 10**14, 10**17, 10**20])
+def test_quad_jn_estimate_holds_or_refuses_at_huge_n(n, tol):
+    # below 1/EPS the estimate holds (at the default tol it once missed by
+    # 359 at 10**12 and by 14.6 at 10**17, and 10**20 returned 0 with an
+    # estimate of 0); from 1/EPS on, y^n of a rounded y keeps no digit
+    if n * EPS >= 1.0:
+        with pytest.raises(DomainError):
+            quad_jn(n, tol)
+        return
     r = quad_jn(n, tol)
     with mpmath.workdps(40):
         err = float(abs(mpmath.mpf(r.value) - jn_oracle(n)))

@@ -67,6 +67,35 @@ def test_coeff_witness_is_its_definition(p):
     assert verify._coeff_residuals(p)[0] == worst
 
 
+# verify's 20 angles, and edges: near 0 and near pi, and multiples of pi/6,
+# where cos(j p) or sin((n+1) p) vanish in real arithmetic
+COEFF_ANGLES = _verify_angles() + [0.01, -0.01, math.pi / 2, math.pi / 3, 2 * math.pi / 3,
+                                   3.0, 1e-3]
+
+
+def _doubled(p):
+    return [1.0] + [2.0 * math.cos(j * p) for j in range(1, 201)]
+
+
+@pytest.mark.parametrize("p", COEFF_ANGLES)
+def test_coeff_definitions_are_fsum_at_every_n(p):
+    # every running sum of both parity chains, not only the worst residual,
+    # is bitwise fsum over the definition's n + 1 cosines
+    expected = [math.fsum(math.cos((n - 2 * k) * p) for k in range(n + 1)).hex()
+                for n in range(201)]
+    assert [s.hex() for s in verify._coeff_definitions(p)] == expected
+
+
+@pytest.mark.parametrize("terms", [_doubled(p) for p in COEFF_ANGLES]
+                         + [[1.0, 0.0, 3 * 2.0**-60, -(2.0**-52), -1.5, 2.0]])
+def test_exact_scale_makes_every_term_an_integer(terms):
+    k = verify._exact_scale(terms)
+    scaled = [math.ldexp(x, k) for x in terms]
+    assert all(s.is_integer() for s in scaled)
+    assert [int(s) / (1 << k) for s in scaled] == terms
+    assert k < 115
+
+
 def test_jn_closed_values():
     assert abs(j_n(0) + EULER_GAMMA) < 1e-15
     assert abs(j_n(1) + 0.5 * (EULER_GAMMA + math.log(2.0))) < 1e-15
