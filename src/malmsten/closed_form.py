@@ -33,7 +33,7 @@ import enum
 import math
 from bisect import bisect_left
 
-from .domain import Angle, Evaluation, Method, require_regular
+from .domain import Angle, Evaluation, Method
 from .errors import DomainError, InternalInconsistencyError
 from .special_functions import EPS, LN_TWO_PI, gamma_gap, log_gamma, stop_table
 
@@ -98,8 +98,7 @@ class SpecialCase(enum.Enum):
 
 
 def malmsten_closed(phi):
-    """I(phi) by the odd-zeta series of the bracket; REGULAR angles only
-    (use zero_limit at phi ~ 0).
+    """I(phi) by the odd-zeta series of the bracket, at every angle.
 
     With a = |t| and x = a^2, the bracket is ln(pi/2) - gamma - (A + P), A
     the closed part of the split branch (0 on the direct one) and P the K
@@ -119,7 +118,6 @@ def malmsten_closed(phi):
     - the literal ln(pi/2) - gamma takes u, the bracket's subtraction u,
       and sin, the divide and the product 4u of the bracket.
     """
-    require_regular(phi)
     p = phi.phi
     ap = abs(p)
     a = ap * _INV_TWO_PI
@@ -139,7 +137,8 @@ def malmsten_closed(phi):
         poly = poly * x + c
     poly *= x
     bracket = _BRACKET_0 - (part + poly)
-    f = 0.5 * p / math.sin(p)
+    # p/sin(p) first, so that no subnormal p underflows; 1 at p = 0
+    f = 0.5 * (p / math.sin(p)) if p else 0.5
     r = 1.0 / (1.0 - q * x)
     truncation = coef[k] * x ** (k + 1) * r
     rounding = 0.5 * EPS * (-_BRACKET_0 + 5.0 * abs(bracket) + (1.0 + 7.0 * r * r) * poly + mag)

@@ -83,16 +83,22 @@ def kummer_partial(x, n_terms):
 
 
 def derived_closed_side(phi):
-    """Closed side of the log-sine sum identity, via log_gamma."""
+    """Closed side of the log-sine sum identity, via log_gamma.
+
+    It is odd in phi: with t = phi/(2 pi), the sides at phi and -phi sum to
+    pi ln[Gamma(1/2 - t) Gamma(1/2 + t) cos(pi t)/pi] = 0 by the reflection
+    formula.  So it is taken at |phi|, where the gamma argument
+    gamma_gap(|phi|) tends to 0 as |phi| -> pi, and negated for phi < 0.
+    """
     p = phi.phi
-    # the gamma argument tends to 0 as phi -> pi, to 1 as phi -> -pi
-    x = gamma_gap(p) if p > 0.0 else 0.5 - p / (2.0 * math.pi)
-    return (
-        math.pi * log_gamma(x)
-        - 0.5 * p * (EULER_GAMMA + LN_TWO_PI)
+    a = abs(p)
+    side = (
+        math.pi * log_gamma(gamma_gap(a))
+        - 0.5 * a * (EULER_GAMMA + LN_TWO_PI)
         - 0.5 * math.pi * LN_PI
-        + 0.5 * math.pi * math.log(math.cos(0.5 * p))
+        + 0.5 * math.pi * math.log(math.cos(0.5 * a))
     )
+    return side if p >= 0.0 else -side
 
 
 def derived_sum_identity(phi):
@@ -108,8 +114,9 @@ def kummer_closed_eval(phi):
     """I(phi) assembled from the identity's closed side (pre-reflection form).
 
     This is the route that closes the derivation: it uses a single
-    log-gamma at 1/2 - phi/(2 pi) plus ln cos(phi/2), and must agree with
-    the reflected two-gamma closed form.
+    log-gamma at 1/2 - |phi|/(2 pi) plus ln cos(phi/2), and must agree with
+    the reflected two-gamma closed form.  Its value at -phi is bitwise its
+    value at phi.
     """
     require_regular(phi)
     p = phi.phi

@@ -11,6 +11,7 @@ from malmsten.closed_form import malmsten_closed
 from malmsten.domain import Angle, Method
 from malmsten.errors import DomainError, ZeroAngleError
 from malmsten.kummer import (
+    derived_closed_side,
     derived_sum_identity,
     kummer_closed_eval,
     kummer_partial,
@@ -133,6 +134,15 @@ def test_reflected_form_vs_closed():
         ev = kummer_closed_eval(Angle(phi))
         assert ev.method is Method.KUMMER
         assert abs(ev.value - malmsten_closed(Angle(phi)).value) <= 1e-12
+
+
+@pytest.mark.parametrize("phi", IDENTITY_GRID + [1e-6, math.pi - 1e-12])
+def test_closed_side_is_odd_and_kummer_even_bitwise(phi):
+    # the closed side is taken at |phi| and negated for phi < 0
+    if abs(phi) < 1e-6:
+        return
+    assert derived_closed_side(Angle(-phi)) == -derived_closed_side(Angle(phi))
+    assert kummer_closed_eval(Angle(-phi)).value == kummer_closed_eval(Angle(phi)).value
 
 
 def test_reflected_form_zero_angle():
