@@ -9,7 +9,8 @@ with a finite best estimate whose error its est_error bounds.  Outside its
 domain a route refuses with DomainError.  One derandomized property draws
 |phi| and the sign over each domain; one sorted edge list holds the angles
 next to 0, the crossovers, the angles next to pi and those where a
-quadrature estimate once missed.
+quadrature estimate once missed.  Five named groups of edge cases run
+the gate's checks at the one tol each names.
 
 Beside the gate: the accuracy of the closed forms next to pi and of the
 series past its crossover, malmsten_closed called at ZERO angles, and the
@@ -66,25 +67,37 @@ ROUTES = {
     "kummer": Route(0.0, BELOW_PI, BOTH, 5.8e6, None),
 }
 
+# Angles where a quadrature estimate once fell short of its error: with the
+# rounding floor EPS * max(1, |value|), or with the numerators stored before
+# the floor counted every term (2.8061223861205504).
+MISSED = [
+    2.7698011298506855, 2.8061223861205504, 3.12955, -3.12955, 3.13964889296543,
+    -3.1403210616229793, math.pi - 1.0001e-3, -(math.pi - 1.0001e-3)]
+
+# pi - |phi| for series at the last float below pi, deep in the
+# Euler-Maclaurin branch, at the old stride cap (0.026), on both sides of
+# the former crossovers 0.25 and 0.5, now inside the branch, and on both
+# sides of the crossover |phi| = EULER_PHI.
+SERIES_EDGE = [math.pi - BELOW_PI, 1e-15, 1e-12, 1e-8, 1e-4, 0.026,
+               0.25 * (1.0 - 1e-9), 0.25 * (1.0 + 1e-9),
+               0.5 * (1.0 - 1e-9), 0.5 * (1.0 + 1e-9),
+               math.pi - EULER_PHI * (1.0 + 1e-9), math.pi - EULER_PHI * (1.0 - 1e-9)]
+
 # |phi| next to 0, where ZERO angles end; the crossovers of closed and
 # series, and pi - 0.25, pi - 0.5 and pi - 0.026, where series once
 # switched or capped its stride; the interior angles of the series and
 # quadrature checks; pi - d next to pi, down to the last float below pi;
-# the angles where a quadrature estimate once fell short of its error,
-# with the rounding floor EPS max(1, |value|), or with the numerators stored
-# before the floor counted every term (2.8061223861205504); and the |phi|
-# where the F of closed, series, kummer, quad and quad-unit is at its worst.
+# MISSED; and the |phi| where the F of closed, series, kummer, quad and
+# quad-unit is at its worst.
 EDGES = sorted({
     0.0, 1e-12, 5e-7, 9.9e-7, 1e-6, ZERO_THRESHOLD * (1.0 + 1e-9), 2e-6, 1e-5, 1e-4, 1e-3,
     3e-3, 1e-2,
     CLOSED_SPLIT * (1.0 - 1e-9), CLOSED_SPLIT * (1.0 + 1e-9),
     EULER_PHI * (1.0 - 1e-9), EULER_PHI * (1.0 + 1e-9),
-    *(math.pi - d for d in (0.25 * (1.0 - 1e-9), 0.25 * (1.0 + 1e-9), 0.5 * (1.0 - 1e-9),
-                            0.5 * (1.0 + 1e-9), 0.026)),
+    *(math.pi - d for d in SERIES_EDGE),
     0.1, 0.5, math.pi / 3, math.pi / 2, 2.0, 2 * math.pi / 3, 2.36, 2.9, 3.05,
-    *(math.pi - d for d in (0.25, 1e-2, 1e-3, 1e-4, 1e-8, 1e-12, 1e-15, math.pi - BELOW_PI)),
-    2.7698011298506855, 2.8061223861205504, 3.12955, 3.13964889296543, 3.1403210616229793,
-    math.pi - 1.0001e-3,
+    *(math.pi - d for d in (0.25, 1e-2, 1e-3)),
+    *(abs(phi) for phi in MISSED),
     1.0500351271565833, 4.822946711685607e-06, 8.143156220023098e-06, 0.00030459934857474536,
     0.4817404765022452})
 
@@ -125,8 +138,8 @@ def _error(value, exact):
         return float(abs(mpmath.mpf(value) - exact))
 
 
-def _gate(route, magnitude, sign):
-    """Every check of the gate on `route` at phi = sign * magnitude."""
+def _gate(route, magnitude, sign, tols=TOLS):
+    """Every check of the gate on `route` at phi = sign * magnitude, at each of `tols`."""
     r = ROUTES[route]
     phi = sign * magnitude
     if not (r.lo <= magnitude <= r.hi and sign in r.signs):
@@ -135,7 +148,7 @@ def _gate(route, magnitude, sign):
         return
     exact = oracle(phi)
     size = float(abs(exact))
-    for tol in TOLS:
+    for tol in tols:
         try:
             ev = evaluate(Angle(phi), route, tol)
         except NonConvergenceError as exc:
@@ -166,6 +179,43 @@ def test_estimates_hold_everywhere(route, data):
 def test_estimates_hold_at_the_edges(route, magnitude):
     for sign in BOTH:
         _gate(route, magnitude, sign)
+
+
+# Named groups of edge cases, each through the gate's checks at the one tol
+# it names.
+QUADRATURE = ["quad", "quad-unit"]
+
+
+@pytest.mark.parametrize("phi", MISSED)
+@pytest.mark.parametrize("method", QUADRATURE)
+def test_quadrature_estimate_holds_where_it_missed(method, phi):
+    _gate(method, abs(phi), math.copysign(1.0, phi), (None,))
+
+
+@pytest.mark.parametrize("phi", MISSED + [0.0, 1e-12])
+@pytest.mark.parametrize("tol", [1e-9, 1e-15])
+@pytest.mark.parametrize("method", QUADRATURE)
+def test_quadrature_estimate_holds_at_other_tolerances(method, tol, phi):
+    # the refinement stops at another level, and the estimate must hold there
+    _gate(method, abs(phi), math.copysign(1.0, phi), (tol,))
+
+
+@pytest.mark.parametrize("phi", [0.0, 1e-12, 5e-7, 1e-4, 1e-2])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("method", QUADRATURE)
+def test_quadrature_estimate_holds_near_zero(method, sign, phi):
+    _gate(method, phi, sign, (None,))
+
+
+@pytest.mark.parametrize("d", SERIES_EDGE)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_series_estimate_is_tight_at_the_edge(sign, d):
+    _gate("series", math.pi - d, sign, (None,))
+
+
+@pytest.mark.parametrize("tol", [None, 1e-9, 1e-12, 1e-14, 1e-15])
+def test_quad_tan_estimate_holds_and_is_tight(tol):
+    _gate("quad-tan", math.pi / 2, 1.0, (tol,))
 
 
 def _route_error(method, phi):
