@@ -149,16 +149,7 @@ def cmd_sweep(args):
     # the slack lets the last point round past stop, even to pi itself
     phis = [min(start + i * step, stop) for i in range(n)]
 
-    if args.format == "csv":
-        lines = ["phi,method,value,est_error,work"]
-        for p, evs in _sweep_records(phis, methods):
-            for m in methods:
-                ev = evs[m]
-                lines.append(
-                    f"{_g17(p)},{m},{_g17(ev.value)},{_g17(ev.est_error)},{ev.work}"
-                )
-        _atomic_write(args.out, "\n".join(lines) + "\n")
-    else:
+    if args.json:
         records = []
         for p, evs in _sweep_records(phis, methods):
             records.append({
@@ -172,6 +163,15 @@ def cmd_sweep(args):
                            for i, m1 in enumerate(methods) for m2 in methods[i + 1:]},
             })
         _atomic_write(args.out, json.dumps(records, indent=2) + "\n")
+    else:
+        lines = ["phi,method,value,est_error,work"]
+        for p, evs in _sweep_records(phis, methods):
+            for m in methods:
+                ev = evs[m]
+                lines.append(
+                    f"{_g17(p)},{m},{_g17(ev.value)},{_g17(ev.est_error)},{ev.work}"
+                )
+        _atomic_write(args.out, "\n".join(lines) + "\n")
     print(f"wrote {len(phis)} grid points x {len(methods)} methods to {args.out}")
     return 0
 
@@ -251,8 +251,7 @@ def build_parser():
     p_sweep.add_argument("--step", type=float, required=True)
     p_sweep.add_argument("--methods", default="closed,quad")
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sweep.add_argument("--json", action="store_const", const="json", dest="format")
+    p_sweep.add_argument("--json", action="store_true", help="write JSON instead of CSV")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_table = sub.add_parser("table", help="special values with all methods side by side")

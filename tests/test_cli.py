@@ -343,7 +343,7 @@ def test_sweep_csv(tmp_path, capsys):
 def test_sweep_json(tmp_path, capsys):
     out = tmp_path / "sweep.json"
     assert main(["sweep", "--from", "0.5", "--to", "1.5", "--step", "0.5",
-                 "--methods", "closed,series,quad", "--format", "json",
+                 "--methods", "closed,series,quad", "--json",
                  "--out", str(out)]) == 0
     records = json.loads(out.read_text())
     assert len(records) == 3

@@ -122,7 +122,7 @@ def test_identity_at_zero_angle():
 
 @pytest.mark.parametrize("phi", IDENTITY_GRID)
 def test_assembly_reproduces_closed_form(phi):
-    if abs(phi) < 1e-6:
+    if Angle(phi).is_zero:
         return
     series_side, _ = derived_sum_identity(Angle(phi))
     assembled = -(0.5 * EULER_GAMMA * phi + series_side) / math.sin(phi)
@@ -139,7 +139,7 @@ def test_reflected_form_vs_closed():
 @pytest.mark.parametrize("phi", IDENTITY_GRID + [1e-6, math.pi - 1e-12])
 def test_closed_side_is_odd_and_kummer_even_bitwise(phi):
     # the closed side is taken at |phi| and negated for phi < 0
-    if abs(phi) < 1e-6:
+    if Angle(phi).is_zero:
         return
     assert derived_closed_side(Angle(-phi)) == -derived_closed_side(Angle(phi))
     assert kummer_closed_eval(Angle(-phi)).value == kummer_closed_eval(Angle(phi)).value

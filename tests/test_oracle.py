@@ -9,8 +9,8 @@ with a finite best estimate whose error its est_error bounds.  Outside its
 domain a route refuses with DomainError.  One derandomized property draws
 |phi| and the sign over each domain; one sorted edge list holds the angles
 next to 0, the crossovers, the angles next to pi and those where a
-quadrature estimate once missed.  Five named groups of edge cases run
-the gate's checks at the one tol each names.
+quadrature estimate once missed, each at both signs and every tol of
+TOLS.
 
 Beside the gate: the accuracy of the closed forms next to pi and of the
 series past its crossover, malmsten_closed called at ZERO angles, and the
@@ -138,8 +138,8 @@ def _error(value, exact):
         return float(abs(mpmath.mpf(value) - exact))
 
 
-def _gate(route, magnitude, sign, tols=TOLS):
-    """Every check of the gate on `route` at phi = sign * magnitude, at each of `tols`."""
+def _gate(route, magnitude, sign):
+    """Every check of the gate on `route` at phi = sign * magnitude, at each tol of TOLS."""
     r = ROUTES[route]
     phi = sign * magnitude
     if not (r.lo <= magnitude <= r.hi and sign in r.signs):
@@ -148,7 +148,7 @@ def _gate(route, magnitude, sign, tols=TOLS):
         return
     exact = oracle(phi)
     size = float(abs(exact))
-    for tol in tols:
+    for tol in TOLS:
         try:
             ev = evaluate(Angle(phi), route, tol)
         except NonConvergenceError as exc:
@@ -179,43 +179,6 @@ def test_estimates_hold_everywhere(route, data):
 def test_estimates_hold_at_the_edges(route, magnitude):
     for sign in BOTH:
         _gate(route, magnitude, sign)
-
-
-# Named groups of edge cases, each through the gate's checks at the one tol
-# it names.
-QUADRATURE = ["quad", "quad-unit"]
-
-
-@pytest.mark.parametrize("phi", MISSED)
-@pytest.mark.parametrize("method", QUADRATURE)
-def test_quadrature_estimate_holds_where_it_missed(method, phi):
-    _gate(method, abs(phi), math.copysign(1.0, phi), (None,))
-
-
-@pytest.mark.parametrize("phi", MISSED + [0.0, 1e-12])
-@pytest.mark.parametrize("tol", [1e-9, 1e-15])
-@pytest.mark.parametrize("method", QUADRATURE)
-def test_quadrature_estimate_holds_at_other_tolerances(method, tol, phi):
-    # the refinement stops at another level, and the estimate must hold there
-    _gate(method, abs(phi), math.copysign(1.0, phi), (tol,))
-
-
-@pytest.mark.parametrize("phi", [0.0, 1e-12, 5e-7, 1e-4, 1e-2])
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-@pytest.mark.parametrize("method", QUADRATURE)
-def test_quadrature_estimate_holds_near_zero(method, sign, phi):
-    _gate(method, phi, sign, (None,))
-
-
-@pytest.mark.parametrize("d", SERIES_EDGE)
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_series_estimate_is_tight_at_the_edge(sign, d):
-    _gate("series", math.pi - d, sign, (None,))
-
-
-@pytest.mark.parametrize("tol", [None, 1e-9, 1e-12, 1e-14, 1e-15])
-def test_quad_tan_estimate_holds_and_is_tight(tol):
-    _gate("quad-tan", math.pi / 2, 1.0, (tol,))
 
 
 def _route_error(method, phi):
