@@ -22,7 +22,8 @@ emptied before each call (cold: each node and its numerator computed,
 and each strip's envelopes), and with every table filled (warm: one
 denominator and one divide per node, or one power and one multiply for
 J_n, plus the level driver).
-Each point also prints the nodes its evaluation used and the entries a
+Each point also prints the refinement level it stopped at (the deepest
+level a cold call stored), the nodes its evaluation used and the entries a
 cold call left stored in each integrand table: a strip is stored whole
 the first time an evaluation reaches it, so the tables hold more nodes
 than it used.  Then times one `evaluate` of each method at a fixed phi
@@ -104,17 +105,17 @@ def bench_series(repeat):
 
 
 def _stored():
-    """Entries stored per integrand table."""
+    """Entries stored per integrand table, and the deepest level stored."""
     stored = {}
     for (table, _, _), (entries, _, _) in quadrature._NODES.items():
         stored[table] = stored.get(table, 0) + len(entries)
-    return stored
+    return stored, max(level for _, level, _ in quadrature._NODES)
 
 
 def bench_quadrature(repeat):
     print("quadrature: us per point with empty tables (cold) and with every\n"
-          "table filled (warm); the nodes used, and the entries one cold call\n"
-          "left stored in each integrand table")
+          "table filled (warm); the level it stopped at and the nodes used, and\n"
+          "the entries one cold call left stored in each integrand table")
     points = [(f"{name:<15} phi={phi:<15}", route, Angle(phi))
               for name, route in (("quad_eval", quadrature.quad_eval),
                                   ("quad_unit_eval", quadrature.quad_unit_eval))
@@ -129,10 +130,10 @@ def bench_quadrature(repeat):
             route(arg)
 
         t_cold = min(timeit.repeat(cold, number=1, repeat=repeat))
-        stored = _stored()
+        stored, level = _stored()
         t_warm = min(timeit.repeat(lambda: route(arg), number=1, repeat=repeat))
         nodes = route(arg).nodes
-        print(f"  {label} nodes={nodes:<4} cold {t_cold * 1e6:8.1f} us"
+        print(f"  {label} level={level:<2} nodes={nodes:<4} cold {t_cold * 1e6:8.1f} us"
               f"  warm {t_warm * 1e6:8.1f} us")
         print("    stored: " + ", ".join(f"{table} {n}" for table, n in stored.items()))
 

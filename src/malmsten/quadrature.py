@@ -10,15 +10,19 @@ exponentially toward infinity, where e^{-u} finishes the decay.
 a structurally different second oracle.  Node count doubles per level;
 termination when two successive levels agree within `tol` (absolute or
 relative), for `quad_jn` only from the first level fine enough for the
-peak of its integrand; past MAX_LEVEL a route raises NonConvergenceError
-with its best estimate, so a returned result has converged.  est_error is the
-larger of the last inter-level delta and a rounding floor of `ulps` EPS
-per term, ulps EPS h sum|terms|, which also covers cancellation in the
-node sum: ulps is 2, or 2 + n for the w y^n of `quad_jn`, where y^n
-carries the rounding of y n-fold.  `dispatch.evaluate` checks est_error
-against the caller's `tol`, as it does every route's.  Node
-sums use math.fsum (compensated accumulation): one per strip, and one over
-the strip sums per level.
+peak of its integrand; quad also stops, from level 2 on, as soon as the
+rate set by its integrand's nearest pole shows that the level meets `tol`,
+without the confirming level.  Past MAX_LEVEL a route raises
+NonConvergenceError with its best estimate, so a returned result has
+converged.  est_error is the larger of a rounding floor and the last
+inter-level delta, or, where quad's pole rate stopped it, POLE_K times the
+largest pole-rate constant the deltas imply, carried to the last level.
+The floor is `ulps` EPS per term, ulps EPS h sum|terms|, which also covers
+cancellation in the node sum: ulps is 2, or 2 + n for the w y^n of
+`quad_jn`, where y^n carries the rounding of y n-fold.
+`dispatch.evaluate` checks est_error against the caller's `tol`, as it
+does every route's.  Node sums use math.fsum (compensated accumulation):
+one per strip, and one over the strip sums per level.
 
 Integrand tables.  The abscissae and weights do not depend on phi, and neither
 does the numerator of either integrand: only the denominator
@@ -54,13 +58,13 @@ which evaluation stored it, so neither does a result.
 
 import math
 import threading
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from itertools import starmap
 
 from .domain import Record, require_power, require_tol
 from .errors import DomainError, InternalInconsistencyError, NonConvergenceError
-from .special_functions import EPS
+from .special_functions import EPS, pi_gap
 
 # The integral diverges at |phi| = pi; accuracy claims stop at this band.
 GUARD_BAND = 1e-3
@@ -68,6 +72,27 @@ GUARD_BAND = 1e-3
 # Default tolerance, and the halvings of the step h after the first level.
 TOL = 1e-12
 MAX_LEVEL = 10
+
+# quad's pole-rate stop.  The denominator of quad's integrand vanishes at
+# u = +-i theta, theta = pi - |phi|, and farther out at +-i (2 pi k +- theta).
+# Through u = exp(t - e^{-t}) the nearest poles sit where t - e^{-t} =
+# ln theta +- i pi/2, at a distance d(theta) from the real t axis that rises
+# with theta, and the trapezoid error of step h decays like e^{-2 pi d / h}
+# (Trefethen & Weideman, SIAM Rev. 56, 2014; Tanaka, Sugihara, Murota &
+# Mori, Numer. Math. 111, 2009): like r^(2^j) at level j, r = e^{-2 pi d}.
+# _POLE_RATE[k] is e^{-2 pi d}, d = d(_POLE_THETA[k]) rounded down to 4
+# decimals, itself rounded up to 4 significant digits: so, d rising, its d
+# is a lower bound on d from theta = _POLE_THETA[k] on.  d is 0.248 at
+# theta = 1e-3, 1.029 at pi - 2 and 1.289 at pi.  Below the first theta
+# quad has no bound and keeps the delta stop.  The estimate is POLE_K times
+# the largest constant the deltas imply: with a factor of 1 it fell short
+# by 2.7 at |phi| = 1.9053 (tol 1e-6).
+POLE_K = 100.0
+_POLE_THETA = (1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.3, 1.6,
+               2.0, 2.5, 3.0, math.pi)
+_POLE_RATE = (0.2106, 0.1804, 0.1402, 0.1106, 0.08265, 0.05032, 0.0308, 0.01649, 0.0106,
+              0.005524, 0.003395, 0.001936, 0.001254, 0.0008836, 0.0006099, 0.0004269,
+              0.0003248, 0.0003041)
 
 _T_MAX = 6.5
 _Q_MIN = 1e-280
@@ -167,7 +192,7 @@ def _power_terms(n):
     return 1.0, lambda entries: [wn * y ** n for wn, y, _ in entries], 2.0 + n
 
 
-def _refine_levels(table, rule, tol, first_level=1):
+def _refine_levels(table, rule, tol, first_level=1, rate=None):
     """Shared level driver: trapezoid in t, node doubling per level.
 
     `_strip_at(table, level, sign)` gives the strip of one level on one side
@@ -176,7 +201,19 @@ def _refine_levels(table, rule, tol, first_level=1):
     makes their terms.  Each strip is summed up to its `_cut`, past which no
     term exceeds 1e-20 times the last level's total (or 1e-20), and each
     level's total is the fsum of the strip sums so far.  The delta between
-    two levels may stop the refinement from `first_level` on.  Raises
+    two levels may stop the refinement from `first_level` on, with that
+    delta as the estimate.
+
+    With a pole rate r = e^{-2 pi d}, d a lower bound on the distance of the
+    integrand's nearest pole from the real t axis, the error of level j is
+    about C r^(2^j), and the delta into level i, about the error of level
+    i - 1, implies a constant C_i = delta_i / r^(2^(i-1)).  From level 1 on
+    M_j = max(M_{j-1}, delta_j) r_j, with r_1 = r and r_j = r_{j-1}^2, is
+    the largest C_i r^(2^j) over i <= j, so one small delta cannot shrink it;
+    from level 2 on (levels 0 and 1 can agree by chance, far from the
+    value) the refinement stops as soon as POLE_K M_j meets `tol`, with that
+    as the estimate, and without the confirming level the delta stop needs.
+    Either way the estimate is at least the rounding floor.  Raises
     NonConvergenceError if no level up to MAX_LEVEL meets `tol`.
     """
     require_tol(tol)
@@ -185,6 +222,7 @@ def _refine_levels(table, rule, tol, first_level=1):
     sums = []  # one fsum per strip
     total = 0.0
     value = math.inf
+    bound = 0.0  # M_j
     for level in range(MAX_LEVEL + 1):
         small_at = 1e-20 * max(abs(total), 1.0)
         for sign in (0.0, 1.0, -1.0) if level == 0 else (1.0, -1.0):
@@ -201,7 +239,13 @@ def _refine_levels(table, rule, tol, first_level=1):
         new_value = h * total
         est = abs(new_value - value)
         value = new_value
-        if level >= first_level and est <= max(tol, tol * abs(value)):
+        limit = max(tol, tol * abs(value))
+        if rate is not None and level >= 1:
+            bound = max(bound, est) * rate
+            rate *= rate
+            if level >= 2 and POLE_K * bound <= limit:
+                est = POLE_K * bound
+        if level >= first_level and est <= limit:
             # each term carries `ulps` EPS of rounding, and the node sum
             # can cancel: a floor of ulps EPS per term bounds both, where the
             # inter-level delta (which can be 0) does not
@@ -317,10 +361,19 @@ def _check_guard_band(p):
         )
 
 
+def _pole_rate(phi_val):
+    """quad's pole rate r = e^{-2 pi d} at the angle phi_val, d a lower bound
+    on the distance of its integrand's poles from the real t axis; None
+    below the first theta of `_POLE_THETA`."""
+    k = bisect_right(_POLE_THETA, pi_gap(phi_val)) - 1
+    return _POLE_RATE[k] if k >= 0 else None
+
+
 def quad_eval(phi, tol=TOL):
-    """I(phi) by the exp-substituted representation on (0, inf)."""
+    """I(phi) by the exp-substituted representation on (0, inf), stopped by
+    its pole rate where `_POLE_THETA` bounds the distance of the poles."""
     _check_guard_band(phi.phi)
-    return _refine_levels("exp", _phi_terms(phi.phi), tol)
+    return _refine_levels("exp", _phi_terms(phi.phi), tol, rate=_pole_rate(phi.phi))
 
 
 def quad_unit_eval(phi, tol=TOL):

@@ -53,15 +53,17 @@ TOLS = (None, 1e-6, 1e-9, 1e-12, 1e-14, 1e-15)
 # - quad-tan 5.8e3 at its one angle.  At tol 1e-6 it stops at 28 nodes
 #   with an F of 1.96e6, so its F applies from tol 1e-9 down.
 # - kummer 5.8e6 (at 8.14e-6, where its estimate 5e-13 pi/|sin phi| is
-#   1.9e-7), quad 5.7e4 (at 3.05e-4) and quad-unit 4.1e4 (at 0.482), the
-#   last two where the last inter-level delta is far above the error;
-#   these F are that worst, rounded up.
+#   1.9e-7) and quad-unit 4.1e4 (at 0.482), where the last inter-level
+#   delta is far above the error; these F are that worst, rounded up.
+# - quad 798 (at 3.12955), rounded up to 800.  It was 5.7e4 (at 3.05e-4)
+#   while quad stopped on the delta alone; its pole-rate stop now ends it
+#   where the delta into level 2 sets the largest constant.
 # From here an F only goes down.
 Route = namedtuple("Route", "lo hi signs f f_tol")
 ROUTES = {
     "closed": Route(0.0, BELOW_PI, BOTH, 200.0, None),
     "series": Route(0.0, BELOW_PI, BOTH, 1e4, None),
-    "quad": Route(0.0, math.pi - GUARD_BAND, BOTH, 5.7e4, 1e-12),
+    "quad": Route(0.0, math.pi - GUARD_BAND, BOTH, 800.0, 1e-12),
     "quad-unit": Route(0.0, math.pi - GUARD_BAND, BOTH, 4.1e4, 1e-12),
     "quad-tan": Route(math.pi / 2, math.pi / 2, (1.0,), 6e3, 1e-9),
     "kummer": Route(0.0, BELOW_PI, BOTH, 5.8e6, None),
@@ -73,6 +75,13 @@ ROUTES = {
 MISSED = [
     2.7698011298506855, 2.8061223861205504, 3.12955, -3.12955, 3.13964889296543,
     -3.1403210616229793, math.pi - 1.0001e-3, -(math.pi - 1.0001e-3)]
+
+# Where quad's pole-rate stop needs what it has.  At 2.709840213304944
+# levels 0 and 1 agree to 3.0e-5 while both are 6e-4 off: a pole stop
+# allowed at level 1 with a factor K = 1 fell short there by 1.9e3 at tol
+# 1e-6, so the pole stop waits for level 2.  At 1.9053339588402727 a factor
+# K = 1 in place of POLE_K = 100 falls short by 2.7 at tol 1e-6 and 1e-9.
+POLE_EDGE = [2.709840213304944, 1.9053339588402727]
 
 # pi - |phi| for series at the last float below pi, deep in the
 # Euler-Maclaurin branch, at the old stride cap (0.026), on both sides of
@@ -87,8 +96,8 @@ SERIES_EDGE = [math.pi - BELOW_PI, 1e-15, 1e-12, 1e-8, 1e-4, 0.026,
 # series, and pi - 0.25, pi - 0.5 and pi - 0.026, where series once
 # switched or capped its stride; the interior angles of the series and
 # quadrature checks; pi - d next to pi, down to the last float below pi;
-# MISSED; and the |phi| where the F of closed, series, kummer, quad and
-# quad-unit is at its worst.
+# MISSED; POLE_EDGE; and the |phi| where the F of closed, series, kummer,
+# quad and quad-unit is at its worst (quad's at 3.12955, in MISSED).
 EDGES = sorted({
     0.0, 1e-12, 5e-7, 9.9e-7, 1e-6, ZERO_THRESHOLD * (1.0 + 1e-9), 2e-6, 1e-5, 1e-4, 1e-3,
     3e-3, 1e-2,
@@ -99,7 +108,7 @@ EDGES = sorted({
     *(math.pi - d for d in (0.25, 1e-2, 1e-3)),
     *(abs(phi) for phi in MISSED),
     1.0500351271565833, 4.822946711685607e-06, 8.143156220023098e-06, 0.00030459934857474536,
-    0.4817404765022452})
+    0.4817404765022452, *POLE_EDGE})
 
 # Reproducible examples, and no example database left in the checkout.  The
 # examples follow from the test's source and node id, so renaming the
