@@ -14,9 +14,9 @@ branches that sum the series route's series, for each family of weights,
 the log-sine series of the series and Kummer routes and the sawtooth
 series, with the terms each sums: Euler's transformation for
 |phi| <= EULER_PHI, and Euler-Maclaurin past it.  Then times
-quad_eval and quad_unit_eval per point, quad_eval also at
-pi - 1.0001e-3, just inside the guard band, where it needs the most
-nodes, and quad_jn at n = 0, 7, 20 and 100, where y^n moves the mass of
+quad_eval and quad_unit_eval per point, both also at
+pi - 1.0001e-3, just inside the guard band, where they need the most
+nodes, quad_tan_form, and quad_jn at n = 0, 7, 20 and 100, where y^n moves the mass of
 the integrand toward u = 0 and the nodes with it: with every table
 emptied before each call (cold: each node and its numerator computed,
 and each strip's envelopes), and with every table filled (warm: one
@@ -120,8 +120,11 @@ def bench_quadrature(repeat):
               for name, route in (("quad_eval", quadrature.quad_eval),
                                   ("quad_unit_eval", quadrature.quad_unit_eval))
               for phi in (0.5, 2.0, 2.9)]
-    points.append((f"{'quad_eval':<15} phi={'pi-1.0001e-3':<15}", quadrature.quad_eval,
-                   Angle(math.pi - 1.0001e-3)))
+    points += [(f"{name:<15} phi={'pi-1.0001e-3':<15}", route, Angle(math.pi - 1.0001e-3))
+               for name, route in (("quad_eval", quadrature.quad_eval),
+                                   ("quad_unit_eval", quadrature.quad_unit_eval))]
+    points.append((f"{'quad_tan_form':<15} phi={'pi/2':<15}",
+                   lambda _: quadrature.quad_tan_form(), None))
     points += [(f"{'quad_jn':<15} n={n:<17}", quadrature.quad_jn, n) for n in (0, 7, 20, 100)]
     for label, route, arg in points:
 

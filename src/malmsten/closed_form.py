@@ -35,7 +35,7 @@ from bisect import bisect_left
 
 from .domain import Angle, Evaluation, Method
 from .errors import DomainError, InternalInconsistencyError
-from .special_functions import EPS, LN_TWO_PI, gamma_gap, log_gamma, stop_table
+from .special_functions import EPS, LGAMMA_ERR, LN_TWO_PI, gamma_gap, log_gamma, stop_table
 
 # Up to this |phi| S(t)/t is summed directly; past it, split.
 CLOSED_SPLIT = 1.0
@@ -172,30 +172,31 @@ def special_value(which):
     """The classically tabulated right-hand sides at phi = pi/2, pi/3, 2pi/3,
     named by a SpecialCase member; anything else is a DomainError.
 
-    For TWO_PI_OVER_3 both printed forms are evaluated and must agree to
-    1e-12, else InternalInconsistencyError.
+    Each is a prefactor times a sum of log-gammas and a multiple of ln 2pi;
+    est_error counts LGAMMA_ERR per log-gamma and 2 EPS per rounded value,
+    relative to the terms' magnitudes and to |value|.  For TWO_PI_OVER_3
+    both printed forms are evaluated and must agree to 1e-12, else
+    InternalInconsistencyError.
     """
     if which is SpecialCase.PI_OVER_2:
-        value = (math.pi / 2.0) * (
-            log_gamma(0.75) + 0.5 * LN_TWO_PI - log_gamma(0.25)
-        )
+        prefactor = math.pi / 2.0
+        terms = (log_gamma(0.75), 0.5 * LN_TWO_PI, -log_gamma(0.25))
     elif which is SpecialCase.PI_OVER_3:
-        value = (math.pi / math.sqrt(3.0)) * (
-            log_gamma(2.0 / 3.0) + LN_TWO_PI / 3.0 - log_gamma(1.0 / 3.0)
-        )
+        prefactor = math.pi / math.sqrt(3.0)
+        terms = (log_gamma(2.0 / 3.0), LN_TWO_PI / 3.0, -log_gamma(1.0 / 3.0))
     elif which is SpecialCase.TWO_PI_OVER_3:
         form_a, form_b = two_pi_over_3_forms()
         if abs(form_a - form_b) > 1e-12:
             raise InternalInconsistencyError(
-                f"the two printed forms at 2pi/3 disagree: {form_a!r} vs {form_b!r}"
-            )
-        value = form_a
+                f"the two printed forms at 2pi/3 disagree: {form_a!r} vs {form_b!r}")
+        prefactor = 2.0 * math.pi / math.sqrt(3.0)
+        terms = ((5.0 / 6.0) * LN_TWO_PI, -log_gamma(1.0 / 6.0))
     else:
         raise DomainError(f"special_value needs a SpecialCase member, got {which!r}")
-    return Evaluation(
-        phi=Angle(which.value),
-        value=value,
-        method=Method.CLOSED,
-        est_error=1e-12,
-        work=1,
-    )
+    bracket = 0.0
+    for term in terms:  # left to right, as the printed forms add
+        bracket += term
+    value = prefactor * bracket
+    # every term but the multiple of ln 2pi is a log-gamma
+    est = abs(prefactor) * ((len(terms) - 1) * LGAMMA_ERR + 2.0 * EPS * sum(map(abs, terms)))
+    return Evaluation(Angle(which.value), value, Method.CLOSED, est + 2.0 * EPS * abs(value), 1)

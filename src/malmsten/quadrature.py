@@ -7,19 +7,16 @@ Sugihara, J. Comput. Appl. Math. 127, 2001), whose nodes cluster double
 exponentially at u = 0 (the ln u endpoint singularity) and spread single
 exponentially toward infinity, where e^{-u} finishes the decay.
 `quad_unit_eval` applies tanh-sinh straight to ln ln(1/x) on (0, 1) as
-a structurally different second oracle.  Node count doubles per level;
-termination when two successive levels agree within `tol` (absolute or
-relative), for `quad_jn` only from the first level fine enough for the
-peak of its integrand; quad also stops, from level 2 on, as soon as the
-rate set by its integrand's nearest pole shows that the level meets `tol`,
-without the confirming level.  Past MAX_LEVEL a route raises
-NonConvergenceError with its best estimate, so a returned result has
-converged.  est_error is the larger of a rounding floor and the last
-inter-level delta, or, where quad's pole rate stopped it, POLE_K times the
-largest pole-rate constant the deltas imply, carried to the last level.
-The floor is `ulps` EPS per term, ulps EPS h sum|terms|, which also covers
-cancellation in the node sum: ulps is 2, or 2 + n for the w y^n of
-`quad_jn`, where y^n carries the rounding of y n-fold.
+a structurally different second oracle.  Node count doubles per level.
+Each route has one stop rule, whose estimate is its est_error: quad's
+pole bound, or the delta between two levels for the other routes and for
+quad below its pole table.  Each trusts its rule only from its first
+level, the first that resolves its integrand.  Past MAX_LEVEL a route
+raises NonConvergenceError with its best estimate, so a returned result
+has converged.  est_error is at least a rounding floor, `ulps` EPS per
+term, ulps EPS h sum|terms|, which also covers cancellation in the node
+sum: ulps is 2, or 2 + n for the w y^n of `quad_jn`, where y^n carries
+the rounding of y n-fold.
 `dispatch.evaluate` checks est_error against the caller's `tol`, as it
 does every route's.  Node sums use math.fsum (compensated accumulation):
 one per strip, and one over the strip sums per level.
@@ -84,7 +81,7 @@ MAX_LEVEL = 10
 # decimals, itself rounded up to 4 significant digits: so, d rising, its d
 # is a lower bound on d from theta = _POLE_THETA[k] on.  d is 0.248 at
 # theta = 1e-3, 1.029 at pi - 2 and 1.289 at pi.  Below the first theta
-# quad has no bound and keeps the delta stop.  The estimate is POLE_K times
+# quad has no bound and stops on the delta.  The estimate is POLE_K times
 # the largest constant the deltas imply: with a factor of 1 it fell short
 # by 2.7 at |phi| = 1.9053 (tol 1e-6).
 POLE_K = 100.0
@@ -192,7 +189,7 @@ def _power_terms(n):
     return 1.0, lambda entries: [wn * y ** n for wn, y, _ in entries], 2.0 + n
 
 
-def _refine_levels(table, rule, tol, first_level=1, rate=None):
+def _refine_levels(table, rule, tol, first_level, rate=None):
     """Shared level driver: trapezoid in t, node doubling per level.
 
     `_strip_at(table, level, sign)` gives the strip of one level on one side
@@ -200,21 +197,22 @@ def _refine_levels(table, rule, tol, first_level=1, rate=None):
     (weight * numerator, y, 1 - y) triples; the term rule (d_min, terms, ulps)
     makes their terms.  Each strip is summed up to its `_cut`, past which no
     term exceeds 1e-20 times the last level's total (or 1e-20), and each
-    level's total is the fsum of the strip sums so far.  The delta between
-    two levels may stop the refinement from `first_level` on, with that
-    delta as the estimate.
+    level's total is the fsum of the strip sums so far.
 
-    With a pole rate r = e^{-2 pi d}, d a lower bound on the distance of the
-    integrand's nearest pole from the real t axis, the error of level j is
-    about C r^(2^j), and the delta into level i, about the error of level
-    i - 1, implies a constant C_i = delta_i / r^(2^(i-1)).  From level 1 on
+    The estimate of a level is the delta into it, or, with a pole rate
+    r = e^{-2 pi d}, d a lower bound on the distance of the integrand's
+    nearest pole from the real t axis, the error of level j is about
+    C r^(2^j), and the delta into level i, about the error of level i - 1,
+    implies a constant C_i = delta_i / r^(2^(i-1)).  From level 1 on
     M_j = max(M_{j-1}, delta_j) r_j, with r_1 = r and r_j = r_{j-1}^2, is
-    the largest C_i r^(2^j) over i <= j, so one small delta cannot shrink it;
-    from level 2 on (levels 0 and 1 can agree by chance, far from the
-    value) the refinement stops as soon as POLE_K M_j meets `tol`, with that
-    as the estimate, and without the confirming level the delta stop needs.
-    Either way the estimate is at least the rounding floor.  Raises
-    NonConvergenceError if no level up to MAX_LEVEL meets `tol`.
+    the largest C_i r^(2^j) over i <= j, so one small delta cannot shrink
+    it; the estimate is POLE_K M_j, with no confirming level.  The
+    refinement stops at the first level from `first_level` on whose
+    estimate meets `tol`, and returns it, or the rounding floor if larger.
+    Coarser levels can agree by chance, far from the value: at |phi| =
+    2.7098 quad's levels 0 and 1 agree to 3.0e-5 while both are 6e-4 off,
+    at 3.0756 quad-unit's levels 1 and 2 to 2.7e-3 while both are 2e-2 off.
+    Raises NonConvergenceError if no level up to MAX_LEVEL meets `tol`.
     """
     require_tol(tol)
     d_min, strip_terms, ulps = rule
@@ -239,13 +237,11 @@ def _refine_levels(table, rule, tol, first_level=1, rate=None):
         new_value = h * total
         est = abs(new_value - value)
         value = new_value
-        limit = max(tol, tol * abs(value))
         if rate is not None and level >= 1:
             bound = max(bound, est) * rate
             rate *= rate
-            if level >= 2 and POLE_K * bound <= limit:
-                est = POLE_K * bound
-        if level >= first_level and est <= limit:
+            est = POLE_K * bound
+        if level >= first_level and est <= max(tol, tol * abs(value)):
             # each term carries `ulps` EPS of rounding, and the node sum
             # can cancel: a floor of ulps EPS per term bounds both, where the
             # inter-level delta (which can be 0) does not
@@ -370,34 +366,34 @@ def _pole_rate(phi_val):
 
 
 def quad_eval(phi, tol=TOL):
-    """I(phi) by the exp-substituted representation on (0, inf), stopped by
-    its pole rate where `_POLE_THETA` bounds the distance of the poles."""
+    """I(phi) by the exp-substituted representation on (0, inf), from level 2
+    stopped by its pole rate where `_POLE_THETA` bounds the pole distance."""
     _check_guard_band(phi.phi)
-    return _refine_levels("exp", _phi_terms(phi.phi), tol, rate=_pole_rate(phi.phi))
+    return _refine_levels("exp", _phi_terms(phi.phi), tol, 2, _pole_rate(phi.phi))
 
 
 def quad_unit_eval(phi, tol=TOL):
-    """I(phi) by tanh-sinh straight on the unit-interval representation."""
+    """I(phi) by tanh-sinh on the unit-interval representation, from level 3."""
     _check_guard_band(phi.phi)
-    return _refine_levels("unit", _phi_terms(phi.phi), tol)
+    return _refine_levels("unit", _phi_terms(phi.phi), tol, 3)
 
 
 def quad_tan_form(tol=TOL):
-    """Vardi's tangent form: integral_{pi/4}^{pi/2} ln ln tan y dy."""
+    """Vardi's tangent form: integral_{pi/4}^{pi/2} ln ln tan y dy, from level 3."""
     # no phi: y^0 = 1, so each term is wn, bitwise wn / 1.0
-    return _refine_levels("tan", _power_terms(0), tol)
+    return _refine_levels("tan", _power_terms(0), tol, 3)
 
 
 # The first level whose inter-level delta may stop `quad_jn` at power n is
-# 1 + bisect_left(_JN_FIRST_LEVEL_AT, n + 1): the first L >= 1 with
-# n + 1 <= e^(2^L - 2), that is with a step h = 2^-L of at most
+# 2 + bisect_left(_JN_FIRST_LEVEL_AT, n + 1): the first L >= 2, as for
+# quad, with n + 1 <= e^(2^L - 2), that is with a step h = 2^-L of at most
 # 1/(2 + ln(n+1)).  The mass of e^{-(n+1)u} ln u sits at u ~ 1/(n+1), in a
 # peak about one unit wide in s = ln u, and on the exp-exp map ds/dt =
 # 1 + e^{-t}, which there, where e^{-t} = t + ln(n+1) and t < 0.57, is below
 # 2 + ln(n+1).  So from level L on a step in t is at most 1 in s, and the
 # levels resolve the peak; coarser levels can step over it, two of them can
 # then agree on a value without it, and their delta is no estimate.
-_JN_FIRST_LEVEL_AT = tuple(math.exp(2.0 ** level - 2.0) for level in range(1, 7))
+_JN_FIRST_LEVEL_AT = tuple(math.exp(2.0 ** level - 2.0) for level in range(2, 7))
 
 
 def quad_jn(n, tol=TOL):
@@ -411,5 +407,4 @@ def quad_jn(n, tol=TOL):
     require_power(n)
     if n * EPS >= 1.0:
         raise DomainError(f"n must be below 1/EPS = {1.0 / EPS:.4g} for quad_jn, got {n!r}")
-    first_level = 1 + bisect_left(_JN_FIRST_LEVEL_AT, n + 1)
-    return _refine_levels("exp", _power_terms(n), tol, first_level)
+    return _refine_levels("exp", _power_terms(n), tol, 2 + bisect_left(_JN_FIRST_LEVEL_AT, n + 1))

@@ -18,6 +18,10 @@ LN_TWO_PI = math.log(2.0 * math.pi)
 
 EPS = 2.3e-16  # binary64 machine epsilon 2**-52, rounded up: the error estimates' ulp
 
+# math.lgamma's absolute error on [1e-6, 1.5], rounded up: against 40-digit mpmath at
+# 20 000 uniform x of random.Random(20000), at most 1.761e-15 (x = 1.3886e-4).
+LGAMMA_ERR = 1.77e-15
+
 # pi - float(pi): the low half of a two-float split of pi
 _PI_LO = 1.2246467991473532e-16
 

@@ -25,7 +25,7 @@ from malmsten.domain import ZERO_THRESHOLD, Angle, Method
 from malmsten.errors import DomainError, ZeroAngleError
 from malmsten.kummer import kummer_closed_eval
 from malmsten.series import series_eval
-from malmsten.special_functions import EULER_GAMMA
+from malmsten.special_functions import EPS, EULER_GAMMA
 
 FROZEN_I = {
     math.pi / 2: -0.26044280630098844554,
@@ -52,6 +52,29 @@ def test_special_value_matches_closed(case):
     sv = special_value(case)
     cl = malmsten_closed(Angle(case.value))
     assert abs(sv.value - cl.value) <= 1e-12
+
+
+def _special_exact(case):
+    """The printed right-hand side of `case` at 40 digits, at the exact angle."""
+    with mpmath.workdps(40):
+        ln_gamma, ln_two_pi, third = mpmath.loggamma, mpmath.log(2 * mpmath.pi), mpmath.mpf(1) / 3
+        if case is SpecialCase.PI_OVER_2:
+            return mpmath.pi / 2 * (ln_gamma(0.75) + ln_two_pi / 2 - ln_gamma(0.25))
+        if case is SpecialCase.PI_OVER_3:
+            return mpmath.pi / mpmath.sqrt(3) * (ln_gamma(2 * third) + ln_two_pi / 3
+                                                 - ln_gamma(third))
+        return 2 * mpmath.pi / mpmath.sqrt(3) * (5 * ln_two_pi / 6 - ln_gamma(third / 2))
+
+
+@pytest.mark.parametrize("case", list(SpecialCase))
+def test_special_value_estimate_holds_and_is_tight(case):
+    # the estimate comes from LGAMMA_ERR and the counted roundings, not a
+    # literal (1e-12 before, 1e3 to 3e3 times the error); est / max(err,
+    # eps |value|) is 23.6, 8.0 and 18.3 at pi/2, pi/3 and 2pi/3
+    sv = special_value(case)
+    with mpmath.workdps(40):
+        err = float(abs(mpmath.mpf(sv.value) - _special_exact(case)))
+    assert err <= sv.est_error <= 30.0 * max(err, EPS * abs(sv.value))
 
 
 @pytest.mark.parametrize("which", ["pi/2", 1.0, None])

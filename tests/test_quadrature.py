@@ -286,7 +286,7 @@ def test_pole_table_bounds_the_pole_distance():
             d, start = _pole_distance(pi_gap(phi), start)
             assert _rate_distance(quadrature._pole_rate(phi)) <= d
     assert quadrature._pole_rate(0.0) == quadrature._POLE_RATE[-1]
-    # below the first theta quad has no bound and keeps the delta stop
+    # below the first theta quad has no bound and stops on the delta
     assert quadrature._pole_rate(math.nextafter(math.pi - thetas[0], math.pi)) is None
     # d rises from 0.248 at theta = 1e-3 to 1.289 at pi
     for phi, pinned in ((0.5, 1.2484), (2.0, 1.0291), (2.9, 0.6850)):
@@ -303,6 +303,30 @@ def test_pole_stop_waits_for_level_2(monkeypatch, sign):
     r = quad_eval(Angle(phi), 1e-6)
     with mpmath.workdps(40):
         assert abs(mpmath.mpf(r.value) - oracle(phi)) <= r.est_error
+
+
+def _falls_short(phi, r):
+    with mpmath.workdps(40):
+        return abs(mpmath.mpf(r.value) - oracle(phi)) > r.est_error
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_each_route_stops_only_from_its_first_level(sign):
+    # a delta stop trusted one level sooner falls short at tol 1e-3: quad's
+    # from level 1, where levels 0 and 1 agree while level 1 is 6e-4 off,
+    # and quad-unit's from level 2, at 28 nodes; the routes hold there
+    quad_phi, unit_phi = sign * 2.7102871404594553, sign * 3.0756420765104644
+    rule = quadrature._phi_terms
+    assert _falls_short(quad_phi, quadrature._refine_levels("exp", rule(quad_phi), 1e-3, 1))
+    assert _falls_short(unit_phi, quadrature._refine_levels("unit", rule(unit_phi), 1e-3, 2))
+    assert not _falls_short(quad_phi, quad_eval(Angle(quad_phi), 1e-3))
+    assert not _falls_short(unit_phi, quad_unit_eval(Angle(unit_phi), 1e-3))
+
+
+def test_quad_tan_stops_from_level_3():
+    # trusting level 2, it stopped at tol 1e-6 after 28 nodes with an
+    # estimate of 6.8e-7 for an error of 3.5e-13
+    assert quad_tan_form(1e-6).nodes == 56
 
 
 # (value, est_error) as float.hex() and node count.  Every row was frozen

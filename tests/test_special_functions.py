@@ -6,6 +6,7 @@ package itself never imports it.
 """
 
 import math
+import random
 
 import mpmath
 import pytest
@@ -15,6 +16,7 @@ from malmsten.errors import DomainError
 from malmsten.special_functions import (
     EULER_GAMMA,
     LN_PI,
+    LGAMMA_ERR,
     LN_TWO_PI,
     gamma_gap,
     log_gamma,
@@ -30,6 +32,16 @@ FROZEN_LOG_GAMMA = {
     100.0: 359.13420536957539878,
     1000.0: 5905.2204232091812118,
 }
+
+
+def test_lgamma_error_bound():
+    # the measured bound behind special_value's estimate, on 2000 of the
+    # 20 000 uniform draws it came from and at the x of its worst
+    rng = random.Random(20000)
+    xs = [rng.uniform(1e-6, 1.5) for _ in range(2000)] + [1.3886484563595898e-4]
+    with mpmath.workdps(40):
+        worst = max(abs(mpmath.mpf(math.lgamma(x)) - mpmath.loggamma(mpmath.mpf(x))) for x in xs)
+    assert 1.7e-15 < worst <= LGAMMA_ERR
 
 
 def test_constants():
