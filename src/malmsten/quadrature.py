@@ -8,12 +8,12 @@ exponentially at u = 0 (the ln u endpoint singularity) and spread single
 exponentially toward infinity, where e^{-u} finishes the decay.
 `quad_unit_eval` applies tanh-sinh straight to ln ln(1/x) on (0, 1) as
 a structurally different second oracle.  Node count doubles per level.
-Each route has one stop rule, whose estimate is its est_error: quad's
-pole bound, or the delta between two levels for the other routes and for
-quad below its pole table.  Each trusts its rule only from its first
-level, the first that resolves its integrand.  Past MAX_LEVEL a route
-raises NonConvergenceError with its best estimate, so a returned result
-has converged.  est_error is at least a rounding floor, `ulps` EPS per
+Each route has one stop rule, whose estimate is its est_error: the pole
+bound of quad, quad-unit and quad-tan, or the delta between two levels for
+`quad_jn` and for quad and quad-unit below their pole tables.  Each trusts
+its rule only from its first level, the first that resolves its integrand.
+Past MAX_LEVEL a route raises NonConvergenceError with its best estimate,
+so a returned result has converged.  est_error is at least a rounding floor, `ulps` EPS per
 term, ulps EPS h sum|terms|, which also covers cancellation in the node
 sum: ulps is 2, or 2 + n for the w y^n of `quad_jn`, where y^n carries
 the rounding of y n-fold.
@@ -70,26 +70,39 @@ GUARD_BAND = 1e-3
 TOL = 1e-12
 MAX_LEVEL = 10
 
-# quad's pole-rate stop.  The denominator of quad's integrand vanishes at
-# u = +-i theta, theta = pi - |phi|, and farther out at +-i (2 pi k +- theta).
-# Through u = exp(t - e^{-t}) the nearest poles sit where t - e^{-t} =
-# ln theta +- i pi/2, at a distance d(theta) from the real t axis that rises
-# with theta, and the trapezoid error of step h decays like e^{-2 pi d / h}
+# Pole-rate stops.  The trapezoid error of step h decays like e^{-2 pi d / h},
+# d the distance from the real t axis of the integrand's nearest pole in t
 # (Trefethen & Weideman, SIAM Rev. 56, 2014; Tanaka, Sugihara, Murota &
 # Mori, Numer. Math. 111, 2009): like r^(2^j) at level j, r = e^{-2 pi d}.
-# _POLE_RATE[k] is e^{-2 pi d}, d = d(_POLE_THETA[k]) rounded down to 4
-# decimals, itself rounded up to 4 significant digits: so, d rising, its d
-# is a lower bound on d from theta = _POLE_THETA[k] on.  d is 0.248 at
-# theta = 1e-3, 1.029 at pi - 2 and 1.289 at pi.  Below the first theta
-# quad has no bound and stops on the delta.  The estimate is POLE_K times
-# the largest constant the deltas imply: with a factor of 1 it fell short
-# by 2.7 at |phi| = 1.9053 (tol 1e-6).
+# Both integrands' denominators vanish where y = -e^{+-i phi}, with theta =
+# pi - |phi|: quad's at u = +-i theta, and farther out at +-i (2 pi k +-
+# theta), whose nearest images under u = exp(t - e^{-t}) sit where t - e^{-t}
+# = ln theta +- i pi/2; quad-unit's at x = e^{+-i theta}, whose nearest
+# images under x = (1 + tanh((pi/2) sinh t))/2 sit at t = asinh(2 s / pi),
+# tanh s = 2x - 1.  Each distance, d(theta) and d_unit(theta), rises with
+# theta.  _POLE_RATE[table][k] is e^{-2 pi d}, d = d(_POLE_THETA[k]) rounded
+# down to 4 decimals, itself rounded up to 4 significant digits: so its d is
+# a lower bound on d from theta = _POLE_THETA[k] on.  d is 0.248 at theta =
+# 1e-3, 1.029 at pi - 2 and 1.289 at pi, and d_unit 0.2049, 0.7495 and 1.1101
+# there; the maps' own singularities cap both at pi/2.  Below the first
+# theta a route has no bound and stops on the delta.  Past its ends quad-tan's
+# integrand ln ln tan y is singular only on the real line, nearest at y = 0,
+# which its map sends where quad-unit's sends x = -1: its one rate is
+# quad-unit's at theta = pi.  The estimate is POLE_K times the largest
+# constant the deltas imply: with a factor of 1 it fell short by 2.7 at
+# |phi| = 1.9053 (quad, tol 1e-6).
 POLE_K = 100.0
 _POLE_THETA = (1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.3, 1.6,
                2.0, 2.5, 3.0, math.pi)
-_POLE_RATE = (0.2106, 0.1804, 0.1402, 0.1106, 0.08265, 0.05032, 0.0308, 0.01649, 0.0106,
-              0.005524, 0.003395, 0.001936, 0.001254, 0.0008836, 0.0006099, 0.0004269,
-              0.0003248, 0.0003041)
+_POLE_RATE = {
+    "exp": (0.2106, 0.1804, 0.1402, 0.1106, 0.08265, 0.05032, 0.0308, 0.01649, 0.0106,
+            0.005524, 0.003395, 0.001936, 0.001254, 0.0008836, 0.0006099, 0.0004269,
+            0.0003248, 0.0003041),
+    "unit": (0.2762, 0.2464, 0.2053, 0.1737, 0.1421, 0.1019, 0.074, 0.04947, 0.03712,
+             0.02399, 0.01693, 0.01089, 0.007375, 0.005149, 0.003273, 0.001893,
+             0.001095, 0.0009351),
+}
+_TAN_RATE = _POLE_RATE["unit"][-1]
 
 _T_MAX = 6.5
 _Q_MIN = 1e-280
@@ -199,7 +212,8 @@ def _refine_levels(table, rule, tol, first_level, rate=None):
     term exceeds 1e-20 times the last level's total (or 1e-20), and each
     level's total is the fsum of the strip sums so far.
 
-    The estimate of a level is the delta into it, or, with a pole rate
+    The estimate of a level is the delta into it (for `quad_jn`, and for
+    quad and quad-unit below `_POLE_THETA`), or, with a pole rate
     r = e^{-2 pi d}, d a lower bound on the distance of the integrand's
     nearest pole from the real t axis, the error of level j is about
     C r^(2^j), and the delta into level i, about the error of level i - 1,
@@ -357,31 +371,33 @@ def _check_guard_band(p):
         )
 
 
-def _pole_rate(phi_val):
-    """quad's pole rate r = e^{-2 pi d} at the angle phi_val, d a lower bound
-    on the distance of its integrand's poles from the real t axis; None
-    below the first theta of `_POLE_THETA`."""
+def _pole_rate(table, phi_val):
+    """The pole rate r = e^{-2 pi d} of `table`'s integrand at the angle
+    phi_val, d a lower bound on the distance of its poles from the real t
+    axis; None below the first theta of `_POLE_THETA`."""
     k = bisect_right(_POLE_THETA, pi_gap(phi_val)) - 1
-    return _POLE_RATE[k] if k >= 0 else None
+    return _POLE_RATE[table][k] if k >= 0 else None
 
 
 def quad_eval(phi, tol=TOL):
     """I(phi) by the exp-substituted representation on (0, inf), from level 2
     stopped by its pole rate where `_POLE_THETA` bounds the pole distance."""
     _check_guard_band(phi.phi)
-    return _refine_levels("exp", _phi_terms(phi.phi), tol, 2, _pole_rate(phi.phi))
+    return _refine_levels("exp", _phi_terms(phi.phi), tol, 2, _pole_rate("exp", phi.phi))
 
 
 def quad_unit_eval(phi, tol=TOL):
-    """I(phi) by tanh-sinh on the unit-interval representation, from level 3."""
+    """I(phi) by tanh-sinh on the unit-interval representation, from level 3
+    stopped by its pole rate where `_POLE_THETA` bounds the pole distance."""
     _check_guard_band(phi.phi)
-    return _refine_levels("unit", _phi_terms(phi.phi), tol, 3)
+    return _refine_levels("unit", _phi_terms(phi.phi), tol, 3, _pole_rate("unit", phi.phi))
 
 
 def quad_tan_form(tol=TOL):
-    """Vardi's tangent form: integral_{pi/4}^{pi/2} ln ln tan y dy, from level 3."""
+    """Vardi's tangent form: integral_{pi/4}^{pi/2} ln ln tan y dy, from level 3
+    stopped by its one pole rate."""
     # no phi: y^0 = 1, so each term is wn, bitwise wn / 1.0
-    return _refine_levels("tan", _power_terms(0), tol, 3)
+    return _refine_levels("tan", _power_terms(0), tol, 3, _TAN_RATE)
 
 
 # The first level whose inter-level delta may stop `quad_jn` at power n is

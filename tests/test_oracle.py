@@ -42,41 +42,46 @@ TOLS = (None, 1e-3, 1e-6, 1e-9, 1e-12, 1e-14, 1e-15)
 
 # est <= f max(err, eps |I|) at every angle of the domain, and, for a
 # route that refines to tol, at tol <= f_tol only (no tol is its default,
-# 1e-12): at a looser tol the refinement stops at a level whose last delta
-# lies far above the error.  f_tol is None where F applies at every tol:
-# for a route that takes no tol, and for quad-tan.
+# 1e-12): at a looser tol the refinement stops at its first level, whose
+# estimate can lie far above the error.  f_tol is None where F applies at
+# every tol: for a route that takes no tol, and for quad-tan.
 # The worst est / max(err, eps |I|) over this gate's cases and 2000 angles
 # of random.Random(31) (1500 uniform on 1e-6 <= |phi| <= pi - 1e-3, 500
 # log-uniform on [1e-6, 1], random signs), at every tol, lies at an |phi|
 # of EDGES, the same at either sign:
 # - closed 94 (at 1.05) and series 2.4e3 (at 4.8e-6), under the F they
 #   had; series' F applied from |phi| = 1e-3 before.
-# - quad-tan 5.77e3 at its one angle, at every tol: from level 3 on, the
-#   first it trusts, it stops at 56 nodes.  When it trusted level 2 it
-#   stopped there at tol 1e-6 and looser, at 28 nodes with an F of 1.96e6.
+# - quad-tan 5.32 at its one angle, at every tol: from level 3 on, the
+#   first it trusts, it stops at 56 nodes, where its pole bound lies below
+#   the rounding floor.  It was 5.77e3 while it stopped on the delta, and
+#   1.96e6 when it trusted level 2 (28 nodes at tol 1e-6 and looser).
 # - kummer 5.8e6 (at 8.14e-6, where its estimate 5e-13 pi/|sin phi| is
-#   1.9e-7) and quad-unit 4.1e4 (at 0.482), where the last inter-level
-#   delta is far above the error; these F are that worst, rounded up.
-# - quad 798 (at 3.12955), rounded up to 800.  It was 5.7e4 (at 3.05e-4)
-#   while quad stopped on the delta alone; its pole-rate stop now ends it
-#   where the delta into level 2 sets the largest constant.
+#   1.9e-7), rounded up.
+# - quad 798 (at 3.12955) and quad-unit 785 (at 1.84184), both rounded up
+#   to 800.  They were 5.7e4 (at 3.05e-4) and 4.1e4 (at 0.482) while they
+#   stopped on the delta alone; the pole-rate stop ends them where the
+#   delta into an early level sets the largest constant.  At tol 1e-3 to
+#   1e-9 quad-unit's F reaches 3.2e4, at its first level.
 # From here an F only goes down.
 Route = namedtuple("Route", "lo hi signs f f_tol")
 ROUTES = {
     "closed": Route(0.0, BELOW_PI, BOTH, 200.0, None),
     "series": Route(0.0, BELOW_PI, BOTH, 1e4, None),
     "quad": Route(0.0, math.pi - GUARD_BAND, BOTH, 800.0, 1e-12),
-    "quad-unit": Route(0.0, math.pi - GUARD_BAND, BOTH, 4.1e4, 1e-12),
-    "quad-tan": Route(math.pi / 2, math.pi / 2, (1.0,), 6e3, None),
+    "quad-unit": Route(0.0, math.pi - GUARD_BAND, BOTH, 800.0, 1e-12),
+    "quad-tan": Route(math.pi / 2, math.pi / 2, (1.0,), 6.0, None),
     "kummer": Route(0.0, BELOW_PI, BOTH, 5.8e6, None),
 }
 
 # Angles where a quadrature estimate once fell short of its error: with the
-# rounding floor EPS * max(1, |value|), or with the numerators stored before
-# the floor counted every term (2.8061223861205504).
+# rounding floor EPS * max(1, |value|), with the numerators stored before
+# the floor counted every term (2.8061223861205504), or, for quad-unit, on
+# the delta into level 3 at tol 1e-3 (by 2.73 at 3.1294000426062034, also at
+# 1e-6, 1.86 at 3.1391331860297096 and 1.08 at 3.1391323592640465).
 MISSED = [
     2.7698011298506855, 2.8061223861205504, 3.12955, -3.12955, 3.13964889296543,
-    -3.1403210616229793, math.pi - 1.0001e-3, -(math.pi - 1.0001e-3)]
+    -3.1403210616229793, math.pi - 1.0001e-3, -(math.pi - 1.0001e-3),
+    3.1294000426062034, 3.1391331860297096, 3.1391323592640465]
 
 # Where quad's pole-rate stop needs what it has.  At 2.709840213304944
 # levels 0 and 1 agree to 3.0e-5 while both are 6e-4 off: a pole stop
@@ -108,7 +113,8 @@ SERIES_EDGE = [math.pi - BELOW_PI, 1e-15, 1e-12, 1e-8, 1e-4, 0.026,
 # quadrature checks; pi - d next to pi, down to the last float below pi;
 # MISSED; POLE_EDGE; LOOSE_EDGE; and the |phi| where the F of closed,
 # series, kummer, quad and quad-unit is at its worst (quad's at 3.12955, in
-# MISSED).
+# MISSED; quad-unit's at 1.84184, and at 0.48174 while it stopped on the
+# delta).
 EDGES = sorted({
     0.0, 1e-12, 5e-7, 9.9e-7, 1e-6, ZERO_THRESHOLD * (1.0 + 1e-9), 2e-6, 1e-5, 1e-4, 1e-3,
     3e-3, 1e-2,
@@ -119,7 +125,7 @@ EDGES = sorted({
     *(math.pi - d for d in (0.25, 1e-2, 1e-3)),
     *(abs(phi) for phi in MISSED),
     1.0500351271565833, 4.822946711685607e-06, 8.143156220023098e-06, 0.00030459934857474536,
-    0.4817404765022452, *POLE_EDGE, *LOOSE_EDGE})
+    0.4817404765022452, 1.8418429198979154, *POLE_EDGE, *LOOSE_EDGE})
 
 # Reproducible examples, and no example database left in the checkout.  The
 # examples follow from the test's source and node id, so renaming the

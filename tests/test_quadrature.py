@@ -270,27 +270,77 @@ def _rate_distance(rate):
     return -math.log(rate) / (2.0 * math.pi)
 
 
-def test_pole_table_bounds_the_pole_distance():
-    # at each theta of the table, and at 20 theta between each pair of
-    # neighbours, as pi - |phi| is formed from phi, the d that quad_eval's
-    # lookup uses is at most the distance of the nearest pole
+def _tanh_sinh_distance(c):
+    """The distance from the real t axis of the nearest root of
+    tanh((pi/2) sinh t) = c, c off [-1, 1]: from each branch t = asinh(2 (atanh c
+    + i pi k) / pi), k = -2..2, the roots in the strip |Im t| < pi/2, polished
+    by findroot at 30 digits."""
+    ds = []
+    with mpmath.workdps(30):
+        c = mpmath.mpc(c)
+        for k in range(-2, 3):
+            t0 = mpmath.asinh(2 * (mpmath.atanh(c) + 1j * mpmath.pi * k) / mpmath.pi)
+            t = mpmath.findroot(lambda t: mpmath.tanh(mpmath.pi / 2 * mpmath.sinh(t)) - c, t0)
+            assert abs(mpmath.tanh(mpmath.pi / 2 * mpmath.sinh(t)) - c) < 1e-20
+            ds.append(float(abs(t.imag)))
+    return min(ds)
+
+
+def _unit_pole_distance(theta):
+    """d_unit(theta): the distance from the real t axis of the nearest image
+    of quad-unit's pole x = e^{i theta} (its conjugate mirrors it) under
+    x = (1 + tanh((pi/2) sinh t))/2."""
+    with mpmath.workdps(30):
+        return _tanh_sinh_distance(2 * mpmath.expj(mpmath.mpf(theta)) - 1)
+
+
+def _assert_rates_bound(table, distance):
+    """At each theta of the table, and at 20 theta between each pair of
+    neighbours, as pi - |phi| is formed from phi, the d that `table`'s lookup
+    uses is at most distance(theta), the distance of the nearest pole."""
     thetas = quadrature._POLE_THETA
-    start = mpmath.mpc(-1.7, 0.25)
+    rates = quadrature._POLE_RATE[table]
     for k, theta in enumerate(thetas):
-        d, start = _pole_distance(theta, start)
-        assert _rate_distance(quadrature._POLE_RATE[k]) <= d
-        if k + 1 == len(thetas):
-            break
-        for i in range(1, 21):
+        assert _rate_distance(rates[k]) <= distance(theta)
+        for i in range(1, 21 if k + 1 < len(thetas) else 1):
             phi = math.pi - (theta + (thetas[k + 1] - theta) * i / 21)
-            d, start = _pole_distance(pi_gap(phi), start)
-            assert _rate_distance(quadrature._pole_rate(phi)) <= d
-    assert quadrature._pole_rate(0.0) == quadrature._POLE_RATE[-1]
-    # below the first theta quad has no bound and stops on the delta
-    assert quadrature._pole_rate(math.nextafter(math.pi - thetas[0], math.pi)) is None
+            assert _rate_distance(quadrature._pole_rate(table, phi)) <= distance(pi_gap(phi))
+    assert quadrature._pole_rate(table, 0.0) == rates[-1]
+    # below the first theta the route has no bound and stops on the delta
+    assert quadrature._pole_rate(table, math.nextafter(math.pi - thetas[0], math.pi)) is None
+
+
+def test_pole_table_bounds_the_pole_distance():
+    start = mpmath.mpc(-1.7, 0.25)
+
+    def distance(theta):
+        nonlocal start
+        d, start = _pole_distance(theta, start)
+        return d
+
+    _assert_rates_bound("exp", distance)
     # d rises from 0.248 at theta = 1e-3 to 1.289 at pi
     for phi, pinned in ((0.5, 1.2484), (2.0, 1.0291), (2.9, 0.6850)):
         assert abs(_pole_distance(math.pi - phi, start)[0] - pinned) <= 5e-5
+
+
+def test_unit_pole_table_bounds_the_pole_distance():
+    _assert_rates_bound("unit", _unit_pole_distance)
+    # d_unit rises from 0.2049 at theta = 1e-3 to 1.1101 at pi
+    for theta, pinned in ((1.14, 0.7492), (0.24, 0.4982), (1e-3, 0.2049)):
+        assert abs(_unit_pole_distance(theta) - pinned) <= 5e-5
+
+
+def test_tan_rate_bounds_the_pole_distance():
+    # ln ln tan y is singular off (pi/4, pi/2) at y = k pi/2, where tan y is
+    # 0 or infinite, and at y = pi/4 + k pi, where ln tan y is 0; the nearest
+    # image of any of them under y = pi/4 + (pi/8)(1 + tanh((pi/2) sinh t))
+    # is y = 0's, where quad-unit's x = -1 is, at theta = pi
+    ys = [k * math.pi / 2 for k in (-3, -2, -1, 0, 2, 3, 4)]
+    ys += [math.pi / 4 + k * math.pi for k in (-2, -1, 1, 2)]
+    distances = [_tanh_sinh_distance(8.0 * y / math.pi - 3.0) for y in ys]
+    assert _rate_distance(quadrature._TAN_RATE) <= min(distances) == distances[3]
+    assert abs(distances[3] - _unit_pole_distance(math.pi)) <= 1e-12
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -308,6 +358,18 @@ def test_pole_stop_waits_for_level_2(monkeypatch, sign):
 def _falls_short(phi, r):
     with mpmath.workdps(40):
         return abs(mpmath.mpf(r.value) - oracle(phi)) > r.est_error
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_unit_pole_stop_waits_for_level_3(monkeypatch, sign):
+    # with a factor of 1 a pole stop from level 2, at 29 nodes, falls short
+    # there by 3.1 at tol 1e-3; from level 3, quad-unit's first, it holds
+    monkeypatch.setattr(quadrature, "POLE_K", 1.0)
+    phi = sign * 2.0813845523111305
+    rate = quadrature._pole_rate("unit", phi)
+    assert _falls_short(phi, quadrature._refine_levels("unit", quadrature._phi_terms(phi), 1e-3,
+                                                       2, rate))
+    assert not _falls_short(phi, quad_unit_eval(Angle(phi), 1e-3))
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -338,19 +400,24 @@ def test_quad_tan_stops_from_level_3():
 # quad-unit, and jn at 20).  The quad rows were frozen again when quad came
 # to stop by its pole rate: every estimate moved, the node counts at 2.0
 # and -3.1 fell by a level, and the value at 2.0 moved by 1 ulp, its error
-# 7.4e-17 under its estimate 4.7e-16.  Each value is within its est_error
-# of the 40-digit oracle (quad, quad-unit, quad-tan) or of the closed form
-# (jn).  A result must not depend on the state of the tables.
+# 7.4e-17 under its estimate 4.7e-16.  The quad-unit and quad-tan rows were
+# frozen again when they came to stop by their pole rates: every estimate
+# moved, the node counts of quad-unit at 0.5, 2.0 and 2.9 fell by a level,
+# and its values moved at 0.5 by 1 ulp and at 2.0 by 5 ulps, their errors
+# 1.1e-17 and 5.2e-16 under their estimates 2.0e-16 and 7.0e-14.  Each value
+# is within its est_error of the 40-digit oracle (quad, quad-unit, quad-tan)
+# or of the closed form (jn).  A result must not depend on the state of the
+# tables.
 FROZEN_HEX = {
     ("quad", 0.5): ("-0x1.32d5f1b233fdep-4", "0x1.d6750767b0490p-53", 63),
-    ("quad-unit", 0.5): ("-0x1.32d5f1b233fdep-4", "0x1.d5d9f17c17118p-53", 113),
+    ("quad-unit", 0.5): ("-0x1.32d5f1b233fdfp-4", "0x1.d6b415c5ceddep-53", 57),
     ("quad", 2.0): ("-0x1.1bb98c6f38cb6p-1", "0x1.1129428e4f0a7p-51", 63),
-    ("quad-unit", 2.0): ("-0x1.1bb98c6f38cb5p-1", "0x1.4000000000000p-51", 113),
+    ("quad-unit", 2.0): ("-0x1.1bb98c6f38cbap-1", "0x1.3a193c786b5d7p-44", 57),
     ("quad", 2.9): ("-0x1.3ecd2369460c9p+3", "0x1.5cfbb3977dbe0p-48", 125),
-    ("quad-unit", 2.9): ("-0x1.3ecd2369460c8p+3", "0x1.5d0548f98ea80p-48", 221),
+    ("quad-unit", 2.9): ("-0x1.3ecd2369460c8p+3", "0x1.5d0662a2ae8bbp-48", 111),
     ("quad", -3.1): ("-0x1.e305697eb5a91p+6", "0x1.939379326b898p-43", 125),
-    ("quad-unit", -3.1): ("-0x1.e305697eb5a91p+6", "0x1.0000000000000p-42", 219),
-    ("quad-tan", None): ("-0x1.0ab184de2a327p-2", "0x1.8530000000000p-42", 56),
+    ("quad-unit", -3.1): ("-0x1.e305697eb5a91p+6", "0x1.f6b426f85d17ap-45", 219),
+    ("quad-tan", None): ("-0x1.0ab184de2a327p-2", "0x1.6f3c2ad54a420p-52", 56),
     ("jn", 0): ("-0x1.2788cfc6fb619p-1", "0x1.8000000000000p-50", 63),
     ("jn", 7): ("-0x1.540d57e5798f9p-2", "0x1.0600000000000p-43", 63),
     ("jn", 20): ("-0x1.6134a88cbe4bbp-3", "0x1.f70ed52ef8703p-51", 126),
@@ -552,7 +619,8 @@ def test_warm_evaluations_compute_no_node(empty_tables, node_calls, numerator_ca
     monkeypatch.setattr(quadrature, "math", logs)
     nodes = 0
     for route in routes + [partial(quad_eval, Angle(-DEEP_PHI)), partial(quad_eval, Angle(0.5)),
-                           partial(quad_unit_eval, Angle(-2.0))]:
+                           partial(quad_unit_eval, Angle(-2.0)),
+                           partial(quad_unit_eval, Angle(-DEEP_PHI))]:
         nodes += route().nodes
     assert nodes > 1000
     # quad_jn reads quad's warm strips as w y^n: no log or exp at all
