@@ -107,9 +107,9 @@ def bench_series(repeat):
 def _stored():
     """Entries stored per integrand table, and the deepest level stored."""
     stored = {}
-    for (table, _, _), (entries, _, _) in quadrature._NODES.items():
+    for (table, _), (entries, _, _) in quadrature._NODES.items():
         stored[table] = stored.get(table, 0) + len(entries)
-    return stored, max(level for _, level, _ in quadrature._NODES)
+    return stored, max(level for _, level in quadrature._NODES)
 
 
 def bench_quadrature(repeat):

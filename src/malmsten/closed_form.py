@@ -198,5 +198,5 @@ def special_value(which):
         bracket += term
     value = prefactor * bracket
     # every term but the multiple of ln 2pi is a log-gamma
-    est = abs(prefactor) * ((len(terms) - 1) * LGAMMA_ERR + 2.0 * EPS * sum(map(abs, terms)))
+    est = abs(prefactor) * ((len(terms) - 1) * LGAMMA_ERR + 2.0 * EPS * math.fsum(map(abs, terms)))
     return Evaluation(Angle(which.value), value, Method.CLOSED, est + 2.0 * EPS * abs(value), 1)

@@ -19,18 +19,20 @@ sum: ulps is 2, or 2 + n for the w y^n of `quad_jn`, where y^n carries
 the rounding of y n-fold.
 `dispatch.evaluate` checks est_error against the caller's `tol`, as it
 does every route's.  Node sums use math.fsum (compensated accumulation):
-one per strip, and one over the strip sums per level.
+one per level's strip, and one over the strip sums so far.  The floor's
+sum|terms| is an fsum too, so that it rounds alike on every Python
+version: the builtin sum of floats is compensated from 3.12 on.
 
 Integrand tables.  The abscissae and weights do not depend on phi, and neither
 does the numerator of either integrand: only the denominator
 (y + cos phi)^2 + sin^2 phi does.  So each integrand's numerator is
-computed once per node per process and kept in `_NODES`, one strip at a
-time: under (table, level, sign) sits that level's entries for the sign of
-t, in order of j, up to where the transform leaves representable range or
-t passes _T_MAX; sign 0 holds the centre node alone.  `_TABLES` names the
-tables and gives each its node function of t and its numerator: "unit" for
-quad-unit on (0, 1), "exp" for quad on (0, inf), and "tan" for quad-tan on
-(pi/4, pi/2).  Their entries are the phi-free triples (weight * numerator,
+computed once per node per process and kept in `_NODES`, one strip per
+level: under (table, level) sits the centre node (level 0 only), then that
+level's entries at t = +j h and -j h, interleaved in order of j, + before
+-, each side up to where the transform leaves representable range or t
+passes _T_MAX.  `_TABLES` names the tables and gives each its node
+function of t and its numerator: "unit" for quad-unit on (0, 1), "exp"
+for quad on (0, inf), and "tan" for quad-tan on (pi/4, pi/2).  Their entries are the phi-free triples (weight * numerator,
 y, 1 - y): y = x with numerator ln ln(1/x) for quad-unit, y = e^{-u} with
 numerator e^{-u} ln u for quad, and y = 0 for quad-tan.  A term rule turns
 entries into terms and bounds their rounding, one rule per kind:
@@ -50,7 +52,9 @@ before any term is computed, where every further term stays below
 1e-20 times the last level's total, and an evaluation sums each strip up
 to that cut with one list comprehension and one fsum.  Every angle, route
 and tolerance reads the same tables, and a stored strip does not depend on
-which evaluation stored it, so neither does a result.
+which evaluation stored it, so neither does a result.  Both sides share
+one cut, so the side whose terms decay faster is summed as far in j as the
+slower one: a few more terms, for one cut, one slice and one fsum a level.
 """
 
 import math
@@ -107,7 +111,7 @@ _TAN_RATE = _POLE_RATE["unit"][-1]
 _T_MAX = 6.5
 _Q_MIN = 1e-280
 
-# (table, level, sign) -> strip
+# (table, level) -> strip
 _NODES = {}
 _NODES_LOCK = threading.Lock()
 
@@ -116,22 +120,24 @@ class QuadResult(Record, namedtuple("QuadResult", "value est_error nodes")):
     __slots__ = ()
 
 
-def _strip(node, level, sign):
-    """node(t) at t = sign * j * h, h = 2^-level: the centre alone for sign 0,
-    else j = 1, 1 + step_j, ... while j * h <= _T_MAX, up to the first None;
-    level 0 takes every j, a deeper level only the odd j the levels before
-    it lack."""
-    if not sign:
-        return (node(0.0),)
+def _strip(node, level):
+    """node(t) at t = 0 (level 0 only), then at t = +j h and -j h, h = 2^-level,
+    interleaved in order of j, + before -: j = 1, 1 + step_j, ... while
+    j * h <= _T_MAX, each side up to its own first None; level 0 takes every
+    j, a deeper level only the odd j the levels before it lack."""
     h = 0.5 ** level
     step_j = 1 if level == 0 else 2
-    strip = []
+    strip = [node(0.0)] if level == 0 else []
+    signs = (1.0, -1.0)
     j = 1
-    while j * h <= _T_MAX:
-        entry = node(sign * j * h)
-        if entry is None:
-            break
-        strip.append(entry)
+    while signs and j * h <= _T_MAX:
+        live = []
+        for sign in signs:
+            entry = node(sign * j * h)
+            if entry is not None:
+                strip.append(entry)
+                live.append(sign)
+        signs = live
         j += step_j
     return tuple(strip)
 
@@ -155,17 +161,17 @@ def _envelopes(entries):
     return tuple(reversed(neg_e1)), tuple(reversed(neg_e2))
 
 
-def _strip_at(table, level, sign):
-    """The strip stored under (table, level, sign) as
-    (entries, *_envelopes(entries)), built from `_TABLES[table]` on first use."""
-    name = (table, level, sign)
+def _strip_at(table, level):
+    """The strip stored under (table, level) as (entries, *_envelopes(entries)),
+    built from `_TABLES[table]` on first use."""
+    name = (table, level)
     strip = _NODES.get(name)
     if strip is None:
         with _NODES_LOCK:
             strip = _NODES.get(name)
             if strip is None:
                 node, numerator = _TABLES[table]
-                entries = tuple(starmap(numerator, _strip(node, level, sign)))
+                entries = tuple(starmap(numerator, _strip(node, level)))
                 strip = _NODES[name] = (entries, *_envelopes(entries))
     return strip
 
@@ -205,12 +211,12 @@ def _power_terms(n):
 def _refine_levels(table, rule, tol, first_level, rate=None):
     """Shared level driver: trapezoid in t, node doubling per level.
 
-    `_strip_at(table, level, sign)` gives the strip of one level on one side
-    of the centre (sign 0: the centre alone), whose entries are the phi-free
-    (weight * numerator, y, 1 - y) triples; the term rule (d_min, terms, ulps)
-    makes their terms.  Each strip is summed up to its `_cut`, past which no
-    term exceeds 1e-20 times the last level's total (or 1e-20), and each
-    level's total is the fsum of the strip sums so far.
+    `_strip_at(table, level)` gives the strip of one level, both sides of the
+    centre interleaved, whose entries are the phi-free (weight * numerator,
+    y, 1 - y) triples; the term rule (d_min, terms, ulps) makes their terms.
+    Each strip is summed up to its `_cut`, past which no term on either side
+    exceeds 1e-20 times the last level's total (or 1e-20), and each level's
+    total is the fsum of the strip sums so far.
 
     The estimate of a level is the delta into it (for `quad_jn`, and for
     quad and quad-unit below `_POLE_THETA`), or, with a pole rate
@@ -231,21 +237,20 @@ def _refine_levels(table, rule, tol, first_level, rate=None):
     require_tol(tol)
     d_min, strip_terms, ulps = rule
     terms = []  # every term summed, for the node count and the rounding floor
-    sums = []  # one fsum per strip
+    sums = []  # one fsum per level
     total = 0.0
     value = math.inf
     bound = 0.0  # M_j
     for level in range(MAX_LEVEL + 1):
         small_at = 1e-20 * max(abs(total), 1.0)
-        for sign in (0.0, 1.0, -1.0) if level == 0 else (1.0, -1.0):
-            strip = _strip_at(table, level, sign)
-            try:
-                new = strip_terms(strip[0][:_cut(strip, small_at, d_min)])
-            except ZeroDivisionError:
-                raise InternalInconsistencyError(
-                    f"zero integrand denominator at level {level}, sign {sign}") from None
-            sums.append(math.fsum(new))
-            terms += new
+        strip = _strip_at(table, level)
+        try:
+            new = strip_terms(strip[0][:_cut(strip, small_at, d_min)])
+        except ZeroDivisionError:
+            raise InternalInconsistencyError(
+                f"zero integrand denominator at level {level}") from None
+        sums.append(math.fsum(new))
+        terms += new
         total = math.fsum(sums)
         h = 0.5 ** level
         new_value = h * total
@@ -259,7 +264,7 @@ def _refine_levels(table, rule, tol, first_level, rate=None):
             # each term carries `ulps` EPS of rounding, and the node sum
             # can cancel: a floor of ulps EPS per term bounds both, where the
             # inter-level delta (which can be 0) does not
-            est = max(est, ulps * EPS * h * sum(map(abs, terms)))
+            est = max(est, ulps * EPS * h * math.fsum(map(abs, terms)))
             return QuadResult(value, est, len(terms))
     raise NonConvergenceError(
         f"quadrature did not converge (best estimate {value!r})",

@@ -52,7 +52,7 @@ TOLS = (None, 1e-3, 1e-6, 1e-9, 1e-12, 1e-14, 1e-15)
 # - closed 94 (at 1.05) and series 2.4e3 (at 4.8e-6), under the F they
 #   had; series' F applied from |phi| = 1e-3 before.
 # - quad-tan 5.32 at its one angle, at every tol: from level 3 on, the
-#   first it trusts, it stops at 56 nodes, where its pole bound lies below
+#   first it trusts, it stops at 57 nodes, where its pole bound lies below
 #   the rounding floor.  It was 5.77e3 while it stopped on the delta, and
 #   1.96e6 when it trusted level 2 (28 nodes at tol 1e-6 and looser).
 # - kummer 5.8e6 (at 8.14e-6, where its estimate 5e-13 pi/|sin phi| is

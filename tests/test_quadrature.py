@@ -171,8 +171,7 @@ def test_a_zero_denominator_raises_a_typed_error(empty_tables, monkeypatch, c, y
 def _table_strips(table):
     """Every strip of the integrand table `table`, at every level a
     quadrature can reach."""
-    return [quadrature._strip_at(table, level, sign) for level in range(quadrature.MAX_LEVEL + 1)
-            for sign in ((0.0, 1.0, -1.0) if level == 0 else (1.0, -1.0))]
+    return [quadrature._strip_at(table, level) for level in range(quadrature.MAX_LEVEL + 1)]
 
 
 @pytest.mark.parametrize("table", ["exp", "unit", "tan", "jn"])
@@ -387,8 +386,10 @@ def test_each_route_stops_only_from_its_first_level(sign):
 
 def test_quad_tan_stops_from_level_3():
     # trusting level 2, it stopped at tol 1e-6 after 28 nodes with an
-    # estimate of 6.8e-7 for an error of 3.5e-13
-    assert quad_tan_form(1e-6).nodes == 56
+    # estimate of 6.8e-7 for an error of 3.5e-13.  Levels 0 to 3 sum 57
+    # nodes: level 1's one cut keeps its fourth node on the + side, which
+    # the - side needs
+    assert quad_tan_form(1e-6).nodes == 57
 
 
 # (value, est_error) as float.hex() and node count.  Every row was frozen
@@ -404,23 +405,30 @@ def test_quad_tan_stops_from_level_3():
 # frozen again when they came to stop by their pole rates: every estimate
 # moved, the node counts of quad-unit at 0.5, 2.0 and 2.9 fell by a level,
 # and its values moved at 0.5 by 1 ulp and at 2.0 by 5 ulps, their errors
-# 1.1e-17 and 5.2e-16 under their estimates 2.0e-16 and 7.0e-14.  Each value
-# is within its est_error of the 40-digit oracle (quad, quad-unit, quad-tan)
-# or of the closed form (jn).  A result must not depend on the state of the
-# tables.
+# 1.1e-17 and 5.2e-16 under their estimates 2.0e-16 and 7.0e-14.  Every
+# row was frozen again when both sides of t = 0 came to share one strip, one
+# cut and one fsum per level, and the rounding floor came to sum its |terms|
+# by fsum, alike on every Python version.  The one cut sums the
+# faster-decaying side as far in j as the slower one, so nodes rose at 2.9
+# and -3.1 (quad 125 -> 127 and 128, quad-unit 111 -> 113 and 219 -> 225)
+# and for quad-tan (56 -> 57); with those terms and the new grouping of the
+# sums, quad's values at 2.9 and -3.1 moved by 1 ulp, and most estimates
+# in their last bits.  Each value is within its est_error of the 40-digit
+# oracle (quad, quad-unit, quad-tan) or of the closed form (jn).  A result
+# must not depend on the state of the tables.
 FROZEN_HEX = {
-    ("quad", 0.5): ("-0x1.32d5f1b233fdep-4", "0x1.d6750767b0490p-53", 63),
-    ("quad-unit", 0.5): ("-0x1.32d5f1b233fdfp-4", "0x1.d6b415c5ceddep-53", 57),
-    ("quad", 2.0): ("-0x1.1bb98c6f38cb6p-1", "0x1.1129428e4f0a7p-51", 63),
+    ("quad", 0.5): ("-0x1.32d5f1b233fdep-4", "0x1.d6750767b0491p-53", 63),
+    ("quad-unit", 0.5): ("-0x1.32d5f1b233fdfp-4", "0x1.d6b415c5ceddfp-53", 57),
+    ("quad", 2.0): ("-0x1.1bb98c6f38cb6p-1", "0x1.1129428e4f0a5p-51", 63),
     ("quad-unit", 2.0): ("-0x1.1bb98c6f38cbap-1", "0x1.3a193c786b5d7p-44", 57),
-    ("quad", 2.9): ("-0x1.3ecd2369460c9p+3", "0x1.5cfbb3977dbe0p-48", 125),
-    ("quad-unit", 2.9): ("-0x1.3ecd2369460c8p+3", "0x1.5d0662a2ae8bbp-48", 111),
-    ("quad", -3.1): ("-0x1.e305697eb5a91p+6", "0x1.939379326b898p-43", 125),
-    ("quad-unit", -3.1): ("-0x1.e305697eb5a91p+6", "0x1.f6b426f85d17ap-45", 219),
-    ("quad-tan", None): ("-0x1.0ab184de2a327p-2", "0x1.6f3c2ad54a420p-52", 56),
-    ("jn", 0): ("-0x1.2788cfc6fb619p-1", "0x1.8000000000000p-50", 63),
-    ("jn", 7): ("-0x1.540d57e5798f9p-2", "0x1.0600000000000p-43", 63),
-    ("jn", 20): ("-0x1.6134a88cbe4bbp-3", "0x1.f70ed52ef8703p-51", 126),
+    ("quad", 2.9): ("-0x1.3ecd2369460c8p+3", "0x1.5cfbb3977dbe1p-48", 127),
+    ("quad-unit", 2.9): ("-0x1.3ecd2369460c8p+3", "0x1.5d0662a2ae8bbp-48", 113),
+    ("quad", -3.1): ("-0x1.e305697eb5a90p+6", "0x1.939379326b898p-43", 128),
+    ("quad-unit", -3.1): ("-0x1.e305697eb5a91p+6", "0x1.f6b426f85d176p-45", 225),
+    ("quad-tan", None): ("-0x1.0ab184de2a327p-2", "0x1.6f3c2ad54a420p-52", 57),
+    ("jn", 0): ("-0x1.2788cfc6fb619p-1", "0x1.6000000000000p-50", 63),
+    ("jn", 7): ("-0x1.540d57e5798f9p-2", "0x1.0620000000000p-43", 63),
+    ("jn", 20): ("-0x1.6134a88cbe4bbp-3", "0x1.f70ed52ef8705p-51", 126),
 }
 DEEP_PHI = math.pi - 1.0001e-3  # just inside the guard band: the deepest tables
 
@@ -515,22 +523,60 @@ def _spacing(level):
     return 0.5 ** level, (1 if level == 0 else 2)
 
 
+def _node(table):
+    """The node function of `table`, unpatched."""
+    _, node_name, interval = TABLES[table]
+    return partial(getattr(quadrature, node_name), *interval)
+
+
+def _side(node, level, sign):
+    """One side of level `level`, walked on its own: t = sign * j * h in
+    order of j, up to the first None of `node` or t past _T_MAX; and
+    whether a None ended it."""
+    h, step_j = _spacing(level)
+    ts = []
+    j = 1
+    while j * h <= quadrature._T_MAX:
+        if node(sign * j * h) is None:
+            return ts, True
+        ts.append(sign * j * h)
+        j += step_j
+    return ts, False
+
+
+def _level_ts(node, level):
+    """The t of level `level`'s strip: the centre at level 0, then both
+    sides interleaved."""
+    return [0.0] * (level == 0) + _interleave(_side(node, level, 1.0)[0],
+                                               _side(node, level, -1.0)[0])
+
+
+def _interleave(plus, minus):
+    """plus[0], minus[0], plus[1], minus[1], ...: each list in its order, the
+    longer one's tail alone at the end."""
+    out = []
+    for k in range(max(len(plus), len(minus))):
+        out += plus[k:k + 1] + minus[k:k + 1]
+    return out
+
+
 def _node_calls_behind(tables):
-    # the node-function calls behind the stored strips: one per entry, plus
-    # the None that ended each strip that left range before its t passed
-    # _T_MAX; sign 0 holds the centre alone
+    # the node-function calls behind the stored strips: the centre at level
+    # 0, and on each side one per entry, plus the None that ended the side
+    # if it left range before its t passed _T_MAX
     calls = 0
-    for (_, level, sign), (entries, _, _) in tables.items():
-        h, step_j = _spacing(level)
-        left_range = sign != 0.0 and (1 + len(entries) * step_j) * h <= quadrature._T_MAX
-        calls += len(entries) + left_range
+    for table, level in tables:
+        calls += level == 0
+        for sign in (1.0, -1.0):
+            ts, left_range = _side(_node(table), level, sign)
+            calls += len(ts) + left_range
     return calls
 
 
 def _stored_numerators(tables):
     # table -> the entries stored in its strips
     counts = dict.fromkeys(TABLES, 0)
-    for (table, _, _), (entries, _, _) in tables.items():
+    for (table, _), (entries, _, _) in tables.items():
         counts[table] += len(entries)
     return counts
 
@@ -702,27 +748,40 @@ def _suffix_maxima(values):
 
 
 def test_strips_are_whole(empty_tables):
-    # each stored strip holds its numerator at every node of its level and
-    # sign, up to the first None or t past _T_MAX, not only the nodes its
-    # first evaluation summed, and beside them its two envelopes: the suffix
-    # maxima of |wn| and of |wn| / (1 - y)^2, negated
+    # each stored strip holds its numerator at every node of its level on
+    # both sides, each side up to its first None or t past _T_MAX, not only
+    # the nodes its first evaluation summed, and beside them its two
+    # envelopes: the suffix maxima of |wn| and of |wn| / (1 - y)^2, negated
     quad_eval(Angle(DEEP_PHI))
     quad_unit_eval(Angle(0.5))
     quad_tan_form()
-    assert {table for table, _, _ in empty_tables} == set(TABLES)
-    for (table, level, sign), (entries, neg_e1, neg_e2) in empty_tables.items():
+    assert {table for table, _ in empty_tables} == set(TABLES)
+    for (table, level), (entries, neg_e1, neg_e2) in empty_tables.items():
         assert neg_e1 == _suffix_maxima([abs(wn) for wn, _, _ in entries])
         assert neg_e2 == _suffix_maxima([abs(wn) / d / d for wn, _, d in entries])
-        numerator_name, node_name, interval = TABLES[table]
-        numerator = getattr(quadrature, numerator_name)
-        node = partial(getattr(quadrature, node_name), *interval)
-        if sign == 0.0:
-            assert entries == (numerator(*node(0.0)),)
-            continue
-        h, step_j = _spacing(level)
-        expected = []
-        j = 1
-        while j * h <= quadrature._T_MAX and node(sign * j * h) is not None:
-            expected.append(numerator(*node(sign * j * h)))
-            j += step_j
-        assert entries == tuple(expected)
+        numerator, node = getattr(quadrature, TABLES[table][0]), _node(table)
+        assert entries == tuple(numerator(*node(t)) for t in _level_ts(node, level))
+
+
+def _ends_early(t):
+    # a stub node function whose + side leaves range at t = 1.3 and whose
+    # - side runs to _T_MAX: a None ends only its own side
+    return None if t > 1.3 else t
+
+
+@pytest.mark.parametrize("table", sorted(TABLES) + ["stub"])
+def test_level_strip_holds_each_node_once(empty_tables, table):
+    # level L's strip holds t = 0 (L = 0 only), then t = +j h and -j h,
+    # h = 2^-L, in order of j, + before -, each exactly once: every j at
+    # level 0, the odd j past it, each side up to its own end; and, stored,
+    # the numerators at those t that each side, walked on its own, holds
+    node = _ends_early if table == "stub" else _node(table)
+    for level in range(quadrature.MAX_LEVEL + 1):
+        ts = _level_ts(node, level)
+        # the node function tagged with its t, to read back each entry's node
+        assert quadrature._strip(lambda t: None if node(t) is None else t, level) == tuple(ts)
+        assert len(set(ts)) == len(ts)
+        if table != "stub":
+            numerator = getattr(quadrature, TABLES[table][0])
+            entries = quadrature._strip_at(table, level)[0]
+            assert entries == tuple(numerator(*node(t)) for t in ts)
