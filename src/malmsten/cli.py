@@ -80,9 +80,7 @@ def cmd_eval(args):
 
 def cmd_verify(args):
     only = args.only.split(",") if args.only else None
-    # a --tol-* flag not given is not passed on: run_checks holds the defaults
-    tols = {k: v for k, v in vars(args).items() if k.startswith("tol_") and v is not None}
-    records = run_checks(only=only, **tols)
+    records = run_checks(only=only)
     # the closed_quad group's records are the closed-vs-quad grid
     deltas = [r.residual for r in records if r.name.startswith("closed_vs_quad[")]
     max_delta = max(deltas) if deltas else None
@@ -237,9 +235,6 @@ def build_parser():
     p_eval.set_defaults(func=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="run the full cross-validation suite")
-    p_verify.add_argument("--tol-closed-quad", type=float)
-    p_verify.add_argument("--tol-series", type=float)
-    p_verify.add_argument("--tol-kummer", type=float)
     p_verify.add_argument("--only", default=None,
                           help=f"comma-separated check groups from: {','.join(GROUPS)}")
     p_verify.add_argument("--json", action="store_true")

@@ -22,7 +22,7 @@ import math
 from .domain import Angle, Evaluation, Method, require_regular
 from .errors import DomainError
 from .series import log_sine_sum
-from .special_functions import EULER_GAMMA, LN_PI, LN_TWO_PI, gamma_gap, log_gamma
+from .special_functions import EPS, EULER_GAMMA, LGAMMA_ERR, LN_PI, LN_TWO_PI, gamma_gap, log_gamma
 
 # ln sin(pi x) dominates past these endpoints; the identity's useful range
 # is interior.
@@ -45,17 +45,28 @@ def _closed_part(x):
 
 
 def kummer_sum(x):
-    """ln Gamma(x) from Kummer's expansion, its series summed by log_sine_sum.
+    """ln Gamma(x) from Kummer's expansion, its series summed by log_sine_sum:
+    (value, est_error).
 
     The series is log_sine_sum at phi = 2 pi x - pi, 0 at x = 1/2.  For
     |x - 1/2| <= EULER_PHI / (2 pi) the sum runs on Euler's transformation,
-    and past it on the Euler-Maclaurin branch.  Near the ends the rounding
-    of 2 pi x - pi, about 6e-16, moves the result by up to about
-    6e-16 / (4 pi min(x, 1 - x)).
+    and past it on the Euler-Maclaurin branch.  The estimate adds:
+    - the series' own estimate, over pi;
+    - 4 eps (|closed part| + |series/pi|), the roundings of the closed part,
+      the divide and the sum;
+    - the rounding of the angles 2 pi x - pi and pi x, each within 3 eps of
+      the exact one near the ends (half an ulp of the product or of the
+      difference, and pi - float(pi)).  With g = min(x, 1 - x), S goes as
+      -(pi/2) ln theta near theta = 2 pi g, and ln sin(pi x) as ln(pi g),
+      so they move the result by up to 3 eps/(4 pi g) and 3 eps/(2 pi g):
+      9 eps/(4 pi g) in all, which sets the error near the ends.
     """
     closed_part = _closed_part(x)
-    series = log_sine_sum(Angle(2.0 * math.pi * x - math.pi))
-    return closed_part + series / math.pi
+    series, est = log_sine_sum(Angle(2.0 * math.pi * x - math.pi))
+    series /= math.pi
+    angles = 9.0 * EPS / (4.0 * math.pi * min(x, 1.0 - x))
+    return (closed_part + series,
+            est / math.pi + 4.0 * EPS * (abs(closed_part) + abs(series)) + angles)
 
 
 def log_sine_partial(theta, n_terms):
@@ -82,6 +93,17 @@ def kummer_partial(x, n_terms):
     return closed_part + series / math.pi
 
 
+def _closed_side_terms(a):
+    """The four terms of the identity's closed side at a = |phi|, in the
+    order they add."""
+    return (
+        math.pi * log_gamma(gamma_gap(a)),
+        -0.5 * a * (EULER_GAMMA + LN_TWO_PI),
+        -0.5 * math.pi * LN_PI,
+        0.5 * math.pi * math.log(math.cos(0.5 * a)),
+    )
+
+
 def derived_closed_side(phi):
     """Closed side of the log-sine sum identity, via log_gamma.
 
@@ -91,23 +113,27 @@ def derived_closed_side(phi):
     gamma_gap(|phi|) tends to 0 as |phi| -> pi, and negated for phi < 0.
     """
     p = phi.phi
-    a = abs(p)
-    side = (
-        math.pi * log_gamma(gamma_gap(a))
-        - 0.5 * a * (EULER_GAMMA + LN_TWO_PI)
-        - 0.5 * math.pi * LN_PI
-        + 0.5 * math.pi * math.log(math.cos(0.5 * a))
-    )
+    lg, linear, const, log_cos = _closed_side_terms(abs(p))
+    side = lg + linear + const + log_cos
     return side if p >= 0.0 else -side
+
+
+def derived_closed_side_err(phi):
+    """The error estimate of `derived_closed_side(phi)`: pi LGAMMA_ERR for its
+    one log-gamma, plus 4 eps times the sum of its terms' magnitudes for the
+    roundings of the terms and of their sum."""
+    return math.pi * LGAMMA_ERR + 4.0 * EPS * sum(map(abs, _closed_side_terms(abs(phi.phi))))
 
 
 def derived_sum_identity(phi):
     """Both sides of the identity for sum_{n>=2} ln n sin(n(pi - phi))/n.
 
-    Returns (series_side, closed_side).  The series side goes through the
-    parity map to the alternating log-sine sum of the series route.
+    Returns ((series_side, est_error), (closed_side, est_error)).  The series
+    side goes through the parity map to the alternating log-sine sum of the
+    series route, and keeps its estimate.
     """
-    return -log_sine_sum(phi), derived_closed_side(phi)
+    series_side, series_est = log_sine_sum(phi)
+    return (-series_side, series_est), (derived_closed_side(phi), derived_closed_side_err(phi))
 
 
 def kummer_closed_eval(phi):

@@ -374,17 +374,19 @@ def _alternating_sum(p, euler, em):
 
 
 def sawtooth_sum(phi):
-    """sum_{n>=1} (-1)^{n+1} sin(n phi)/n (limit: phi/2), summed as the log-sine sum is."""
-    return -_alternating_sum(phi.phi, _SAWTOOTH_EULER, _SAWTOOTH_EM)[0]
+    """sum_{n>=1} (-1)^{n+1} sin(n phi)/n (limit: phi/2), summed as the log-sine
+    sum is: (value, est_error)."""
+    value, est, _ = _alternating_sum(phi.phi, _SAWTOOTH_EULER, _SAWTOOTH_EM)
+    return -value, est
 
 
 def log_sine_sum(phi):
-    """sum_{n>=2} (-1)^n ln n sin(n phi)/n, summed in closed form.
+    """sum_{n>=2} (-1)^n ln n sin(n phi)/n, summed in closed form: (value, est_error).
 
     S has no 1/sin(phi), so it takes every angle, 0 and ZERO ones included:
     S(0) = 0, and near 0 Euler's branch gives its slope (1/2) ln(pi/2).
     """
-    return _alternating_sum(phi.phi, _LOG_SINE_EULER, _LOG_SINE_EM)[0]
+    return _alternating_sum(phi.phi, _LOG_SINE_EULER, _LOG_SINE_EM)[:2]
 
 
 def series_eval(phi):

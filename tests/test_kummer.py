@@ -28,12 +28,14 @@ def test_midpoint_exact_at_every_truncation(n_terms):
     # every series term is sin(pi n) = 0 analytically, so the truncation
     # must be bitwise (1/2) ln pi with no rounding dust
     assert kummer_partial(0.5, n_terms) == 0.5 * math.log(math.pi)
-    assert kummer_sum(0.5) == 0.5 * math.log(math.pi)
+    assert kummer_sum(0.5)[0] == 0.5 * math.log(math.pi)
 
 
 def test_accelerated_matches_log_gamma():
     for x in [0.05 * k for k in range(1, 20)] + [0.01, 0.99]:
-        assert abs(kummer_sum(x) - log_gamma(x)) <= 1e-13
+        value, est = kummer_sum(x)
+        assert abs(value - log_gamma(x)) <= 1e-13
+        assert est <= 1e-12
 
 
 @pytest.mark.parametrize("x", [2e-6, 1e-4, 1e-3, 1.0 - 1e-3])
@@ -46,15 +48,17 @@ def test_sum_near_the_endpoints(x):
     # ln sin(pi x); 1e-14 covers the rest.
     delta = 6e-16
     g = min(x, 1.0 - x)
+    value, est = kummer_sum(x)
     with mpmath.workdps(40):
-        err = float(abs(mpmath.mpf(kummer_sum(x)) - mpmath.loggamma(x)))
+        err = float(abs(mpmath.mpf(value) - mpmath.loggamma(x)))
     assert err <= 1e-14 + 3.0 * delta / (4.0 * math.pi * g)
+    assert err <= est
 
 
 @pytest.mark.parametrize("x", [0.5 - 1e-8, 0.5 + 1e-8])
 def test_sum_near_midpoint(x):
     # 2 pi x - pi is a ZERO angle here, summed by Euler's branch as any other
-    assert abs(kummer_sum(x) - log_gamma(x)) <= 1e-14
+    assert abs(kummer_sum(x)[0] - log_gamma(x)) <= 1e-14
 
 
 def test_unaccelerated_partial_misses():
@@ -109,13 +113,13 @@ def test_endpoint_guard():
 
 @pytest.mark.parametrize("phi", IDENTITY_GRID)
 def test_derived_sum_identity(phi):
-    series_side, closed_side = derived_sum_identity(Angle(phi))
-    assert abs(series_side - closed_side) <= 1e-7
+    (series_side, series_est), (closed_side, closed_est) = derived_sum_identity(Angle(phi))
+    assert abs(series_side - closed_side) <= series_est + closed_est
 
 
 def test_identity_at_zero_angle():
     # every series term is sin(n pi) = 0; the closed side vanishes too
-    series_side, closed_side = derived_sum_identity(Angle(0.0))
+    (series_side, _), (closed_side, _) = derived_sum_identity(Angle(0.0))
     assert series_side == 0.0
     assert abs(closed_side) <= 1e-12
 
@@ -124,7 +128,7 @@ def test_identity_at_zero_angle():
 def test_assembly_reproduces_closed_form(phi):
     if Angle(phi).is_zero:
         return
-    series_side, _ = derived_sum_identity(Angle(phi))
+    (series_side, _), _ = derived_sum_identity(Angle(phi))
     assembled = -(0.5 * EULER_GAMMA * phi + series_side) / math.sin(phi)
     assert abs(assembled - malmsten_closed(Angle(phi)).value) <= 1e-7
 

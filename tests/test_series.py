@@ -110,7 +110,8 @@ def test_jn_domain():
 
 @pytest.mark.parametrize("phi", SAWTOOTH_ANGLES)
 def test_sawtooth_accelerated(phi):
-    assert abs(sawtooth_sum(Angle(phi)) - phi / 2.0) <= 1e-13
+    value, est = sawtooth_sum(Angle(phi))
+    assert abs(value - phi / 2.0) <= min(1e-13, est)
 
 
 def test_sawtooth_raw_misses():
@@ -125,7 +126,7 @@ def test_log_sine_sum_matches_closed_assembly():
     for phi in (0.7, 2.0, -1.3):
         expected = (math.sin(phi) * malmsten_closed(Angle(phi)).value
                     + 0.5 * EULER_GAMMA * phi)
-        assert abs(log_sine_sum(Angle(phi)) - expected) <= 1e-9
+        assert abs(log_sine_sum(Angle(phi))[0] - expected) <= 1e-9
 
 
 @pytest.mark.parametrize("phi", GRID)
@@ -284,8 +285,7 @@ def test_log_sine_sum_takes_a_zero_angle(phi):
     # S has no 1/sin(phi): ZERO angles are summed on Euler's branch, with an
     # honest estimate, to within a few ulps of the 40-digit value; where S is
     # subnormal, an ulp is the subnormal spacing and the estimate is not 0
-    value = log_sine_sum(Angle(phi))
-    _, est, _ = series._alternating_sum(phi, series._LOG_SINE_EULER, series._LOG_SINE_EM)
+    value, est = log_sine_sum(Angle(phi))
     with mpmath.workdps(40):
         exact = _log_sine_oracle(phi)
         err = abs(mpmath.mpf(value) - exact)
@@ -295,8 +295,8 @@ def test_log_sine_sum_takes_a_zero_angle(phi):
 
 def test_log_sine_sum_at_zero():
     # S(0) = 0, and S(5e-324) = 0.226 * 5e-324 rounds to 0 too
-    assert log_sine_sum(Angle(0.0)) == 0.0
-    assert log_sine_sum(Angle(5e-324)) == 0.0
+    assert log_sine_sum(Angle(0.0))[0] == 0.0
+    assert log_sine_sum(Angle(5e-324))[0] == 0.0
 
 
 @pytest.mark.parametrize(
