@@ -8,10 +8,10 @@ exponentially at u = 0 (the ln u endpoint singularity) and spread single
 exponentially toward infinity, where e^{-u} finishes the decay.
 `quad_unit_eval` applies tanh-sinh straight to ln ln(1/x) on (0, 1) as
 a structurally different second oracle.  Node count doubles per level.
-Each route has one stop rule, whose estimate is its est_error: the pole
-bound of quad, quad-unit and quad-tan, or the delta between two levels for
-`quad_jn` and for quad and quad-unit below their pole tables.  Each trusts
-its rule only from its first level, the first that resolves its integrand.
+Every route has one stop rule, the pole bound of `_refine_levels`, from a
+rate in a literal table, trusted from the route's first level, the first
+that resolves its integrand; the bound is its est_error.  quad and
+quad-unit refuse |phi| within GUARD_BAND of pi, where no rate holds.
 Past MAX_LEVEL a route raises NonConvergenceError with its best estimate,
 so a returned result has converged.  est_error is at least a rounding floor, `ulps` EPS per
 term, ulps EPS h sum|terms|, which also covers cancellation in the node
@@ -67,7 +67,8 @@ from .domain import Record, require_power, require_tol
 from .errors import DomainError, InternalInconsistencyError, NonConvergenceError
 from .special_functions import EPS, pi_gap
 
-# The integral diverges at |phi| = pi; accuracy claims stop at this band.
+# The integral diverges at |phi| = pi.  quad and quad-unit refuse pi - |phi|
+# below GUARD_BAND, the first theta of _POLE_THETA, where no rate holds.
 GUARD_BAND = 1e-3
 
 # Default tolerance, and the halvings of the step h after the first level.
@@ -88,15 +89,14 @@ MAX_LEVEL = 10
 # down to 4 decimals, itself rounded up to 4 significant digits: so its d is
 # a lower bound on d from theta = _POLE_THETA[k] on.  d is 0.248 at theta =
 # 1e-3, 1.029 at pi - 2 and 1.289 at pi, and d_unit 0.2049, 0.7495 and 1.1101
-# there; the maps' own singularities cap both at pi/2.  Below the first
-# theta a route has no bound and stops on the delta.  Past its ends quad-tan's
+# there; the maps' own singularities cap both at pi/2.  Past its ends quad-tan's
 # integrand ln ln tan y is singular only on the real line, nearest at y = 0,
 # which its map sends where quad-unit's sends x = -1: its one rate is
 # quad-unit's at theta = pi.  The estimate is POLE_K times the largest
 # constant the deltas imply: with a factor of 1 it fell short by 2.7 at
 # |phi| = 1.9053 (quad, tol 1e-6).
 POLE_K = 100.0
-_POLE_THETA = (1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.3, 1.6,
+_POLE_THETA = (GUARD_BAND, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.3, 1.6,
                2.0, 2.5, 3.0, math.pi)
 _POLE_RATE = {
     "exp": (0.2106, 0.1804, 0.1402, 0.1106, 0.08265, 0.05032, 0.0308, 0.01649, 0.0106,
@@ -208,7 +208,7 @@ def _power_terms(n):
     return 1.0, lambda entries: [wn * y ** n for wn, y, _ in entries], 2.0 + n
 
 
-def _refine_levels(table, rule, tol, first_level, rate=None):
+def _refine_levels(table, rule, tol, first_level, rate):
     """Shared level driver: trapezoid in t, node doubling per level.
 
     `_strip_at(table, level)` gives the strip of one level, both sides of the
@@ -218,12 +218,11 @@ def _refine_levels(table, rule, tol, first_level, rate=None):
     exceeds 1e-20 times the last level's total (or 1e-20), and each level's
     total is the fsum of the strip sums so far.
 
-    The estimate of a level is the delta into it (for `quad_jn`, and for
-    quad and quad-unit below `_POLE_THETA`), or, with a pole rate
-    r = e^{-2 pi d}, d a lower bound on the distance of the integrand's
-    nearest pole from the real t axis, the error of level j is about
-    C r^(2^j), and the delta into level i, about the error of level i - 1,
-    implies a constant C_i = delta_i / r^(2^(i-1)).  From level 1 on
+    The pole rate r = e^{-2 pi d}, d a lower bound on the distance from the
+    real t axis of the nearest point where the integrand stops being
+    analytic or stops decaying, sets the error of level j to about C r^(2^j),
+    so the delta into level i, about the error of level i - 1, implies a
+    constant C_i = delta_i / r^(2^(i-1)).  From level 1 on
     M_j = max(M_{j-1}, delta_j) r_j, with r_1 = r and r_j = r_{j-1}^2, is
     the largest C_i r^(2^j) over i <= j, so one small delta cannot shrink
     it; the estimate is POLE_K M_j, with no confirming level.  The
@@ -256,14 +255,14 @@ def _refine_levels(table, rule, tol, first_level, rate=None):
         new_value = h * total
         est = abs(new_value - value)
         value = new_value
-        if rate is not None and level >= 1:
+        if level >= 1:
             bound = max(bound, est) * rate
             rate *= rate
             est = POLE_K * bound
         if level >= first_level and est <= max(tol, tol * abs(value)):
             # each term carries `ulps` EPS of rounding, and the node sum
             # can cancel: a floor of ulps EPS per term bounds both, where the
-            # inter-level delta (which can be 0) does not
+            # pole bound (which can be 0) does not
             est = max(est, ulps * EPS * h * math.fsum(map(abs, terms)))
             return QuadResult(value, est, len(terms))
     raise NonConvergenceError(
@@ -356,8 +355,8 @@ def integrand_unit(x, phi):
 
 def integrand_exp(u, phi):
     """e^{-u} ln u / (1 + 2 e^{-u} cos phi + e^{-2u}), pointwise."""
-    if not u > 0.0:
-        raise DomainError(f"u must be positive, got {u!r}")
+    if not 0.0 < u < math.inf:
+        raise DomainError(f"u must be positive and finite, got {u!r}")
     _, terms, _ = _phi_terms(phi.phi)
     return terms([_exp_numerator(1.0, u, u, None)])[0]
 
@@ -369,32 +368,24 @@ def integrand_tan(y):
     return _tan_numerator(1.0, y, y - math.pi / 4, math.pi / 2 - y)[0]
 
 
-def _check_guard_band(p):
-    if abs(p) > math.pi - GUARD_BAND:
-        raise DomainError(
-            f"quadrature guard band: |phi| must be <= pi - {GUARD_BAND}, got {p!r}"
-        )
-
-
 def _pole_rate(table, phi_val):
-    """The pole rate r = e^{-2 pi d} of `table`'s integrand at the angle
-    phi_val, d a lower bound on the distance of its poles from the real t
-    axis; None below the first theta of `_POLE_THETA`."""
+    """The pole rate r = e^{-2 pi d} of `table`'s integrand at the angle phi_val,
+    d a lower bound on the distance of its poles from the real t axis; raises
+    DomainError below GUARD_BAND, the first theta of `_POLE_THETA`."""
     k = bisect_right(_POLE_THETA, pi_gap(phi_val)) - 1
-    return _POLE_RATE[table][k] if k >= 0 else None
+    if k < 0:
+        raise DomainError(f"quadrature guard band: |phi| must be <= pi - {GUARD_BAND}, "
+                          f"got {phi_val!r}")
+    return _POLE_RATE[table][k]
 
 
 def quad_eval(phi, tol=TOL):
-    """I(phi) by the exp-substituted representation on (0, inf), from level 2
-    stopped by its pole rate where `_POLE_THETA` bounds the pole distance."""
-    _check_guard_band(phi.phi)
+    """I(phi) by exp-exp quadrature on (0, inf), stopped by its pole rate from level 2."""
     return _refine_levels("exp", _phi_terms(phi.phi), tol, 2, _pole_rate("exp", phi.phi))
 
 
 def quad_unit_eval(phi, tol=TOL):
-    """I(phi) by tanh-sinh on the unit-interval representation, from level 3
-    stopped by its pole rate where `_POLE_THETA` bounds the pole distance."""
-    _check_guard_band(phi.phi)
+    """I(phi) by tanh-sinh on (0, 1), stopped by its pole rate from level 3."""
     return _refine_levels("unit", _phi_terms(phi.phi), tol, 3, _pole_rate("unit", phi.phi))
 
 
@@ -405,16 +396,23 @@ def quad_tan_form(tol=TOL):
     return _refine_levels("tan", _power_terms(0), tol, 3, _TAN_RATE)
 
 
-# The first level whose inter-level delta may stop `quad_jn` at power n is
-# 2 + bisect_left(_JN_FIRST_LEVEL_AT, n + 1): the first L >= 2, as for
-# quad, with n + 1 <= e^(2^L - 2), that is with a step h = 2^-L of at most
-# 1/(2 + ln(n+1)).  The mass of e^{-(n+1)u} ln u sits at u ~ 1/(n+1), in a
-# peak about one unit wide in s = ln u, and on the exp-exp map ds/dt =
-# 1 + e^{-t}, which there, where e^{-t} = t + ln(n+1) and t < 0.57, is below
-# 2 + ln(n+1).  So from level L on a step in t is at most 1 in s, and the
-# levels resolve the peak; coarser levels can step over it, two of them can
-# then agree on a value without it, and their delta is no estimate.
-_JN_FIRST_LEVEL_AT = tuple(math.exp(2.0 ** level - 2.0) for level in range(2, 7))
+# `quad_jn`'s (first level, pole rate) at power n is _JN_STOP[k], k the least
+# with n + 1 <= e^k.  e^{-(n+1)u} ln u is entire in t but decays only for
+# |Im s| < pi/2, s = ln u.  Its mass sits at u ~ 1/(n+1), in a peak about one
+# unit wide in s, where on the exp-exp map ds/dt = 1 + e^{-t}, with e^{-t} =
+# t + ln(n+1) and t < 0.57, is below 2 + ln(n+1) <= 2 + k.  So the strip's
+# edge lies at d >= (pi/2)/(2 + k) from the real t axis, and the rate
+# e^{-pi^2/(2 + k)} is rounded up to 4 digits.  The first level is the least
+# L >= 2 with 2^L >= 2 + k: its step is at most 1 in s, so the levels
+# resolve the peak, which coarser ones can step over.  k <= 37 below 1/EPS.
+_JN_STOP = ((2, 0.007192), (2, 0.03726), (2, 0.08481), (3, 0.139), (3, 0.1931), (3, 0.2442),
+            (3, 0.2913), (4, 0.334), (4, 0.3728), (4, 0.4077), (4, 0.4394), (4, 0.4681),
+            (4, 0.4942), (4, 0.5179), (4, 0.5397), (5, 0.5596), (5, 0.578), (5, 0.5949),
+            (5, 0.6105), (5, 0.6251), (5, 0.6386), (5, 0.6511), (5, 0.6629), (5, 0.6739),
+            (5, 0.6842), (5, 0.6939), (5, 0.703), (5, 0.7116), (5, 0.7197), (5, 0.7274),
+            (5, 0.7347), (6, 0.7416), (6, 0.7481), (6, 0.7543), (6, 0.7603), (6, 0.7659),
+            (6, 0.7713), (6, 0.7765))
+_JN_AT = tuple(map(math.exp, range(len(_JN_STOP))))
 
 
 def quad_jn(n, tol=TOL):
@@ -428,4 +426,4 @@ def quad_jn(n, tol=TOL):
     require_power(n)
     if n * EPS >= 1.0:
         raise DomainError(f"n must be below 1/EPS = {1.0 / EPS:.4g} for quad_jn, got {n!r}")
-    return _refine_levels("exp", _power_terms(n), tol, 2 + bisect_left(_JN_FIRST_LEVEL_AT, n + 1))
+    return _refine_levels("exp", _power_terms(n), tol, *_JN_STOP[bisect_left(_JN_AT, n + 1)])

@@ -26,7 +26,7 @@ from malmsten.quadrature import (
     quad_unit_eval,
 )
 from malmsten.series import j_n
-from malmsten.special_functions import pi_gap
+from malmsten.special_functions import EPS, pi_gap
 from test_oracle import jn_oracle, oracle
 
 FROZEN_I = {
@@ -92,8 +92,9 @@ def test_integrand_unit_domain(bad):
 
 
 def test_integrand_exp_tan_domain():
-    with pytest.raises(DomainError):
-        integrand_exp(0.0, Angle(1.0))
+    for bad in (0.0, math.inf):
+        with pytest.raises(DomainError):
+            integrand_exp(bad, Angle(1.0))
     with pytest.raises(DomainError):
         integrand_tan(math.pi / 4)
     with pytest.raises(DomainError):
@@ -143,11 +144,17 @@ def test_quad_tan_refuses_the_angle_before_it_integrates(monkeypatch):
 
 
 def test_guard_band():
-    edge = math.pi - GUARD_BAND / 2.0
-    with pytest.raises(DomainError):
-        quad_eval(Angle(edge))
-    with pytest.raises(DomainError):
-        quad_eval(Angle(-edge))
+    # pi - |phi| below GUARD_BAND, the first theta of the pole tables, is
+    # refused by quad and quad-unit at both signs: inside the band, and from
+    # the first float past its edge fl(pi - 1e-3) = 3.1405926535897932,
+    # which is accepted
+    assert math.pi - GUARD_BAND == 3.1405926535897932
+    for route in (quad_eval, quad_unit_eval):
+        for sign in (1.0, -1.0):
+            route(Angle(sign * 3.1405926535897932))
+            for phi in (3.1405926535897937, math.pi - GUARD_BAND / 2.0):
+                with pytest.raises(DomainError):
+                    route(Angle(sign * phi))
 
 
 @pytest.mark.parametrize("c, y, one_minus_y", [(-0.25, 0.25, 0.75), (-0.75, 0.75, 0.25)])
@@ -305,8 +312,9 @@ def _assert_rates_bound(table, distance):
             phi = math.pi - (theta + (thetas[k + 1] - theta) * i / 21)
             assert _rate_distance(quadrature._pole_rate(table, phi)) <= distance(pi_gap(phi))
     assert quadrature._pole_rate(table, 0.0) == rates[-1]
-    # below the first theta the route has no bound and stops on the delta
-    assert quadrature._pole_rate(table, math.nextafter(math.pi - thetas[0], math.pi)) is None
+    # below the first theta no rate bounds d, and the route refuses the angle
+    with pytest.raises(DomainError):
+        quadrature._pole_rate(table, math.nextafter(math.pi - thetas[0], math.pi))
 
 
 def test_pole_table_bounds_the_pole_distance():
@@ -342,6 +350,43 @@ def test_tan_rate_bounds_the_pole_distance():
     assert abs(distances[3] - _unit_pole_distance(math.pi)) <= 1e-12
 
 
+def _jn_peak_slope(n):
+    """ds/dt = 1 + e^{-t}, s = ln u, at the peak of quad_jn's integrand at
+    power n, where e^{-t} = t + ln(n + 1): there v = e^{-t} solves
+    v e^v = n + 1, so ds/dt = 1 + W(n + 1), at 30 digits."""
+    with mpmath.workdps(30):
+        v = mpmath.lambertw(mpmath.mpf(n) + 1).real
+        assert abs(mpmath.exp(-(v - mpmath.log(mpmath.mpf(n) + 1))) - v) < 1e-25 * v
+        return float(1 + v)
+
+
+def test_jn_table_bounds_the_strip_distance(monkeypatch):
+    # entry k of _JN_STOP serves n + 1 <= e^k: its rate is e^{-pi^2/(2 + k)}
+    # rounded up to 4 significant digits, for d = (pi/2)/(2 + k)
+    with mpmath.workdps(30):
+        for k, (_, rate) in enumerate(quadrature._JN_STOP):
+            exact = float(mpmath.exp(-mpmath.pi ** 2 / (2 + k)))
+            assert exact <= rate <= exact * (1.0 + 1e-3)
+    # as quad_jn reads the table: at n + 1 = e^k, at 20 powers between
+    # each pair of neighbours, and up to 1/EPS, its d is at most the edge
+    # (pi/2)/(ds/dt) of the strip where its integrand decays, ds/dt at the
+    # peak below 2 + ln(n + 1), and its first level is the least L >= 2
+    # whose step 2^-L is at most 1/(2 + ln(n + 1)) at e^(2^L - 2)
+    stops = []
+    monkeypatch.setattr(quadrature, "_refine_levels", lambda *args: stops.append(args[3:]))
+    tops = [math.exp(k) for k in range(len(quadrature._JN_STOP) - 1)] + [1.0 / EPS]
+    for k, top in enumerate(tops):
+        between = [tops[k - 1] * (top / tops[k - 1]) ** (i / 21) for i in range(1, 21)] if k else []
+        for n in [x - 1.0 for x in between + [top]]:
+            quad_jn(n)
+            level, rate = stops[-1]
+            slope = _jn_peak_slope(n)
+            assert slope < 2.0 + math.log1p(n)
+            assert _rate_distance(rate) <= 0.5 * math.pi / (2.0 + math.log1p(n))
+            assert n + 1 <= math.exp(2.0 ** level - 2.0)
+            assert level == 2 or n + 1 > math.exp(2.0 ** (level - 1) - 2.0)
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_pole_stop_waits_for_level_2(monkeypatch, sign):
     # levels 0 and 1 agree there to 3.0e-5 while both are 6e-4 off: with a
@@ -372,14 +417,11 @@ def test_unit_pole_stop_waits_for_level_3(monkeypatch, sign):
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_each_route_stops_only_from_its_first_level(sign):
-    # a delta stop trusted one level sooner falls short at tol 1e-3: quad's
-    # from level 1, where levels 0 and 1 agree while level 1 is 6e-4 off,
-    # and quad-unit's from level 2, at 28 nodes; the routes hold there
+def test_each_route_holds_where_a_coarse_level_misled(sign):
+    # a delta stop trusted one level sooner fell short there at tol 1e-3:
+    # quad's from level 1, where levels 0 and 1 agree while level 1 is
+    # 6e-4 off, and quad-unit's from level 2, at 28 nodes; the routes hold
     quad_phi, unit_phi = sign * 2.7102871404594553, sign * 3.0756420765104644
-    rule = quadrature._phi_terms
-    assert _falls_short(quad_phi, quadrature._refine_levels("exp", rule(quad_phi), 1e-3, 1))
-    assert _falls_short(unit_phi, quadrature._refine_levels("unit", rule(unit_phi), 1e-3, 2))
     assert not _falls_short(quad_phi, quad_eval(Angle(quad_phi), 1e-3))
     assert not _falls_short(unit_phi, quad_unit_eval(Angle(unit_phi), 1e-3))
 
@@ -413,8 +455,12 @@ def test_quad_tan_stops_from_level_3():
 # and -3.1 (quad 125 -> 127 and 128, quad-unit 111 -> 113 and 219 -> 225)
 # and for quad-tan (56 -> 57); with those terms and the new grouping of the
 # sums, quad's values at 2.9 and -3.1 moved by 1 ulp, and most estimates
-# in their last bits.  Each value is within its est_error of the 40-digit
-# oracle (quad, quad-unit, quad-tan) or of the closed form (jn).  A result
+# in their last bits.  The jn rows were frozen again when quad_jn came to
+# stop by its pole rate: every estimate moved, n = 7 and 20 took one level
+# more (63 -> 126 and 126 -> 252 nodes), and the value at 20 moved by 2
+# ulps, its error 1.8e-17 under its estimate 8.7e-16.  Each value is within
+# its est_error of the 40-digit oracle (quad, quad-unit, quad-tan) or of
+# the closed form (jn).  A result
 # must not depend on the state of the tables.
 FROZEN_HEX = {
     ("quad", 0.5): ("-0x1.32d5f1b233fdep-4", "0x1.d6750767b0491p-53", 63),
@@ -426,9 +472,9 @@ FROZEN_HEX = {
     ("quad", -3.1): ("-0x1.e305697eb5a90p+6", "0x1.939379326b898p-43", 128),
     ("quad-unit", -3.1): ("-0x1.e305697eb5a91p+6", "0x1.f6b426f85d176p-45", 225),
     ("quad-tan", None): ("-0x1.0ab184de2a327p-2", "0x1.6f3c2ad54a420p-52", 57),
-    ("jn", 0): ("-0x1.2788cfc6fb619p-1", "0x1.6000000000000p-50", 63),
-    ("jn", 7): ("-0x1.540d57e5798f9p-2", "0x1.0620000000000p-43", 63),
-    ("jn", 20): ("-0x1.6134a88cbe4bbp-3", "0x1.f70ed52ef8705p-51", 126),
+    ("jn", 0): ("-0x1.2788cfc6fb619p-1", "0x1.0db82e6723350p-51", 63),
+    ("jn", 7): ("-0x1.540d57e5798f9p-2", "0x1.454bae00226a0p-43", 126),
+    ("jn", 20): ("-0x1.6134a88cbe4bdp-3", "0x1.f70ed52f00cb9p-51", 252),
 }
 DEEP_PHI = math.pi - 1.0001e-3  # just inside the guard band: the deepest tables
 
@@ -636,12 +682,13 @@ def test_each_node_is_computed_once(empty_tables, node_calls, numerator_calls,
     for route in (quad_eval, quad_unit_eval):
         for p in (2.9, 0.5, -1.0):
             route(Angle(p))
-    for n in (0, 7, 20):
+    for n in (0, 7):
         quad_jn(n)
     assert len(node_calls) == computed
     assert _numerator_counts(numerator_calls) == numerators
-    # a deeper evaluation adds only the strips of the levels it reaches
+    # deeper evaluations add only the strips of the levels they reach
     quad_eval(Angle(DEEP_PHI))
+    quad_jn(20)
     assert len(node_calls) == _node_calls_behind(empty_tables) > computed
     stored = _stored_numerators(empty_tables)
     assert stored["exp"] > numerators["exp"]
