@@ -30,6 +30,9 @@ ENDPOINT_GUARD = 1e-6
 
 _LN2 = math.log(2.0)
 
+# the closed side's constant term, -(pi/2) ln pi
+_LN_PI_TERM = -0.5 * math.pi * LN_PI
+
 
 def _closed_part(x):
     """The terms of Kummer's expansion of ln Gamma(x) outside the series."""
@@ -93,36 +96,27 @@ def kummer_partial(x, n_terms):
     return closed_part + series / math.pi
 
 
-def _closed_side_terms(a):
-    """The four terms of the identity's closed side at a = |phi|, in the
-    order they add."""
-    return (
-        math.pi * log_gamma(gamma_gap(a)),
-        -0.5 * a * (EULER_GAMMA + LN_TWO_PI),
-        -0.5 * math.pi * LN_PI,
-        0.5 * math.pi * math.log(math.cos(0.5 * a)),
-    )
-
-
 def derived_closed_side(phi):
-    """Closed side of the log-sine sum identity, via log_gamma.
+    """Closed side of the log-sine sum identity, via log_gamma: (value,
+    est_error).
 
     It is odd in phi: with t = phi/(2 pi), the sides at phi and -phi sum to
     pi ln[Gamma(1/2 - t) Gamma(1/2 + t) cos(pi t)/pi] = 0 by the reflection
     formula.  So it is taken at |phi|, where the gamma argument
     gamma_gap(|phi|) tends to 0 as |phi| -> pi, and negated for phi < 0.
+    The estimate is pi LGAMMA_ERR for its one log-gamma, plus 4 eps times
+    the sum of its four terms' magnitudes for the roundings of the terms and
+    of their sum.
     """
     p = phi.phi
-    lg, linear, const, log_cos = _closed_side_terms(abs(p))
-    side = lg + linear + const + log_cos
-    return side if p >= 0.0 else -side
-
-
-def derived_closed_side_err(phi):
-    """The error estimate of `derived_closed_side(phi)`: pi LGAMMA_ERR for its
-    one log-gamma, plus 4 eps times the sum of its terms' magnitudes for the
-    roundings of the terms and of their sum."""
-    return math.pi * LGAMMA_ERR + 4.0 * EPS * sum(map(abs, _closed_side_terms(abs(phi.phi))))
+    a = abs(p)
+    lg = math.pi * log_gamma(gamma_gap(a))
+    linear = -0.5 * a * (EULER_GAMMA + LN_TWO_PI)
+    log_cos = 0.5 * math.pi * math.log(math.cos(0.5 * a))
+    side = lg + linear + _LN_PI_TERM + log_cos
+    est = math.pi * LGAMMA_ERR + 4.0 * EPS * (abs(lg) + abs(linear) + abs(_LN_PI_TERM)
+                                              + abs(log_cos))
+    return (side if p >= 0.0 else -side), est
 
 
 def derived_sum_identity(phi):
@@ -133,7 +127,7 @@ def derived_sum_identity(phi):
     series route, and keeps its estimate.
     """
     series_side, series_est = log_sine_sum(phi)
-    return (-series_side, series_est), (derived_closed_side(phi), derived_closed_side_err(phi))
+    return (-series_side, series_est), derived_closed_side(phi)
 
 
 def kummer_closed_eval(phi):
@@ -142,10 +136,15 @@ def kummer_closed_eval(phi):
     This is the route that closes the derivation: it uses a single
     log-gamma at 1/2 - |phi|/(2 pi) plus ln cos(phi/2), and must agree with
     the reflected two-gamma closed form.  Its value at -phi is bitwise its
-    value at phi.
+    value at phi.  Its estimate is (closed side's + eps gamma |phi|)/|sin phi|
+    + 3 eps |value|: eps gamma |phi| = 2 eps |gamma phi/2| covers the
+    product gamma phi/2 and its sum with the side, and 3 eps |value| that
+    sum, the sine and the divide.
     """
     require_regular(phi)
     p = phi.phi
-    value = -(0.5 * EULER_GAMMA * p + derived_closed_side(phi)) / math.sin(p)
-    est = 5e-13 * math.pi / abs(math.sin(p))
+    side, side_est = derived_closed_side(phi)
+    sin_p = math.sin(p)
+    value = -(0.5 * EULER_GAMMA * p + side) / sin_p
+    est = (side_est + EPS * EULER_GAMMA * abs(p)) / abs(sin_p) + 3.0 * EPS * abs(value)
     return Evaluation(phi, value, Method.KUMMER, est, 1)

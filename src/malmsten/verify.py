@@ -12,8 +12,7 @@ no tolerance is set by hand.  These records keep a literal one, as no side
 carries an estimate or the estimate is not yet derived:
 two_pi_over_3_printed_forms, series_raw_partial_misses_tolerance,
 coeff_*, jn_zero_is_minus_gamma, kummer_midpoint_exact,
-reflection_relative_residual_max, reflected_form_vs_closed (kummer's
-estimate is a constant), zero_limit_continuity and
+reflection_relative_residual_max, zero_limit_continuity and
 zero_limit_evenness_average (the c2 phi^2 term has no bound on its
 remainder).
 
@@ -293,13 +292,9 @@ def _checks_reflection():
         t = -0.49 + 0.98 * (k + 0.5) / 100.0
         lhs, rhs = reflection_product(t)
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    # reflection_product carries no estimate.  kummer's, a constant
-    # 5e-13 pi/|sin phi|, would raise the kummer-vs-closed budget up to
-    # 15.7-fold, so those records keep 1e-12 until it is derived.
+    # reflection_product carries no estimate; kummer and closed do
     return ([_rec("reflection_relative_residual_max", worst, 0.0, 1e-11)]
-            + [_rec(f"reflected_form_vs_closed[phi={_fmt(p)}]",
-                    _value(p, "kummer").value, _value(p, "closed").value, 1e-12)
-               for p in _REGULAR_GRID])
+            + _routes("reflected_form_vs_closed", _REGULAR_GRID, "kummer", "closed"))
 
 
 def _checks_zero():

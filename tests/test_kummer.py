@@ -2,6 +2,7 @@
 sum, and the log-sine sum identity derived from it."""
 
 import math
+import random
 
 import mpmath
 import pytest
@@ -142,11 +143,42 @@ def test_reflected_form_vs_closed():
 
 @pytest.mark.parametrize("phi", IDENTITY_GRID + [1e-6, math.pi - 1e-12])
 def test_closed_side_is_odd_and_kummer_even_bitwise(phi):
-    # the closed side is taken at |phi| and negated for phi < 0
+    # the closed side is taken at |phi| and negated for phi < 0; both
+    # estimates are taken at |phi|
     if Angle(phi).is_zero:
         return
-    assert derived_closed_side(Angle(-phi)) == -derived_closed_side(Angle(phi))
-    assert kummer_closed_eval(Angle(-phi)).value == kummer_closed_eval(Angle(phi)).value
+    side, est = derived_closed_side(Angle(phi))
+    minus_side, minus_est = derived_closed_side(Angle(-phi))
+    assert minus_side == -side
+    assert minus_est == est
+    ev, minus_ev = kummer_closed_eval(Angle(phi)), kummer_closed_eval(Angle(-phi))
+    assert minus_ev.value == ev.value
+    assert minus_ev.est_error == ev.est_error
+
+
+# pi - |phi| log-uniform on [pi - BELOW_PI, 2 pi 1e-6], drawn with
+# random.Random(40), and the last float below pi.  There lgamma's argument
+# gamma_gap(|phi|) lies below 1e-6, outside [1e-6, 1.5], where LGAMMA_ERR
+# was measured; 4 eps |pi ln Gamma| covers it.
+_BELOW_PI = math.nextafter(math.pi, 0.0)
+_rng = random.Random(40)
+NEAR_PI = [_BELOW_PI] + [
+    min(math.pi - math.exp(_rng.uniform(math.log(math.pi - _BELOW_PI),
+                                        math.log(2.0 * math.pi * 1e-6))), _BELOW_PI)
+    for _ in range(30)]
+
+
+@pytest.mark.parametrize("phi", [s * p for p in IDENTITY_GRID + NEAR_PI for s in (1.0, -1.0)])
+def test_closed_side_estimate_bounds_its_error(phi):
+    value, est = derived_closed_side(Angle(phi))
+    with mpmath.workdps(40):
+        p = mpmath.mpf(phi)
+        exact = (mpmath.pi * mpmath.loggamma(0.5 - p / (2 * mpmath.pi))
+                 - p / 2 * (mpmath.euler + mpmath.log(2 * mpmath.pi))
+                 - mpmath.pi / 2 * mpmath.log(mpmath.pi)
+                 + mpmath.pi / 2 * mpmath.log(mpmath.cos(p / 2)))
+        err = float(abs(mpmath.mpf(value) - exact))
+    assert err <= est
 
 
 def test_reflected_form_zero_angle():

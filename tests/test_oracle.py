@@ -49,14 +49,16 @@ TOLS = (None, 1e-3, 1e-6, 1e-9, 1e-12, 1e-14, 1e-15)
 # of random.Random(31) (1500 uniform on 1e-6 <= |phi| <= pi - 1e-3, 500
 # log-uniform on [1e-6, 1], random signs), at every tol, lies at an |phi|
 # of EDGES, the same at either sign:
-# - closed 94 (at 1.05) and series 2.4e3 (at 4.8e-6), under the F they
-#   had; series' F applied from |phi| = 1e-3 before.
+# - closed 94 (at 1.05), under the F it had; series 2429 (at 4.82e-6),
+#   rounded up to 2.5e3 from the 1e4 it had.  Series' F applied from
+#   |phi| = 1e-3 before.
 # - quad-tan 5.32 at its one angle, at every tol: from level 3 on, the
 #   first it trusts, it stops at 57 nodes, where its pole bound lies below
 #   the rounding floor.  It was 5.77e3 while it stopped on the delta, and
 #   1.96e6 when it trusted level 2 (28 nodes at tol 1e-6 and looser).
-# - kummer 5.8e6 (at 8.14e-6, where its estimate 5e-13 pi/|sin phi| is
-#   1.9e-7), rounded up.
+# - kummer 3.27e4 (at 8.14e-6), rounded up.  Its estimate is the closed
+#   side's over |sin phi|; it was 5.8e6 while that estimate was the
+#   literal 5e-13 pi/|sin phi|.
 # - quad 798 (at 3.12955) and quad-unit 785 (at 1.84184), both rounded up
 #   to 800.  They were 5.7e4 (at 3.05e-4) and 4.1e4 (at 0.482) while they
 #   stopped on the delta alone; the pole-rate stop ends them where the
@@ -66,11 +68,11 @@ TOLS = (None, 1e-3, 1e-6, 1e-9, 1e-12, 1e-14, 1e-15)
 Route = namedtuple("Route", "lo hi signs f f_tol")
 ROUTES = {
     "closed": Route(0.0, BELOW_PI, BOTH, 200.0, None),
-    "series": Route(0.0, BELOW_PI, BOTH, 1e4, None),
+    "series": Route(0.0, BELOW_PI, BOTH, 2.5e3, None),
     "quad": Route(0.0, math.pi - GUARD_BAND, BOTH, 800.0, 1e-12),
     "quad-unit": Route(0.0, math.pi - GUARD_BAND, BOTH, 800.0, 1e-12),
     "quad-tan": Route(math.pi / 2, math.pi / 2, (1.0,), 6.0, None),
-    "kummer": Route(0.0, BELOW_PI, BOTH, 5.8e6, None),
+    "kummer": Route(0.0, BELOW_PI, BOTH, 3.3e4, None),
 }
 
 # Angles where a quadrature estimate once fell short of its error: with the
