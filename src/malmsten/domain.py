@@ -12,6 +12,13 @@ from .errors import DomainError, ZeroAngleError
 # served by zero_limit.
 ZERO_THRESHOLD = 1e-6
 
+# quad-tan returns I(pi/2) at every angle it accepts.  dI/dphi is -0.41 at
+# pi/2, so an angle d from pi/2 adds 0.41 |d| to the error, which the route's
+# estimate of 3.2e-16 covers out to 3 ulps of pi/2 and not at 4.  The band
+# is 2 ulps wide on each side; parse_phi reads every n*pi/(2n), n < 200,
+# within 1 ulp of pi/2.
+QUAD_TAN_BAND = 4.5e-16
+
 
 def require_tol(tol):
     """Reject a tolerance that is not finite and positive."""
@@ -35,7 +42,7 @@ def require_regular(angle):
 
 def require_quad_tan_angle(angle):
     """Reject any angle but pi/2 for quad-tan, whose tangent form is I(pi/2) alone."""
-    if abs(angle.phi - math.pi / 2) > 1e-12:
+    if abs(angle.phi - math.pi / 2) > QUAD_TAN_BAND:
         raise DomainError("method quad-tan is only defined at phi = pi/2")
 
 

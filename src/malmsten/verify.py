@@ -7,14 +7,20 @@ Every value of I(phi) comes from `evaluate(Angle(phi), method)` without a
 tol, the route's own record, with its est_error.
 
 A record whose two sides carry error estimates gets the budget
-est_lhs + est_rhs + 2 EPS max(|lhs|, |rhs|) as its tolerance (`_agree`);
-no tolerance is set by hand.  These records keep a literal one, as no side
-carries an estimate or the estimate is not yet derived:
-two_pi_over_3_printed_forms, series_raw_partial_misses_tolerance,
-coeff_*, jn_zero_is_minus_gamma, kummer_midpoint_exact,
-reflection_relative_residual_max, zero_limit_continuity and
-zero_limit_evenness_average (the c2 phi^2 term has no bound on its
-remainder).
+est_lhs + est_rhs + 2 EPS max(|lhs|, |rhs|) as its tolerance (`_agree`),
+the last term for the rounding of the subtraction; no tolerance is set by
+hand.  The estimates are each route's est_error, those that sawtooth_sum,
+kummer_sum and derived_sum_identity return, LGAMMA_ERR for log_gamma,
+4 EPS |J_n| for j_n, half a unit of the last printed digit for a printed
+constant, and 0 for the exact phi/2.  These records keep a literal
+tolerance:
+
+- two_pi_over_3_printed_forms, coeff_* and
+  reflection_relative_residual_max, where no side carries an estimate;
+- kummer_midpoint_exact, exact, and series_raw_partial_misses_tolerance,
+  a threshold to miss;
+- zero_limit_continuity and zero_limit_evenness_average, until the
+  c2 phi^2 term that parts their sides has a bound on its remainder.
 
 The groups compare, lhs against rhs:
 
@@ -27,7 +33,7 @@ The groups compare, lhs against rhs:
   raw partial sum, which must miss 1e-5 at pi/2;
 - coeffs, jn, sawtooth, kummer: the coefficients a_n, the integrals J_n,
   the sawtooth series and Kummer's series for ln Gamma against their
-  closed forms;
+  closed forms, and J_0 against the printed -gamma;
 - identity: the two sides of the derived sum identity, and I assembled
   from its series side against closed;
 - reflection: the reflection formula, and kummer against closed over
@@ -232,12 +238,13 @@ def _checks_coeffs():
 
 
 def _checks_jn():
-    # the printed constant has 10 digits
-    out = [_rec("jn_zero_is_minus_gamma", j_n(0), -0.5772156649, 1e-10)]
+    # j_n rounds gamma, the log, their sum and the divide: 4 EPS |j_n|; the
+    # printed constant has 10 digits, within half a unit of its last, 5e-11
+    j0 = j_n(0)
+    out = [_agree("jn_zero_is_minus_gamma", j0, 4.0 * EPS * abs(j0), -0.5772156649, 5e-11)]
     for n in range(21):
         jn = j_n(n)
         quad = quad_jn(n)
-        # j_n rounds gamma, the log, their sum and the divide
         out.append(_agree(f"jn_closed_vs_quad[n={n}]", jn, 4.0 * EPS * abs(jn),
                           quad.value, quad.est_error))
     return out

@@ -102,6 +102,9 @@ def test_eval_quad_tan(capsys):
     out = json.loads(capsys.readouterr().out)
     assert abs(out["value"] - FROZEN_PI_OVER_2) <= 1e-11
     assert main(["eval", "--phi", "pi/3", "--method", "quad-tan"]) == 2
+    # pi/2 + 3.55e-15, 16 ulps out: quad-tan's I(pi/2) would miss I there by
+    # 4.5 times its estimate
+    assert main(["eval", "--phi", "1.5707963267949", "--method", "quad-tan"]) == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -242,7 +245,7 @@ FIXED_TOLERANCES = {
     "zero_limit_vs_quad": 1e-10, "series_vs_closed": 1e-8, "sawtooth_vs_half_phi": 1e-8,
     "kummer_vs_log_gamma": 1e-7, "derived_identity": 1e-7, "i3_assembly_vs_closed": 1e-7,
     "special_vs_closed": 1e-12, "vardi_tan_vs_special": 1e-9, "vardi_tan_vs_quad": 1e-9,
-    "jn_closed_vs_quad": 1e-10, "reflected_form_vs_closed": 1e-12,
+    "jn_closed_vs_quad": 1e-10, "reflected_form_vs_closed": 1e-12, "jn_zero_is_minus_gamma": 1e-10,
 }
 
 
@@ -251,8 +254,8 @@ def test_every_budget_is_within_the_fixed_tolerance_it_replaced():
     assert len(records) == 203
     assert all(r.passed for r in records)
     derived = [r for r in records if r.name.split("[")[0] in FIXED_TOLERANCES]
-    # the other 9 keep a literal tolerance, each with its reason in verify
-    assert len(derived) == 194
+    # the other 8 keep a literal tolerance, each with its reason in verify
+    assert len(derived) == 195
     for r in derived:
         assert 0.0 < r.tolerance <= FIXED_TOLERANCES[r.name.split("[")[0]], r.name
 

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malmsten import dispatch, evaluate, quadrature
-from malmsten.domain import Angle, Evaluation, Method
+from malmsten.cli import parse_phi
+from malmsten.domain import Angle, Evaluation, Method, require_quad_tan_angle
 from malmsten.errors import DomainError, InternalInconsistencyError, NonConvergenceError
 from malmsten.quadrature import (
     GUARD_BAND,
@@ -141,6 +142,31 @@ def test_quad_tan_refuses_the_angle_before_it_integrates(monkeypatch):
         evaluate(Angle(1.0), "quad-tan")
     with pytest.raises(RuntimeError):
         evaluate(Angle(math.pi / 2), "quad-tan")
+
+
+def test_quad_tan_estimate_holds_on_its_band_and_refuses_past_it():
+    # quad-tan returns I(pi/2) at every angle it accepts: within 2 ulps of
+    # pi/2 its estimate covers the error at the angle, and from 3 ulps out
+    # the angle is refused
+    r = evaluate(Angle(math.pi / 2), "quad-tan")
+    # k ulps from pi/2, exactly: all lie in [1, 2), where the ulp is fixed
+    ulp = math.ulp(math.pi / 2)
+    for k in range(-2, 3):
+        phi = math.pi / 2 + k * ulp
+        ev = evaluate(Angle(phi), "quad-tan")
+        assert ev.value == r.value and ev.est_error == r.est_error
+        with mpmath.workdps(40):
+            err = float(abs(mpmath.mpf(ev.value) - oracle(phi)))
+        assert err <= ev.est_error, (k, err, ev.est_error)
+    for k in (-3, 3):
+        angle = Angle(math.pi / 2 + k * ulp)
+        with pytest.raises(DomainError):
+            evaluate(angle, "quad-tan")
+        with pytest.raises(DomainError):
+            Evaluation(angle, r.value, Method.QUAD_TAN, r.est_error, r.work)
+    # every symbolic form N*pi/2N of pi/2 reads inside the band
+    for n in range(1, 200):
+        require_quad_tan_angle(Angle(parse_phi(f"{n}*pi/{2 * n}")))
 
 
 def test_guard_band():
