@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Benchmark the raw partial sum of Kummer's series, the closed route, the two branches of
+"""Benchmark the raw partial log-sine sum, the closed route, the two branches of
 the series route, the quadrature routes with cold and warm integrand
 tables, and each verify check group.
 
 Times `kummer.log_sine_partial`, the real running sum
-sum_{n=2}^{N} (ln n / n) sin(n theta) behind `kummer_partial` and verify's
-raw-partial check.  Then times
+sum_{n=2}^{N} (ln n / n) sin(n theta) behind verify's raw-partial check,
+series_raw_partial_misses_tolerance.  Then times
 `malmsten_closed` per call, with the terms K of the odd-zeta series it
 sums (its `work`), on both sides of CLOSED_SPLIT.  Then times
 `special_functions.log_gamma` per call, and `kummer_closed_eval`, which

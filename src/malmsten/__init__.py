@@ -21,7 +21,7 @@ from .errors import (
     NonConvergenceError,
     ZeroAngleError,
 )
-from .kummer import derived_sum_identity, kummer_closed_eval, kummer_partial, kummer_sum
+from .kummer import derived_sum_identity, kummer_closed_eval, kummer_sum
 from .quadrature import (
     QuadResult,
     integrand_exp,

@@ -13,15 +13,17 @@ Both series are summed in their alternating form by `series.log_sine_sum`
 through the parity map (-1)^n sin(n phi) = -sin(n(pi - phi)): Kummer's
 sum_{n>=1} ln n sin(2 pi n x)/n is log_sine_sum at phi = 2 pi x - pi
 (`kummer_sum`), and the identity's series side is -log_sine_sum(phi).
-`kummer_partial` is the raw truncation, its series summed term by term by
-`log_sine_partial`, which verify's raw-partial check also uses.
+`kummer_closed_eval` assembles I(phi) from the closed side with
+`series.assemble`, as the series route does from the series side.
+`log_sine_partial` is the raw partial sum, summed term by term, for
+verify's raw-partial check.
 """
 
 import math
 
-from .domain import Angle, Evaluation, Method, require_regular
+from .domain import Angle, Method, require_regular
 from .errors import DomainError
-from .series import log_sine_sum
+from .series import assemble, log_sine_sum
 from .special_functions import EPS, EULER_GAMMA, LGAMMA_ERR, LN_PI, LN_TWO_PI, gamma_gap, log_gamma
 
 # ln sin(pi x) dominates past these endpoints; the identity's useful range
@@ -82,20 +84,6 @@ def log_sine_partial(theta, n_terms):
     return total
 
 
-def kummer_partial(x, n_terms):
-    """Kummer's expansion of ln Gamma(x) truncated after n_terms series terms."""
-    closed_part = _closed_part(x)
-    if n_terms < 1:
-        raise DomainError("n_terms must be >= 1")
-    if x == 0.5:
-        # every series term is sin(pi n) = 0 analytically; short-circuit so
-        # the midpoint stays exactly (1/2) ln pi at every truncation instead
-        # of picking up sin(n * rounded-pi) rounding dust
-        return closed_part
-    series = log_sine_partial(2.0 * math.pi * x, n_terms)
-    return closed_part + series / math.pi
-
-
 def derived_closed_side(phi):
     """Closed side of the log-sine sum identity, via log_gamma: (value,
     est_error).
@@ -136,15 +124,9 @@ def kummer_closed_eval(phi):
     This is the route that closes the derivation: it uses a single
     log-gamma at 1/2 - |phi|/(2 pi) plus ln cos(phi/2), and must agree with
     the reflected two-gamma closed form.  Its value at -phi is bitwise its
-    value at phi.  Its estimate is (closed side's + eps gamma |phi|)/|sin phi|
-    + 3 eps |value|: eps gamma |phi| = 2 eps |gamma phi/2| covers the
-    product gamma phi/2 and its sum with the side, and 3 eps |value| that
-    sum, the sine and the divide.
+    value at phi.  `series.assemble` takes I from the side and derives the
+    estimate from the side's.
     """
     require_regular(phi)
-    p = phi.phi
     side, side_est = derived_closed_side(phi)
-    sin_p = math.sin(p)
-    value = -(0.5 * EULER_GAMMA * p + side) / sin_p
-    est = (side_est + EPS * EULER_GAMMA * abs(p)) / abs(sin_p) + 3.0 * EPS * abs(value)
-    return Evaluation(phi, value, Method.KUMMER, est, 1)
+    return assemble(phi, side, side_est, Method.KUMMER, 1)

@@ -25,6 +25,11 @@ h(x) = 1/x: d_k = (-1)^k k! (M-1)!/(M+k)!, and the tail integral E_1, whose
 imaginary part is pi/2 - Si(theta M).  Each branch takes the tables of a
 family of weights as data.  Kummer's series for ln Gamma
 (`kummer.kummer_sum`) is S at another angle.
+
+`assemble` takes I(phi) = -(gamma phi/2 + side)/sin phi from either side
+of the log-sine sum identity, side = sum_{n>=2} ln n sin(n(pi - phi))/n:
+the series route passes -S(phi), kummer the closed side.  Its estimate
+adds the roundings of that step to the side's estimate over |sin phi|.
 """
 
 import math
@@ -389,10 +394,25 @@ def log_sine_sum(phi):
     return _alternating_sum(phi.phi, _LOG_SINE_EULER, _LOG_SINE_EM)[:2]
 
 
-def series_eval(phi):
-    """I(phi) assembled from the sawtooth constant and the log-sine series."""
-    require_regular(phi)
+def assemble(phi, side, side_est, method, work):
+    """The `Evaluation` of I(phi) = -(gamma phi/2 + side)/sin phi.
+
+    `side` is sum_{n>=2} ln n sin(n(pi - phi))/n, from either side of the
+    log-sine sum identity, within `side_est`.  The estimate is
+    (side_est + eps gamma |phi|)/|sin phi| + 3 eps |value|: eps gamma |phi|
+    = 2 eps |gamma phi/2| covers the product gamma phi/2 and its sum with
+    the side, and 3 eps |value| that sum, the sine and the divide.
+    """
     p = phi.phi
-    tail, est, work = _alternating_sum(p, _LOG_SINE_EULER, _LOG_SINE_EM)
-    s = math.sin(p)
-    return Evaluation(phi, (-EULER_GAMMA * p / 2.0 + tail) / s, Method.SERIES, est / abs(s), work)
+    sin_p = math.sin(p)
+    value = -(0.5 * EULER_GAMMA * p + side) / sin_p
+    est = (side_est + EPS * EULER_GAMMA * abs(p)) / abs(sin_p) + 3.0 * EPS * abs(value)
+    return Evaluation(phi, value, method, est, work)
+
+
+def series_eval(phi):
+    """I(phi) assembled from the log-sine series: the identity's series side
+    is -S(phi)."""
+    require_regular(phi)
+    tail, est, work = _alternating_sum(phi.phi, _LOG_SINE_EULER, _LOG_SINE_EM)
+    return assemble(phi, -tail, est, Method.SERIES, work)

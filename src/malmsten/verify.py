@@ -34,12 +34,13 @@ The groups compare, lhs against rhs:
 - coeffs, jn, sawtooth, kummer: the coefficients a_n, the integrals J_n,
   the sawtooth series and Kummer's series for ln Gamma against their
   closed forms, and J_0 against the printed -gamma;
-- identity: the two sides of the derived sum identity, and I assembled
-  from its series side against closed;
+- identity: the two sides of the derived sum identity over _IDENTITY_GRID,
+  and series against closed over that grid without phi = 0;
 - reflection: the reflection formula, and kummer against closed over
   DEFAULT_GRID without phi = 0;
-- zero: the limit at phi = 0 (closed) against quad, and against closed at
-  +-1e-4.
+- zero: closed against quad at the ZERO angle 9.9e-7, where closed takes
+  the limit and its c2 phi^2 term, and the limit at phi = 0 against closed
+  at +-1e-4.
 """
 
 import math
@@ -50,7 +51,7 @@ from itertools import accumulate
 from .closed_form import SpecialCase, special_value, two_pi_over_3_forms
 from .dispatch import evaluate
 from .domain import Angle, Record
-from .kummer import derived_sum_identity, kummer_partial, kummer_sum, log_sine_partial
+from .kummer import derived_sum_identity, kummer_sum, log_sine_partial
 from .quadrature import quad_jn
 from .series import j_n, sawtooth_sum
 from .special_functions import EPS, EULER_GAMMA, LGAMMA_ERR, log_gamma, reflection_product
@@ -69,6 +70,13 @@ _REGULAR_GRID = [p for p in DEFAULT_GRID if not Angle(p).is_zero]
 
 # 30 angles evenly spaced on [-3, 3], past DEFAULT_GRID's +-2.9
 _REPR_GRID = [-3.0 + 6.0 * k / 29.0 for k in range(30)]
+
+# 25 angles evenly spaced on [-2.88, 2.88], 0 included
+_IDENTITY_GRID = [-2.88 + 2.0 * 2.88 * k / 24.0 for k in range(25)]
+
+# a ZERO angle, where closed's c2 phi^2 term moves I by 4.5e-14, 37 times
+# the budget of zero_limit_vs_quad
+_ZERO_ANGLE = 9.9e-7
 
 
 class CheckRecord(Record, namedtuple("CheckRecord", "name lhs rhs residual tolerance passed")):
@@ -265,32 +273,19 @@ def _checks_kummer():
         x = 0.05 * k
         value, est = kummer_sum(x)
         out.append(_agree(f"kummer_vs_log_gamma[x={x:.2f}]", value, est, log_gamma(x), LGAMMA_ERR))
-    # exact by construction: the series is not summed at x = 1/2
-    out.append(
-        _rec("kummer_midpoint_exact", kummer_partial(0.5, 57),
-             0.5 * math.log(math.pi), 0.0)
-    )
+    # exact: at x = 1/2 the series is log_sine_sum at 0, every term sin 0 = 0
+    out.append(_rec("kummer_midpoint_exact", kummer_sum(0.5)[0], 0.5 * math.log(math.pi), 0.0))
     return out
 
 
 def _checks_identity():
     out = []
-    for k in range(25):
-        p = -2.88 + 2.0 * 2.88 * k / 24.0
-        a = Angle(p)
-        (series_side, series_est), (closed_side, closed_est) = derived_sum_identity(a)
+    for p in _IDENTITY_GRID:
+        (series_side, series_est), (closed_side, closed_est) = derived_sum_identity(Angle(p))
         out.append(_agree(f"derived_identity[phi={_fmt(p)}]",
                           series_side, series_est, closed_side, closed_est))
-        if not a.is_zero:
-            # assembled from the identity's own series side, not the series
-            # route, which would sum S a second time; its estimate is the
-            # series route's for the same assembly
-            assembled = -(0.5 * EULER_GAMMA * p + series_side) / math.sin(p)
-            closed = _value(p, "closed")
-            out.append(_agree(f"i3_assembly_vs_closed[phi={_fmt(p)}]",
-                              assembled, series_est / abs(math.sin(p)),
-                              closed.value, closed.est_error))
-    return out
+    regular = [p for p in _IDENTITY_GRID if not Angle(p).is_zero]
+    return out + _routes("i3_assembly_vs_closed", regular, "series", "closed")
 
 
 def _checks_reflection():
@@ -305,15 +300,16 @@ def _checks_reflection():
 
 
 def _checks_zero():
+    limit = _value(_ZERO_ANGLE, "closed")
+    quad = _value(_ZERO_ANGLE, "quad")
     z = _value(0.0, "closed")
-    quad = _value(0.0, "quad")
     eps = 1e-4
     near = _value(eps, "closed").value
     avg = 0.5 * (near + _value(-eps, "closed").value)
     # the last two keep literal tolerances until the c2 phi^2 term that
     # separates their sides has a bound on its remainder
     return [
-        _agree("zero_limit_vs_quad", z.value, z.est_error, quad.value, quad.est_error),
+        _agree("zero_limit_vs_quad", limit.value, limit.est_error, quad.value, quad.est_error),
         _rec("zero_limit_continuity", z.value, near, 1e-8),
         # I approaches its limit quadratically with curvature ~0.046, so the
         # +-1e-4 average sits ~4.6e-10 away from the limit; 1e-9 is the

@@ -268,6 +268,8 @@ ROUTE_PAIR_GROUPS = {
     "repr": ("quad_unit_vs_exp", verify._REPR_GRID, "quad-unit", "quad"),
     "series": ("series_vs_closed", verify._REGULAR_GRID, "series", "closed"),
     "reflection": ("reflected_form_vs_closed", verify._REGULAR_GRID, "kummer", "closed"),
+    "identity": ("i3_assembly_vs_closed",
+                 [p for p in verify._IDENTITY_GRID if not Angle(p).is_zero], "series", "closed"),
 }
 
 

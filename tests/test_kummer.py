@@ -15,10 +15,10 @@ from malmsten.kummer import (
     derived_closed_side,
     derived_sum_identity,
     kummer_closed_eval,
-    kummer_partial,
     kummer_sum,
     log_sine_partial,
 )
+from malmsten.series import log_sine_sum
 from malmsten.special_functions import EULER_GAMMA, log_gamma
 
 IDENTITY_GRID = [-2.88 + 2.0 * 2.88 * k / 24.0 for k in range(25)]
@@ -26,9 +26,10 @@ IDENTITY_GRID = [-2.88 + 2.0 * 2.88 * k / 24.0 for k in range(25)]
 
 @pytest.mark.parametrize("n_terms", [1, 2, 57, 1000])
 def test_midpoint_exact_at_every_truncation(n_terms):
-    # every series term is sin(pi n) = 0 analytically, so the truncation
-    # must be bitwise (1/2) ln pi with no rounding dust
-    assert kummer_partial(0.5, n_terms) == 0.5 * math.log(math.pi)
+    # at x = 1/2 Kummer's series is the log-sine series at 2 pi x - pi = 0:
+    # every term is sin 0 = 0, so each truncation is exactly 0.0 and the
+    # summed series is bitwise (1/2) ln pi with no rounding dust
+    assert log_sine_partial(0.0, n_terms) == 0.0
     assert kummer_sum(0.5)[0] == 0.5 * math.log(math.pi)
 
 
@@ -63,9 +64,12 @@ def test_sum_near_midpoint(x):
 
 
 def test_unaccelerated_partial_misses():
-    # the ln n / n tail decays too slowly for raw truncation at 2000 terms
-    err = abs(kummer_partial(0.3, 2000) - log_gamma(0.3))
-    assert err > 1e-5
+    # the ln n / n tail decays too slowly for raw truncation at 2000 terms:
+    # Kummer's series at x = 0.3 is log_sine_sum at 2 pi x - pi
+    x = 0.3
+    raw = log_sine_partial(2.0 * math.pi * x, 2000)
+    summed = log_sine_sum(Angle(2.0 * math.pi * x - math.pi))[0]
+    assert abs(raw - summed) / math.pi > 1e-5
 
 
 def test_backend_name():
@@ -105,11 +109,7 @@ def test_log_sine_partial_bitwise_old_form(theta, n_terms, window):
 def test_endpoint_guard():
     for bad in (0.0, 1e-7, 1.0 - 1e-7, 1.0):
         with pytest.raises(DomainError):
-            kummer_partial(bad, 100)
-        with pytest.raises(DomainError):
             kummer_sum(bad)
-    with pytest.raises(DomainError):
-        kummer_partial(0.3, 0)
 
 
 @pytest.mark.parametrize("phi", IDENTITY_GRID)

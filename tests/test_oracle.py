@@ -49,9 +49,10 @@ TOLS = (None, 1e-3, 1e-6, 1e-9, 1e-12, 1e-14, 1e-15)
 # of random.Random(31) (1500 uniform on 1e-6 <= |phi| <= pi - 1e-3, 500
 # log-uniform on [1e-6, 1], random signs), at every tol, lies at an |phi|
 # of EDGES, the same at either sign:
-# - closed 94 (at 1.05), under the F it had; series 2429 (at 4.82e-6),
-#   rounded up to 2.5e3 from the 1e4 it had.  Series' F applied from
-#   |phi| = 1e-3 before.
+# - closed 94 (at 1.05), under the F it had; series 2442 (at 4.82e-6),
+#   under the 2.5e3 rounded up from its former worst, 2429, before its
+#   estimate counted the roundings of the assembly.  Series' F was 1e4
+#   before that, and applied from |phi| = 1e-3.
 # - quad-tan 5.32 at its one angle, at every tol: from level 3 on, the
 #   first it trusts, it stops at 57 nodes, where its pole bound lies below
 #   the rounding floor.  It was 5.77e3 while it stopped on the delta, and

@@ -1,7 +1,7 @@
 """README.md against the code: the gate's F table against test_oracle.ROUTES,
 every command of its Command line block and of its exit-code table, the
 verify groups and route methods it lists, the module constants it names,
-and its Python example."""
+the exports its Library section lists, and its Python example."""
 
 import importlib
 import re
@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import malmsten
 from malmsten import cli, verify
 from malmsten.verify import CheckRecord
 from test_oracle import ROUTES
@@ -87,6 +88,15 @@ def test_every_named_module_constant_exists():
     assert named
     for module, name in named:
         assert hasattr(importlib.import_module(f"malmsten.{module}"), name), (module, name)
+
+
+def test_every_listed_export_exists():
+    text = _section("Library")
+    listed = text[text.index("The route functions behind it"):text.index("are exported from")]
+    names = re.findall(r"`(\w+)`", listed)
+    assert "series_eval" in names and "log_sine_sum" in names
+    for name in names:
+        assert hasattr(malmsten, name), name
 
 
 def test_the_python_example_runs(capsys):

@@ -129,6 +129,38 @@ def test_log_sine_sum_matches_closed_assembly():
         assert abs(log_sine_sum(Angle(phi))[0] - expected) <= 1e-9
 
 
+# The value of the series route, and the value and est_error of kummer, as
+# float.hex at |phi|: on Euler's branch (|phi| <= EULER_PHI), on the
+# Euler-Maclaurin branch, near 0 and near pi, down to the last float below
+# pi.  Both routes are even, bitwise, so one row serves both signs.  A
+# change that moves one of these bits must say so and freeze the rows again.
+ROUTE_HEX = {
+    0.1: ("-0x1.032f16508f93bp-4", "-0x1.032f16508f970p-4", "0x1.9a254215dddcep-44"),
+    0.5: ("-0x1.32d5f1b233fe9p-4", "-0x1.32d5f1b23409fp-4", "0x1.7a1c85e4d359ap-46"),
+    1.2: ("-0x1.391d33253876ap-3", "-0x1.391d33253876bp-3", "0x1.d612201159ce4p-47"),
+    2.0: ("-0x1.1bb98c6f38cb6p-1", "-0x1.1bb98c6f38cacp-1", "0x1.35cf69ba94381p-46"),
+    2.05: ("-0x1.39b552cd0482fp-1", "-0x1.39b552cd047fdp-1", "0x1.433d43c110b97p-46"),
+    2.5: ("-0x1.d69ce0018b754p+0", "-0x1.d69ce0018b73dp+0", "0x1.20f409419467dp-45"),
+    2.9: ("-0x1.3ecd2369460cap+3", "-0x1.3ecd2369460cap+3", "0x1.d45c3ad8c6001p-44"),
+    3.1: ("-0x1.e305697eb5a90p+6", "-0x1.e305697eb5a8dp+6", "0x1.d4c27b73bcc66p-41"),
+    1e-5: ("-0x1.014bda66fc0b3p-4", "-0x1.014bda68d22f9p-4", "0x1.e79716bada504p-31"),
+    2e-6: ("-0x1.014bda66ae5d9p-4", "-0x1.014bda37a34aep-4", "0x1.30be46bfe37f0p-28"),
+    math.pi - 1e-12: ("-0x1.3bba2373c8ae2p+45", "-0x1.3bba2373c8ae1p+45", "0x1.564cc58e4c0cap-3"),
+    math.nextafter(math.pi, 0.0):
+        ("-0x1.59ce3eb1ef71cp+56", "-0x1.59ce3eb1ef71bp+56", "0x1.6e95425e24229p+8"),
+}
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("magnitude", ROUTE_HEX)
+def test_series_and_kummer_bits(magnitude, sign):
+    series_value, kummer_value, kummer_est = ROUTE_HEX[magnitude]
+    phi = Angle(sign * magnitude)
+    assert evaluate(phi, "series").value.hex() == series_value
+    kummer = evaluate(phi, "kummer")
+    assert (kummer.value.hex(), kummer.est_error.hex()) == (kummer_value, kummer_est)
+
+
 @pytest.mark.parametrize("phi", GRID)
 def test_series_eval_vs_closed(phi):
     ev = series_eval(Angle(phi))
