@@ -16,17 +16,19 @@ series, with the terms each sums: Euler's transformation for
 |phi| <= EULER_PHI, and Euler-Maclaurin past it.  Then times
 quad_eval and quad_unit_eval per point, both also at
 pi - 1.0001e-3, just inside the guard band, where they need the most
-nodes, quad_tan_form, and quad_jn at n = 0, 7, 20 and 100, where y^n moves the mass of
-the integrand toward u = 0 and the nodes with it: with every table
+nodes, quad_eval at pi - 0.01, quad_tan_form, and quad_jn at n = 0, 7, 20
+and 100, where y^n moves the mass of the integrand toward u = 0 and the
+nodes with it: with every table
 emptied before each call (cold: each node and its numerator computed,
 and each strip's envelopes), and with every table filled (warm: one
 denominator and one divide per node, or one power and one multiply for
 J_n, plus the level driver).
-Each point also prints the refinement level it stopped at (the deepest
-level a cold call stored), the nodes its evaluation used and the entries a
-cold call left stored in each integrand table: a strip is stored whole
-the first time an evaluation reaches it, so the tables hold more nodes
-than it used.  Then times one `evaluate` of each method at a fixed phi
+Each point also prints the scale k of the strips it read (quad reads its
+table at 2^-k near pi, every other route at k = 0), the refinement level it
+stopped at (the deepest level a cold call stored), the nodes its
+evaluation used and the entries a cold call left stored in each integrand
+table: a strip is stored whole the first time an evaluation reaches it, so
+the tables hold more nodes than it used.  Then times one `evaluate` of each method at a fixed phi
 (quad-tan at pi/2) three ways: with tol=None, with a tol the route meets
 there, and as the bare route call, with no dispatch and no tolerance
 rule.  Then times each `verify` check group,
@@ -105,17 +107,20 @@ def bench_series(repeat):
 
 
 def _stored():
-    """Entries stored per integrand table, and the deepest level stored."""
+    """Entries stored per integrand table, and the deepest scale and level
+    stored."""
     stored = {}
-    for (table, _), (entries, _, _) in quadrature._NODES.items():
+    for (table, _, _), (entries, _, _) in quadrature._NODES.items():
         stored[table] = stored.get(table, 0) + len(entries)
-    return stored, max(level for _, level in quadrature._NODES)
+    return (stored, max(k for _, k, _ in quadrature._NODES),
+            max(level for _, _, level in quadrature._NODES))
 
 
 def bench_quadrature(repeat):
     print("quadrature: us per point with empty tables (cold) and with every\n"
-          "table filled (warm); the level it stopped at and the nodes used, and\n"
-          "the entries one cold call left stored in each integrand table")
+          "table filled (warm); the scale k of its strips, the level it stopped\n"
+          "at and the nodes used, and the entries one cold call left stored in\n"
+          "each integrand table")
     points = [(f"{name:<15} phi={phi:<15}", route, Angle(phi))
               for name, route in (("quad_eval", quadrature.quad_eval),
                                   ("quad_unit_eval", quadrature.quad_unit_eval))
@@ -123,6 +128,8 @@ def bench_quadrature(repeat):
     points += [(f"{name:<15} phi={'pi-1.0001e-3':<15}", route, Angle(math.pi - 1.0001e-3))
                for name, route in (("quad_eval", quadrature.quad_eval),
                                    ("quad_unit_eval", quadrature.quad_unit_eval))]
+    points.append((f"{'quad_eval':<15} phi={'pi-0.01':<15}", quadrature.quad_eval,
+                   Angle(math.pi - 0.01)))
     points.append((f"{'quad_tan_form':<15} phi={'pi/2':<15}",
                    lambda _: quadrature.quad_tan_form(), None))
     points += [(f"{'quad_jn':<15} n={n:<17}", quadrature.quad_jn, n) for n in (0, 7, 20, 100)]
@@ -133,10 +140,10 @@ def bench_quadrature(repeat):
             route(arg)
 
         t_cold = min(timeit.repeat(cold, number=1, repeat=repeat))
-        stored, level = _stored()
+        stored, k, level = _stored()
         t_warm = min(timeit.repeat(lambda: route(arg), number=1, repeat=repeat))
         nodes = route(arg).nodes
-        print(f"  {label} level={level:<2} nodes={nodes:<4} cold {t_cold * 1e6:8.1f} us"
+        print(f"  {label} k={k} level={level:<2} nodes={nodes:<4} cold {t_cold * 1e6:8.1f} us"
               f"  warm {t_warm * 1e6:8.1f} us")
         print("    stored: " + ", ".join(f"{table} {n}" for table, n in stored.items()))
 

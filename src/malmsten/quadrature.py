@@ -11,7 +11,8 @@ a structurally different second oracle.  Node count doubles per level.
 Every route has one stop rule, the pole bound of `_refine_levels`, from a
 rate in a literal table, trusted from the route's first level, the first
 that resolves its integrand; the bound is its est_error.  quad and
-quad-unit refuse |phi| within GUARD_BAND of pi, where no rate holds.
+quad-unit refuse |phi| within GUARD_BAND of pi, where no rate holds, and
+look the rate up before any cos or sin, so a refusal costs no more.
 Past MAX_LEVEL a route raises NonConvergenceError with its best estimate,
 so a returned result has converged.  est_error is at least a rounding floor, `ulps` EPS per
 term, ulps EPS h sum|terms|, which also covers cancellation in the node
@@ -27,14 +28,16 @@ Integrand tables.  The abscissae and weights do not depend on phi, and neither
 does the numerator of either integrand: only the denominator
 (y + cos phi)^2 + sin^2 phi does.  So each integrand's numerator is
 computed once per node per process and kept in `_NODES`, one strip per
-level: under (table, level) sits the centre node (level 0 only), then that
-level's entries at t = +j h and -j h, interleaved in order of j, + before
--, each side up to where the transform leaves representable range or t
-passes _T_MAX.  `_TABLES` names the tables and gives each its node
-function of t and its numerator: "unit" for quad-unit on (0, 1), "exp"
-for quad on (0, inf), and "tan" for quad-tan on (pi/4, pi/2).  Their entries are the phi-free triples (weight * numerator,
-y, 1 - y): y = x with numerator ln ln(1/x) for quad-unit, y = e^{-u} with
-numerator e^{-u} ln u for quad, and y = 0 for quad-tan.  A term rule turns
+scale and level: under (table, k, level) sits the centre node (level 0
+only), then that level's entries at t = +j h and -j h, interleaved in
+order of j, + before -, each side up to where the transform leaves
+representable range or t passes _T_MAX + k ln 2.  `_TABLES` names the
+tables and gives each its node function of t and the scale 2^-k, and its
+numerator: "unit" for quad-unit on (0, 1), "exp" for quad on (0, inf), and
+"tan" for quad-tan on (pi/4, pi/2).  Their entries are the phi-free
+triples (weight * numerator, y, 1 - y): y = x with numerator ln ln(1/x)
+for quad-unit, y = e^{-u} with numerator e^{-u} ln u for quad, and y = 0
+for quad-tan.  A term rule turns
 entries into terms and bounds their rounding, one rule per kind:
 `_phi_terms` divides by the denominator at an angle, for quad, quad-unit
 and the pointwise integrands; `_power_terms(n)` gives (weight *
@@ -55,6 +58,25 @@ and tolerance reads the same tables, and a stored strip does not depend on
 which evaluation stored it, so neither does a result.  Both sides share
 one cut, so the side whose terms decay faster is summed as far in j as the
 slower one: a few more terms, for one cut, one slice and one fsum a level.
+
+Scales near pi.  quad's poles at u = +-i theta, theta = pi - |phi|, close
+in on the path as theta shrinks, and at scale 0 its pole distance d(theta)
+falls with them, to 0.248 at theta = 1e-3.  At scale k quad's table maps
+u = 2^-k exp(t - e^{-t}), so in the table's own variable
+v = 2^k u = exp(t - e^{-t}) the poles u = i (+-theta + 2 pi m) sit at
+v = i (+-theta + 2 pi m) 2^k.  The nearest pair, v = +-i theta 2^k,
+is where scale 0's nearest poles sit at the gap theta' = theta 2^k, and
+every other pair lies at |v| >= (2 pi - theta) 2^k >= 2 pi - theta',
+beyond scale 0's own poles at +-i (2 pi - theta').  The distance of a pole
+v = i R from the real t axis rises with R, so d(theta'), and the rate
+_POLE_RATE["exp"] at theta', still bound the scaled integrand: no row of
+its own.  `_scale` takes k = 0 where theta > _SCALE_AT = 0.35, else the
+least k with theta 2^k > 0.35, so theta' lies in (0.35, 0.7], where the
+rate's d is at least 0.72, and k <= 9 from GUARD_BAND on.  2^-k scales
+exactly, so a scale of 1 changes no bit: at k = 0 a strip holds the same
+entries as the unscaled map u = exp(t - e^{-t}) gives, for quad at
+theta > 0.35 and for quad-unit, quad-tan and `quad_jn`, which read scale 0
+alone.
 """
 
 import math
@@ -108,10 +130,14 @@ _POLE_RATE = {
 }
 _TAN_RATE = _POLE_RATE["unit"][-1]
 
+# quad's strips at scale k: see `_scale`.  A strip at scale k runs t up to
+# _T_MAX + k ln 2, where u = 2^-k exp(t - e^{-t}) still reaches e^6.5.
+_SCALE_AT = 0.35
 _T_MAX = 6.5
+_LN2 = math.log(2.0)
 _Q_MIN = 1e-280
 
-# (table, level) -> strip
+# (table, k, level) -> strip
 _NODES = {}
 _NODES_LOCK = threading.Lock()
 
@@ -120,20 +146,23 @@ class QuadResult(Record, namedtuple("QuadResult", "value est_error nodes")):
     __slots__ = ()
 
 
-def _strip(node, level):
-    """node(t) at t = 0 (level 0 only), then at t = +j h and -j h, h = 2^-level,
-    interleaved in order of j, + before -: j = 1, 1 + step_j, ... while
-    j * h <= _T_MAX, each side up to its own first None; level 0 takes every
-    j, a deeper level only the odd j the levels before it lack."""
+def _strip(node, level, k):
+    """node(t, 2^-k) at t = 0 (level 0 only), then at t = +j h and -j h,
+    h = 2^-level, interleaved in order of j, + before -: j = 1, 1 + step_j,
+    ... while j * h <= _T_MAX + k ln 2, each side up to its own first None;
+    level 0 takes every j, a deeper level only the odd j the levels before
+    it lack."""
     h = 0.5 ** level
     step_j = 1 if level == 0 else 2
-    strip = [node(0.0)] if level == 0 else []
+    scale = 0.5 ** k
+    t_max = _T_MAX + k * _LN2
+    strip = [node(0.0, scale)] if level == 0 else []
     signs = (1.0, -1.0)
     j = 1
-    while signs and j * h <= _T_MAX:
+    while signs and j * h <= t_max:
         live = []
         for sign in signs:
-            entry = node(sign * j * h)
+            entry = node(sign * j * h, scale)
             if entry is not None:
                 strip.append(entry)
                 live.append(sign)
@@ -161,17 +190,17 @@ def _envelopes(entries):
     return tuple(reversed(neg_e1)), tuple(reversed(neg_e2))
 
 
-def _strip_at(table, level):
-    """The strip stored under (table, level) as (entries, *_envelopes(entries)),
-    built from `_TABLES[table]` on first use."""
-    name = (table, level)
+def _strip_at(table, level, k):
+    """The strip stored under (table, k, level) as (entries,
+    *_envelopes(entries)), built from `_TABLES[table]` at scale k on first use."""
+    name = (table, k, level)
     strip = _NODES.get(name)
     if strip is None:
         with _NODES_LOCK:
             strip = _NODES.get(name)
             if strip is None:
                 node, numerator = _TABLES[table]
-                entries = tuple(starmap(numerator, _strip(node, level)))
+                entries = tuple(starmap(numerator, _strip(node, level, k)))
                 strip = _NODES[name] = (entries, *_envelopes(entries))
     return strip
 
@@ -208,12 +237,13 @@ def _power_terms(n):
     return 1.0, lambda entries: [wn * y ** n for wn, y, _ in entries], 2.0 + n
 
 
-def _refine_levels(table, rule, tol, first_level, rate):
+def _refine_levels(table, rule, tol, first_level, rate, k=0):
     """Shared level driver: trapezoid in t, node doubling per level.
 
-    `_strip_at(table, level)` gives the strip of one level, both sides of the
-    centre interleaved, whose entries are the phi-free (weight * numerator,
-    y, 1 - y) triples; the term rule (d_min, terms, ulps) makes their terms.
+    `_strip_at(table, level, k)` gives the strip of one level at scale k,
+    both sides of the centre interleaved, whose entries are the phi-free
+    (weight * numerator, y, 1 - y) triples; the term rule (d_min, terms,
+    ulps) makes their terms.
     Each strip is summed up to its `_cut`, past which no term on either side
     exceeds 1e-20 times the last level's total (or 1e-20), and each level's
     total is the fsum of the strip sums so far.
@@ -242,7 +272,7 @@ def _refine_levels(table, rule, tol, first_level, rate):
     bound = 0.0  # M_j
     for level in range(MAX_LEVEL + 1):
         small_at = 1e-20 * max(abs(total), 1.0)
-        strip = _strip_at(table, level)
+        strip = _strip_at(table, level, k)
         try:
             new = strip_terms(strip[0][:_cut(strip, small_at, d_min)])
         except ZeroDivisionError:
@@ -288,13 +318,13 @@ def _tanh_sinh_node(a, b, t):
     return 0.5 * width * w, a + near, near, far
 
 
-def _exp_exp_node(t):
-    # u = exp(t - e^{-t}), du/dt = u (1 + e^{-t})
+def _exp_exp_node(t, scale):
+    # u = scale exp(t - e^{-t}), du/dt = u (1 + e^{-t}); scale = 2^-k is exact
     e = math.exp(-t)
     g = t - e
     if g > 690.0:
         return None
-    u = math.exp(g)
+    u = scale * math.exp(g)
     if u < _Q_MIN:
         return None
     return u * (1.0 + e), u, u, None
@@ -337,11 +367,13 @@ def _tan_numerator(weight, y, da, db):
     return weight * math.log(lntan), 0.0, 1.0
 
 
-# table -> (node function of t: (weight, x, dist_a, dist_b) or None, numerator)
+# table -> (node function of t and the scale 2^-k: (weight, x, dist_a, dist_b)
+# or None, numerator).  Only quad reads a scale k > 0: the tanh-sinh maps of
+# "unit" and "tan" are read at k = 0 alone, and take no scale.
 _TABLES = {
-    "unit": (lambda t: _tanh_sinh_node(0.0, 1.0, t), _unit_numerator),
+    "unit": (lambda t, scale: _tanh_sinh_node(0.0, 1.0, t), _unit_numerator),
     "exp": (_exp_exp_node, _exp_numerator),
-    "tan": (lambda t: _tanh_sinh_node(math.pi / 4, math.pi / 2, t), _tan_numerator),
+    "tan": (lambda t, scale: _tanh_sinh_node(math.pi / 4, math.pi / 2, t), _tan_numerator),
 }
 
 
@@ -368,25 +400,45 @@ def integrand_tan(y):
     return _tan_numerator(1.0, y, y - math.pi / 4, math.pi / 2 - y)[0]
 
 
-def _pole_rate(table, phi_val):
-    """The pole rate r = e^{-2 pi d} of `table`'s integrand at the angle phi_val,
-    d a lower bound on the distance of its poles from the real t axis; raises
-    DomainError below GUARD_BAND, the first theta of `_POLE_THETA`."""
-    k = bisect_right(_POLE_THETA, pi_gap(phi_val)) - 1
-    if k < 0:
+def _pole_gap(phi_val):
+    """theta = pi - |phi_val|; raises DomainError below GUARD_BAND, the first
+    theta of `_POLE_THETA`, where no rate holds."""
+    theta = pi_gap(phi_val)
+    if theta < GUARD_BAND:
         raise DomainError(f"quadrature guard band: |phi| must be <= pi - {GUARD_BAND}, "
                           f"got {phi_val!r}")
-    return _POLE_RATE[table][k]
+    return theta
+
+
+def _pole_rate(table, theta):
+    """The pole rate r = e^{-2 pi d} of `table`'s integrand at the gap theta >=
+    GUARD_BAND, d a lower bound on the distance of its poles from the real t axis."""
+    return _POLE_RATE[table][bisect_right(_POLE_THETA, theta) - 1]
+
+
+def _scale(theta):
+    """(k, theta 2^k): k = 0 where theta > _SCALE_AT, else the least k with
+    theta 2^k > _SCALE_AT, so that theta 2^k lies in (0.35, 0.7]; each
+    doubling is exact."""
+    k = 0
+    while theta <= _SCALE_AT:
+        theta *= 2.0
+        k += 1
+    return k, theta
 
 
 def quad_eval(phi, tol=TOL):
-    """I(phi) by exp-exp quadrature on (0, inf), stopped by its pole rate from level 2."""
-    return _refine_levels("exp", _phi_terms(phi.phi), tol, 2, _pole_rate("exp", phi.phi))
+    """I(phi) by exp-exp quadrature on (0, inf) at the scale `_scale` gives,
+    stopped by its pole rate from level 2."""
+    k, scaled = _scale(_pole_gap(phi.phi))
+    rate = _pole_rate("exp", scaled)
+    return _refine_levels("exp", _phi_terms(phi.phi), tol, 2, rate, k)
 
 
 def quad_unit_eval(phi, tol=TOL):
     """I(phi) by tanh-sinh on (0, 1), stopped by its pole rate from level 3."""
-    return _refine_levels("unit", _phi_terms(phi.phi), tol, 3, _pole_rate("unit", phi.phi))
+    rate = _pole_rate("unit", _pole_gap(phi.phi))
+    return _refine_levels("unit", _phi_terms(phi.phi), tol, 3, rate)
 
 
 def quad_tan_form(tol=TOL):

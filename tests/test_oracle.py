@@ -60,17 +60,21 @@ TOLS = (None, 1e-3, 1e-6, 1e-9, 1e-12, 1e-14, 1e-15)
 # - kummer 3.27e4 (at 8.14e-6), rounded up.  Its estimate is the closed
 #   side's over |sin phi|; it was 5.8e6 while that estimate was the
 #   literal 5e-13 pi/|sin phi|.
-# - quad 798 (at 3.12955) and quad-unit 785 (at 1.84184), both rounded up
-#   to 800.  They were 5.7e4 (at 3.05e-4) and 4.1e4 (at 0.482) while they
-#   stopped on the delta alone; the pole-rate stop ends them where the
-#   delta into an early level sets the largest constant.  At tol 1e-3 to
-#   1e-9 quad-unit's F reaches 3.2e4, at its first level.
+# - quad 302 (at 2.79139), rounded up to 310.  It was 808 (at 3.12986, in
+#   QUAD_LOOSEST) under an F of 800 before quad read its table at a scale
+#   2^-k below pi - |phi| = 0.35; its worst now lies just above 0.35, at
+#   scale 0.
+# - quad-unit 785 (at 1.84184), rounded up to 800.  quad and quad-unit were
+#   5.7e4 (at 3.05e-4) and 4.1e4 (at 0.482) while they stopped on the delta
+#   alone; the pole-rate stop ends them where the delta into an early level
+#   sets the largest constant.  At tol 1e-3 to 1e-9 quad-unit's F reaches
+#   3.2e4, at its first level.
 # From here an F only goes down.
 Route = namedtuple("Route", "lo hi signs f f_tol")
 ROUTES = {
     "closed": Route(0.0, BELOW_PI, BOTH, 200.0, None),
     "series": Route(0.0, BELOW_PI, BOTH, 2.5e3, None),
-    "quad": Route(0.0, math.pi - GUARD_BAND, BOTH, 800.0, 1e-12),
+    "quad": Route(0.0, math.pi - GUARD_BAND, BOTH, 310.0, 1e-12),
     "quad-unit": Route(0.0, math.pi - GUARD_BAND, BOTH, 800.0, 1e-12),
     "quad-tan": Route(math.pi / 2, math.pi / 2, (1.0,), 6.0, None),
     "kummer": Route(0.0, BELOW_PI, BOTH, 3.3e4, None),
@@ -101,6 +105,10 @@ POLE_EDGE = [2.709840213304944, 1.9053339588402727]
 LOOSE_EDGE = [2.7102871404594553, 2.7102221673351705, 2.709348735846727,
               3.0756420765104644, 2.9521544831016127]
 
+# Where quad's F exceeded 800 at the default tol while it read its table at
+# scale 0 near pi (808.3, 803.0 and 802.0).
+QUAD_LOOSEST = [3.129860417962011, 3.1312061666098865, 3.129664429426434]
+
 # pi - |phi| for series at the last float below pi, deep in the
 # Euler-Maclaurin branch, at the old stride cap (0.026), on both sides of
 # the former crossovers 0.25 and 0.5, now inside the branch, and on both
@@ -114,10 +122,10 @@ SERIES_EDGE = [math.pi - BELOW_PI, 1e-15, 1e-12, 1e-8, 1e-4, 0.026,
 # series, and pi - 0.25, pi - 0.5 and pi - 0.026, where series once
 # switched or capped its stride; the interior angles of the series and
 # quadrature checks; pi - d next to pi, down to the last float below pi;
-# MISSED; POLE_EDGE; LOOSE_EDGE; and the |phi| where the F of closed,
-# series, kummer, quad and quad-unit is at its worst (quad's at 3.12955, in
-# MISSED; quad-unit's at 1.84184, and at 0.48174 while it stopped on the
-# delta).
+# MISSED; POLE_EDGE; LOOSE_EDGE; QUAD_LOOSEST; and the |phi| where the F
+# of closed, series, kummer, quad and quad-unit is at its worst (quad's at
+# 2.79139, and at 3.12955, in MISSED, while it read scale 0 alone;
+# quad-unit's at 1.84184, and at 0.48174 while it stopped on the delta).
 EDGES = sorted({
     0.0, 1e-12, 5e-7, 9.9e-7, 1e-6, ZERO_THRESHOLD * (1.0 + 1e-9), 2e-6, 1e-5, 1e-4, 1e-3,
     3e-3, 1e-2,
@@ -128,7 +136,8 @@ EDGES = sorted({
     *(math.pi - d for d in (0.25, 1e-2, 1e-3)),
     *(abs(phi) for phi in MISSED),
     1.0500351271565833, 4.822946711685607e-06, 8.143156220023098e-06, 0.00030459934857474536,
-    0.4817404765022452, 1.8418429198979154, *POLE_EDGE, *LOOSE_EDGE})
+    0.4817404765022452, 1.8418429198979154, 2.7913887590796693, *POLE_EDGE, *LOOSE_EDGE,
+    *QUAD_LOOSEST})
 
 # Reproducible examples, and no example database left in the checkout.  The
 # examples follow from the test's source and node id, so renaming the
@@ -208,6 +217,18 @@ def test_estimates_hold_everywhere(route, data):
 def test_estimates_hold_at_the_edges(route, magnitude):
     for sign in BOTH:
         _gate(route, magnitude, sign)
+
+
+def test_quad_estimate_holds_near_pi():
+    # below pi - |phi| = 0.35 quad reads its table at a scale 2^-k: 300
+    # angles with pi - |phi| log-uniform on [1.0001e-3, 0.7], which spans
+    # every scale, at both signs and every tol
+    rng = random.Random(43)
+    lo, hi = math.log(1.0001e-3), math.log(0.7)
+    for _ in range(300):
+        magnitude = math.pi - math.exp(rng.uniform(lo, hi))
+        for sign in BOTH:
+            _gate("quad", magnitude, sign)
 
 
 def _route_error(method, phi):

@@ -189,7 +189,7 @@ def test_a_zero_denominator_raises_a_typed_error(empty_tables, monkeypatch, c, y
     # branch and on the regrouped one: a fault of the tables or the parts,
     # reported as one and not as a ZeroDivisionError.  quad_eval runs as it
     # is, on a stub of its table (the centre node alone) and impossible parts
-    def node(t):
+    def node(t, scale):
         return (1.0, y, y, one_minus_y) if t == 0.0 else None
 
     def numerator(weight, x, dist_a, dist_b):
@@ -201,10 +201,10 @@ def test_a_zero_denominator_raises_a_typed_error(empty_tables, monkeypatch, c, y
         quad_eval(Angle(1.0))
 
 
-def _table_strips(table):
-    """Every strip of the integrand table `table`, at every level a
+def _table_strips(table, k=0):
+    """Every strip of the integrand table `table` at scale k, at every level a
     quadrature can reach."""
-    return [quadrature._strip_at(table, level) for level in range(quadrature.MAX_LEVEL + 1)]
+    return [quadrature._strip_at(table, level, k) for level in range(quadrature.MAX_LEVEL + 1)]
 
 
 @pytest.mark.parametrize("table", ["exp", "unit", "tan", "jn"])
@@ -215,13 +215,17 @@ def test_no_term_past_a_cut_exceeds_small_at(table, phi, decades, n):
     # the cut comes from phi-free envelopes and a lower bound on the
     # denominator; every term past it, computed in floats as the level driver
     # computes it, is at most small_at.  jn sums w y^n over quad's own table;
-    # quad-tan sums its weighted numerators alone, as jn does at n = 0
+    # quad-tan sums its weighted numerators alone, as jn does at n = 0; quad
+    # reads its table at scale 0 and, near pi, at scales up to 9
     rule = {"exp": quadrature._phi_terms, "unit": quadrature._phi_terms,
             "tan": lambda phi: quadrature._power_terms(0),
             "jn": lambda phi: quadrature._power_terms(n)}[table](phi)
     small_at = 1e-20 * 10.0 ** decades
     d_min, strip_terms, _ = rule
-    for strip in _table_strips("exp" if table == "jn" else table):
+    strips = _table_strips("exp" if table == "jn" else table)
+    if table == "exp":
+        strips += _table_strips(table, 9)
+    for strip in strips:
         past = strip[0][quadrature._cut(strip, small_at, d_min):]
         assert all(abs(term) <= small_at for term in strip_terms(past))
 
@@ -336,11 +340,12 @@ def _assert_rates_bound(table, distance):
         assert _rate_distance(rates[k]) <= distance(theta)
         for i in range(1, 21 if k + 1 < len(thetas) else 1):
             phi = math.pi - (theta + (thetas[k + 1] - theta) * i / 21)
-            assert _rate_distance(quadrature._pole_rate(table, phi)) <= distance(pi_gap(phi))
-    assert quadrature._pole_rate(table, 0.0) == rates[-1]
+            gap = pi_gap(phi)
+            assert _rate_distance(quadrature._pole_rate(table, gap)) <= distance(gap)
+    assert quadrature._pole_rate(table, pi_gap(0.0)) == rates[-1]
     # below the first theta no rate bounds d, and the route refuses the angle
     with pytest.raises(DomainError):
-        quadrature._pole_rate(table, math.nextafter(math.pi - thetas[0], math.pi))
+        quadrature._pole_gap(math.nextafter(math.pi - thetas[0], math.pi))
 
 
 def test_pole_table_bounds_the_pole_distance():
@@ -355,6 +360,36 @@ def test_pole_table_bounds_the_pole_distance():
     # d rises from 0.248 at theta = 1e-3 to 1.289 at pi
     for phi, pinned in ((0.5, 1.2484), (2.0, 1.0291), (2.9, 0.6850)):
         assert abs(_pole_distance(math.pi - phi, start)[0] - pinned) <= 5e-5
+
+
+def test_scaled_pole_rate_bounds_the_scaled_pole_distance(monkeypatch):
+    # at scale k quad's integrand has its poles at v = i (+-theta + 2 pi m) 2^k
+    # in the table's own variable v = 2^k u: the nearest, +-i theta 2^k, and
+    # the next, +-i (2 pi - theta) 2^k, lie at least as far from the real t
+    # axis as the d behind the rate quad_eval looks up.  For each k it uses,
+    # at its ends and at 20 theta between, as pi - |phi| is formed from phi
+    stops = []
+    monkeypatch.setattr(quadrature, "_refine_levels", lambda *args: stops.append(args[4:]))
+    start = mpmath.mpc(-1.7, 0.25)
+
+    def distance(r):
+        nonlocal start
+        d, start = _pole_distance(r, start)
+        return d
+
+    ends = [math.pi] + [0.7 / 2.0 ** k for k in range(1, 10)] + [GUARD_BAND]
+    scales = set()
+    for hi, lo in zip(ends, ends[1:]):
+        for i in range(21):
+            phi = math.pi - (hi + (lo - hi) * i / 21)
+            quad_eval(Angle(phi))
+            rate, k = stops[-1]
+            theta = pi_gap(phi)
+            assert 0.35 < theta * 2.0 ** k <= (0.7 if k else math.pi)
+            bound = min(distance(theta * 2.0 ** k), distance((2.0 * math.pi - theta) * 2.0 ** k))
+            assert _rate_distance(rate) <= bound, (phi, k)
+            scales.add(k)
+    assert scales == set(range(10))
 
 
 def test_unit_pole_table_bounds_the_pole_distance():
@@ -436,7 +471,7 @@ def test_unit_pole_stop_waits_for_level_3(monkeypatch, sign):
     # there by 3.1 at tol 1e-3; from level 3, quad-unit's first, it holds
     monkeypatch.setattr(quadrature, "POLE_K", 1.0)
     phi = sign * 2.0813845523111305
-    rate = quadrature._pole_rate("unit", phi)
+    rate = quadrature._pole_rate("unit", pi_gap(phi))
     assert _falls_short(phi, quadrature._refine_levels("unit", quadrature._phi_terms(phi), 1e-3,
                                                        2, rate))
     assert not _falls_short(phi, quad_unit_eval(Angle(phi), 1e-3))
@@ -484,25 +519,33 @@ def test_quad_tan_stops_from_level_3():
 # in their last bits.  The jn rows were frozen again when quad_jn came to
 # stop by its pole rate: every estimate moved, n = 7 and 20 took one level
 # more (63 -> 126 and 126 -> 252 nodes), and the value at 20 moved by 2
-# ulps, its error 1.8e-17 under its estimate 8.7e-16.  Each value is within
-# its est_error of the 40-digit oracle (quad, quad-unit, quad-tan) or of
-# the closed form (jn).  A result
-# must not depend on the state of the tables.
+# ulps, its error 1.8e-17 under its estimate 8.7e-16.  The quad rows at 2.9
+# and -3.1 were frozen again when quad came to read its table at a scale 2^-k
+# near pi, k = 1 and 4 there: their nodes fell from 127 to 71 and from 128 to
+# 102, and both values moved by 1 ulp, their errors 3.4e-16 and 5.6e-15
+# under their estimates 2.7e-13 and 5.6e-14; every row at k = 0 kept its
+# bits.  The rows at +-(pi - 0.01), k = 6, and at DEEP_PHI, k = 9, came with
+# the scales.  Each value is within its est_error of the 40-digit oracle
+# (quad, quad-unit, quad-tan) or of the closed form (jn).  A result must not
+# depend on the state of the tables.
+DEEP_PHI = math.pi - 1.0001e-3  # just inside the guard band: the deepest tables
 FROZEN_HEX = {
     ("quad", 0.5): ("-0x1.32d5f1b233fdep-4", "0x1.d6750767b0491p-53", 63),
     ("quad-unit", 0.5): ("-0x1.32d5f1b233fdfp-4", "0x1.d6b415c5ceddfp-53", 57),
     ("quad", 2.0): ("-0x1.1bb98c6f38cb6p-1", "0x1.1129428e4f0a5p-51", 63),
     ("quad-unit", 2.0): ("-0x1.1bb98c6f38cbap-1", "0x1.3a193c786b5d7p-44", 57),
-    ("quad", 2.9): ("-0x1.3ecd2369460c8p+3", "0x1.5cfbb3977dbe1p-48", 127),
+    ("quad", 2.9): ("-0x1.3ecd2369460c9p+3", "0x1.2d5f0a37774d1p-42", 71),
     ("quad-unit", 2.9): ("-0x1.3ecd2369460c8p+3", "0x1.5d0662a2ae8bbp-48", 113),
-    ("quad", -3.1): ("-0x1.e305697eb5a90p+6", "0x1.939379326b898p-43", 128),
+    ("quad", -3.1): ("-0x1.e305697eb5a91p+6", "0x1.f6b4ec3ced227p-45", 102),
     ("quad-unit", -3.1): ("-0x1.e305697eb5a91p+6", "0x1.f6b426f85d176p-45", 225),
     ("quad-tan", None): ("-0x1.0ab184de2a327p-2", "0x1.6f3c2ad54a420p-52", 57),
     ("jn", 0): ("-0x1.2788cfc6fb619p-1", "0x1.0db82e6723350p-51", 63),
     ("jn", 7): ("-0x1.540d57e5798f9p-2", "0x1.454bae00226a0p-43", 126),
     ("jn", 20): ("-0x1.6134a88cbe4bdp-3", "0x1.f70ed52f00cb9p-51", 252),
+    ("quad", math.pi - 0.01): ("-0x1.6a02aad5127e6p+9", "0x1.774731142fcb1p-42", 116),
+    ("quad", -(math.pi - 0.01)): ("-0x1.6a02aad5127e6p+9", "0x1.774731142fcb1p-42", 116),
+    ("quad", DEEP_PHI): ("-0x1.531088b070866p+13", "0x1.5f3b287ab2720p-38", 132),
 }
-DEEP_PHI = math.pi - 1.0001e-3  # just inside the guard band: the deepest tables
 
 # integrand table -> (numerator, node function, the node function's interval)
 TABLES = {
@@ -595,20 +638,24 @@ def _spacing(level):
     return 0.5 ** level, (1 if level == 0 else 2)
 
 
-def _node(table):
-    """The node function of `table`, unpatched."""
+def _node(table, k=0):
+    """The node function of `table` at scale k, a function of t, unpatched:
+    quad's exp-exp map takes the scale 2^-k, the tanh-sinh maps none."""
     _, node_name, interval = TABLES[table]
-    return partial(getattr(quadrature, node_name), *interval)
+    node = getattr(quadrature, node_name)
+    if table == "exp":
+        return lambda t: node(t, 0.5 ** k)
+    return partial(node, *interval)
 
 
-def _side(node, level, sign):
-    """One side of level `level`, walked on its own: t = sign * j * h in
-    order of j, up to the first None of `node` or t past _T_MAX; and
-    whether a None ended it."""
+def _side(node, level, sign, k=0):
+    """One side of level `level` at scale k, walked on its own: t = sign * j * h
+    in order of j, up to the first None of `node` or t past _T_MAX + k ln 2;
+    and whether a None ended it."""
     h, step_j = _spacing(level)
     ts = []
     j = 1
-    while j * h <= quadrature._T_MAX:
+    while j * h <= quadrature._T_MAX + k * math.log(2.0):
         if node(sign * j * h) is None:
             return ts, True
         ts.append(sign * j * h)
@@ -616,11 +663,11 @@ def _side(node, level, sign):
     return ts, False
 
 
-def _level_ts(node, level):
-    """The t of level `level`'s strip: the centre at level 0, then both
-    sides interleaved."""
-    return [0.0] * (level == 0) + _interleave(_side(node, level, 1.0)[0],
-                                               _side(node, level, -1.0)[0])
+def _level_ts(node, level, k=0):
+    """The t of level `level`'s strip at scale k: the centre at level 0, then
+    both sides interleaved."""
+    return [0.0] * (level == 0) + _interleave(_side(node, level, 1.0, k)[0],
+                                               _side(node, level, -1.0, k)[0])
 
 
 def _interleave(plus, minus):
@@ -635,12 +682,12 @@ def _interleave(plus, minus):
 def _node_calls_behind(tables):
     # the node-function calls behind the stored strips: the centre at level
     # 0, and on each side one per entry, plus the None that ended the side
-    # if it left range before its t passed _T_MAX
+    # if it left range before its t passed the end of its scale
     calls = 0
-    for table, level in tables:
+    for table, k, level in tables:
         calls += level == 0
         for sign in (1.0, -1.0):
-            ts, left_range = _side(_node(table), level, sign)
+            ts, left_range = _side(_node(table, k), level, sign, k)
             calls += len(ts) + left_range
     return calls
 
@@ -648,7 +695,7 @@ def _node_calls_behind(tables):
 def _stored_numerators(tables):
     # table -> the entries stored in its strips
     counts = dict.fromkeys(TABLES, 0)
-    for (table, _), (entries, _, _) in tables.items():
+    for (table, _, _), (entries, _, _) in tables.items():
         counts[table] += len(entries)
     return counts
 
@@ -696,25 +743,31 @@ def test_result_does_not_depend_on_evaluation_order(empty_tables):
 def test_each_node_is_computed_once(empty_tables, node_calls, numerator_calls,
                                     envelope_calls):
     # each entry of each table is computed once, from one node-function
-    # call, and each strip's envelopes once, under the lock
+    # call, and each strip's envelopes once, under the lock: quad at 2.9
+    # reads its table at scale 1, quad_jn at scale 0
     quad_eval(Angle(2.9))
     quad_unit_eval(Angle(2.9))
+    quad_jn(7)
+    assert {k for table, k, _ in empty_tables if table == "exp"} == {0, 1}
     computed = len(node_calls)
     assert computed == _node_calls_behind(empty_tables) > 0
     numerators = _numerator_counts(numerator_calls)
     assert numerators == _stored_numerators(empty_tables)
     assert numerators["unit"] > 0 and numerators["exp"] > 0
-    # these reach no deeper level and no further along any strip
+    # these reach no deeper level and no further along any strip, at either
+    # scale
     for route in (quad_eval, quad_unit_eval):
-        for p in (2.9, 0.5, -1.0):
+        for p in (2.9, -2.9, 0.5, -1.0):
             route(Angle(p))
     for n in (0, 7):
         quad_jn(n)
     assert len(node_calls) == computed
     assert _numerator_counts(numerator_calls) == numerators
-    # deeper evaluations add only the strips of the levels they reach
+    # deeper evaluations add only the strips of the levels and scales they
+    # reach: scale 9 at DEEP_PHI
     quad_eval(Angle(DEEP_PHI))
     quad_jn(20)
+    assert {k for table, k, _ in empty_tables if table == "exp"} == {0, 1, 9}
     assert len(node_calls) == _node_calls_behind(empty_tables) > computed
     stored = _stored_numerators(empty_tables)
     assert stored["exp"] > numerators["exp"]
@@ -726,9 +779,11 @@ def test_each_node_is_computed_once(empty_tables, node_calls, numerator_calls,
 def test_warm_evaluations_compute_no_node(empty_tables, node_calls, numerator_calls,
                                          monkeypatch):
     # once the tables hold the strips, a node costs one denominator and one
-    # divide: no node function, no numerator, no log or exp
+    # divide: no node function, no numerator, no log or exp.  quad reads its
+    # table at scale 9 at DEEP_PHI and at scale 0 at 0.5, where quad_jn's
+    # strips serve it
     routes = [partial(quad_eval, Angle(DEEP_PHI)), partial(quad_unit_eval, Angle(DEEP_PHI)),
-              quad_tan_form]
+              quad_tan_form, partial(quad_jn, 20)]
     for route in routes:
         route()
     node_calls.clear()
@@ -774,7 +829,8 @@ def test_tables_shared_by_threads(empty_tables, node_calls, numerator_calls,
                                   envelope_calls):
     # threads that fill the same cold tables at once, through both routes,
     # store each entry once, from one node-function call, and each strip's
-    # envelopes once, under the lock, and see the same results as one thread
+    # envelopes once, under the lock, and see the same results as one thread;
+    # quad reads its table at scales 9, 1 and 0
     work = [(quad_eval, DEEP_PHI), (quad_unit_eval, 0.5), (quad_eval, -2.9),
             (quad_unit_eval, -DEEP_PHI), (quad_eval, 2.0), (quad_unit_eval, 1e-3)]
     expected = [_bits(route(Angle(p))) for route, p in work]
@@ -803,6 +859,7 @@ def test_tables_shared_by_threads(empty_tables, node_calls, numerator_calls,
             assert not any(t.is_alive() for t in threads)
             for i in range(n_threads):
                 assert results[i] == expected[i:] + expected[:i]
+            assert {k for table, k, _ in empty_tables if table == "exp"} == {0, 1, 9}
             assert len(node_calls) == _node_calls_behind(empty_tables)
             assert _numerator_counts(numerator_calls) == _stored_numerators(empty_tables)
             _assert_envelopes_built_once_under_the_lock(envelope_calls, empty_tables)
@@ -826,14 +883,16 @@ def test_strips_are_whole(empty_tables):
     # the nodes its first evaluation summed, and beside them its two
     # envelopes: the suffix maxima of |wn| and of |wn| / (1 - y)^2, negated
     quad_eval(Angle(DEEP_PHI))
+    quad_eval(Angle(0.5))
     quad_unit_eval(Angle(0.5))
     quad_tan_form()
-    assert {table for table, _ in empty_tables} == set(TABLES)
-    for (table, level), (entries, neg_e1, neg_e2) in empty_tables.items():
+    assert {table for table, _, _ in empty_tables} == set(TABLES)
+    assert {k for table, k, _ in empty_tables if table == "exp"} == {0, 9}
+    for (table, k, level), (entries, neg_e1, neg_e2) in empty_tables.items():
         assert neg_e1 == _suffix_maxima([abs(wn) for wn, _, _ in entries])
         assert neg_e2 == _suffix_maxima([abs(wn) / d / d for wn, _, d in entries])
-        numerator, node = getattr(quadrature, TABLES[table][0]), _node(table)
-        assert entries == tuple(numerator(*node(t)) for t in _level_ts(node, level))
+        numerator, node = getattr(quadrature, TABLES[table][0]), _node(table, k)
+        assert entries == tuple(numerator(*node(t)) for t in _level_ts(node, level, k))
 
 
 def _ends_early(t):
@@ -844,17 +903,22 @@ def _ends_early(t):
 
 @pytest.mark.parametrize("table", sorted(TABLES) + ["stub"])
 def test_level_strip_holds_each_node_once(empty_tables, table):
-    # level L's strip holds t = 0 (L = 0 only), then t = +j h and -j h,
-    # h = 2^-L, in order of j, + before -, each exactly once: every j at
-    # level 0, the odd j past it, each side up to its own end; and, stored,
-    # the numerators at those t that each side, walked on its own, holds
-    node = _ends_early if table == "stub" else _node(table)
-    for level in range(quadrature.MAX_LEVEL + 1):
-        ts = _level_ts(node, level)
-        # the node function tagged with its t, to read back each entry's node
-        assert quadrature._strip(lambda t: None if node(t) is None else t, level) == tuple(ts)
-        assert len(set(ts)) == len(ts)
-        if table != "stub":
-            numerator = getattr(quadrature, TABLES[table][0])
-            entries = quadrature._strip_at(table, level)[0]
-            assert entries == tuple(numerator(*node(t)) for t in ts)
+    # level L's strip at scale k holds t = 0 (L = 0 only), then t = +j h and
+    # -j h, h = 2^-L, in order of j, + before -, each exactly once: every j
+    # at level 0, the odd j past it, each side up to its own end, at most
+    # _T_MAX + k ln 2; and, stored, the numerators at those t that each
+    # side, walked on its own, holds.  quad's table at its scales 0 and 9
+    for k in ((0, 9) if table == "exp" else (0,)):
+        node = _ends_early if table == "stub" else _node(table, k)
+        for level in range(quadrature.MAX_LEVEL + 1):
+            ts = _level_ts(node, level, k)
+            # the node function tagged with its t and scale, to read back each
+            # entry's node
+            tagged = quadrature._strip(lambda t, scale: None if node(t) is None else (t, scale),
+                                       level, k)
+            assert tagged == tuple((t, 0.5 ** k) for t in ts)
+            assert len(set(ts)) == len(ts)
+            if table != "stub":
+                numerator = getattr(quadrature, TABLES[table][0])
+                entries = quadrature._strip_at(table, level, k)[0]
+                assert entries == tuple(numerator(*node(t)) for t in ts)
