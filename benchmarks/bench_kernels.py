@@ -16,16 +16,17 @@ series, with the terms each sums: Euler's transformation for
 |phi| <= EULER_PHI, and Euler-Maclaurin past it.  Then times
 quad_eval and quad_unit_eval per point, both also at
 pi - 1.0001e-3, just inside the guard band, where they need the most
-nodes, quad_eval at pi - 0.01, quad_tan_form, and quad_jn at n = 0, 7, 20
-and 100, where y^n moves the mass of the integrand toward u = 0 and the
-nodes with it: with every table
+nodes, quad_eval at pi - 0.01, quad_tan_form, and quad_jn at n = 0, 7, 20,
+100, 10**6 and 10**15, where y^n moves the mass of the integrand toward
+u = 0 and quad_jn's scale 2^-k moves the nodes with it: with every table
 emptied before each call (cold: each node and its numerator computed,
 and each strip's envelopes), and with every table filled (warm: one
 denominator and one divide per node, or one power and one multiply for
 J_n, plus the level driver).
 Each point also prints the scale k of the strips it read (quad reads its
-table at 2^-k near pi, every other route at k = 0), the refinement level it
-stopped at (the deepest level a cold call stored), the nodes its
+table at 2^-k near pi, quad_jn at the least k with n + 1 <= 2^k, every
+other route at k = 0), the refinement level it stopped at (the deepest
+level a cold call stored), the nodes its
 evaluation used and the entries a cold call left stored in each integrand
 table: a strip is stored whole the first time an evaluation reaches it, so
 the tables hold more nodes than it used.  Then times one `evaluate` of each method at a fixed phi
@@ -132,7 +133,8 @@ def bench_quadrature(repeat):
                    Angle(math.pi - 0.01)))
     points.append((f"{'quad_tan_form':<15} phi={'pi/2':<15}",
                    lambda _: quadrature.quad_tan_form(), None))
-    points += [(f"{'quad_jn':<15} n={n:<17}", quadrature.quad_jn, n) for n in (0, 7, 20, 100)]
+    points += [(f"{'quad_jn':<15} n={n:<17}", quadrature.quad_jn, n)
+               for n in (0, 7, 20, 100, 10**6, 10**15)]
     for label, route, arg in points:
 
         def cold(route=route, arg=arg):

@@ -2,6 +2,7 @@
 
 import enum
 import math
+import sys
 from collections import namedtuple
 
 from .errors import DomainError, ZeroAngleError
@@ -20,15 +21,20 @@ ZERO_THRESHOLD = 1e-6
 QUAD_TAN_BAND = 4.5e-16
 
 
+# The largest finite float.  The bound rejects NaN and the infinities, and an
+# int past the float range too, where math.isfinite would raise OverflowError.
+_FLOAT_MAX = sys.float_info.max
+
+
 def require_tol(tol):
     """Reject a tolerance that is not finite and positive."""
-    if not (math.isfinite(tol) and tol > 0.0):
+    if not 0.0 < tol <= _FLOAT_MAX:
         raise DomainError(f"tol must be finite and > 0, got {tol!r}")
 
 
 def require_power(n):
     """Reject a power n of J_n that is not finite and >= 0."""
-    if not (math.isfinite(n) and n >= 0):
+    if not 0 <= n <= _FLOAT_MAX:
         raise DomainError(f"n must be finite and >= 0, got {n!r}")
 
 

@@ -9,10 +9,11 @@ exponentially toward infinity, where e^{-u} finishes the decay.
 `quad_unit_eval` applies tanh-sinh straight to ln ln(1/x) on (0, 1) as
 a structurally different second oracle.  Node count doubles per level.
 Every route has one stop rule, the pole bound of `_refine_levels`, from a
-rate in a literal table, trusted from the route's first level, the first
-that resolves its integrand; the bound is its est_error.  quad and
-quad-unit refuse |phi| within GUARD_BAND of pi, where no rate holds, and
-look the rate up before any cos or sin, so a refusal costs no more.
+rate in a literal table (quad-tan and `quad_jn` have one rate each), trusted
+from the route's first level, the first that resolves its integrand; the
+bound is its est_error.  quad and quad-unit refuse |phi| within GUARD_BAND
+of pi, where no rate holds, and look the rate up before any cos or sin, so a
+refusal costs no more.
 Past MAX_LEVEL a route raises NonConvergenceError with its best estimate,
 so a returned result has converged.  est_error is at least a rounding floor, `ulps` EPS per
 term, ulps EPS h sum|terms|, which also covers cancellation in the node
@@ -75,8 +76,12 @@ least k with theta 2^k > 0.35, so theta' lies in (0.35, 0.7], where the
 rate's d is at least 0.72, and k <= 9 from GUARD_BAND on.  2^-k scales
 exactly, so a scale of 1 changes no bit: at k = 0 a strip holds the same
 entries as the unscaled map u = exp(t - e^{-t}) gives, for quad at
-theta > 0.35 and for quad-unit, quad-tan and `quad_jn`, which read scale 0
-alone.
+theta > 0.35; quad-unit and quad-tan read scale 0 alone.
+
+Scales for J_n.  `quad_jn` reads quad's table too, at the least k with
+n + 1 <= 2^k, up to k = 52 below 1/EPS: the scale moves the peak of
+e^{-(n+1)u} ln u at u ~ 1/(n + 1) to v = 2^k u ~ 1, where scale 0 has
+the peak of J_0, so one rate from level 2 serves every n (see `_JN_RATE`).
 """
 
 import math
@@ -368,8 +373,9 @@ def _tan_numerator(weight, y, da, db):
 
 
 # table -> (node function of t and the scale 2^-k: (weight, x, dist_a, dist_b)
-# or None, numerator).  Only quad reads a scale k > 0: the tanh-sinh maps of
-# "unit" and "tan" are read at k = 0 alone, and take no scale.
+# or None, numerator).  Only "exp" is read at a scale k > 0, by quad and
+# quad_jn: the tanh-sinh maps of "unit" and "tan" are read at k = 0 alone, and
+# take no scale.
 _TABLES = {
     "unit": (lambda t, scale: _tanh_sinh_node(0.0, 1.0, t), _unit_numerator),
     "exp": (_exp_exp_node, _exp_numerator),
@@ -448,34 +454,30 @@ def quad_tan_form(tol=TOL):
     return _refine_levels("tan", _power_terms(0), tol, 3, _TAN_RATE)
 
 
-# `quad_jn`'s (first level, pole rate) at power n is _JN_STOP[k], k the least
-# with n + 1 <= e^k.  e^{-(n+1)u} ln u is entire in t but decays only for
-# |Im s| < pi/2, s = ln u.  Its mass sits at u ~ 1/(n+1), in a peak about one
-# unit wide in s, where on the exp-exp map ds/dt = 1 + e^{-t}, with e^{-t} =
-# t + ln(n+1) and t < 0.57, is below 2 + ln(n+1) <= 2 + k.  So the strip's
-# edge lies at d >= (pi/2)/(2 + k) from the real t axis, and the rate
-# e^{-pi^2/(2 + k)} is rounded up to 4 digits.  The first level is the least
-# L >= 2 with 2^L >= 2 + k: its step is at most 1 in s, so the levels
-# resolve the peak, which coarser ones can step over.  k <= 37 below 1/EPS.
-_JN_STOP = ((2, 0.007192), (2, 0.03726), (2, 0.08481), (3, 0.139), (3, 0.1931), (3, 0.2442),
-            (3, 0.2913), (4, 0.334), (4, 0.3728), (4, 0.4077), (4, 0.4394), (4, 0.4681),
-            (4, 0.4942), (4, 0.5179), (4, 0.5397), (5, 0.5596), (5, 0.578), (5, 0.5949),
-            (5, 0.6105), (5, 0.6251), (5, 0.6386), (5, 0.6511), (5, 0.6629), (5, 0.6739),
-            (5, 0.6842), (5, 0.6939), (5, 0.703), (5, 0.7116), (5, 0.7197), (5, 0.7274),
-            (5, 0.7347), (6, 0.7416), (6, 0.7481), (6, 0.7543), (6, 0.7603), (6, 0.7659),
-            (6, 0.7713), (6, 0.7765))
-_JN_AT = tuple(map(math.exp, range(len(_JN_STOP))))
+# `quad_jn` reads quad's table at the scale 2^-k, k the least with
+# n + 1 <= 2^k.  In v = 2^k u its integrand is 2^-k e^{-cv} (ln v - k ln 2) dv,
+# c = (n + 1) 2^-k in (1/2, 1], entire in t but decaying only for
+# |Im s| < pi/2, s = ln v.  Its peak sits where w = e^{-t} solves w e^w = c
+# <= 1, so there ds/dt = 1 + w <= 1.57 < 2: the strip's edge lies at
+# d >= pi/4 from the real t axis, and the level-2 step resolves the peak, as
+# for n = 0.  Its one rate is e^{-2 pi d} = e^{-pi^2/2}, rounded up to 4 digits.
+_JN_RATE = 0.007192
 
 
 def quad_jn(n, tol=TOL):
     """J_n = integral_0^1 x^n ln ln(1/x) dx, via the e^{-(n+1)u} ln u form.
 
-    Its terms are w y^n from quad's own strips, whose entries are
-    (w, y) = (weight * e^{-u} ln u, e^{-u}): no log or exp once they are stored.
-    Raises DomainError from n = 1/EPS on, where the rounding of y, carried
-    n-fold by y^n, leaves no correct digit.
+    Its terms are w y^n from quad's own strips at the scale 2^-k, k the least
+    with n + 1 <= 2^k, whose entries are (w, y) = (weight * e^{-u} ln u,
+    e^{-u}): no log or exp once they are stored.  It stops on one pole rate
+    from level 2 at every n.  Raises DomainError from n = 1/EPS on, where the
+    rounding of y, carried n-fold by y^n, leaves no correct digit.
     """
     require_power(n)
     if n * EPS >= 1.0:
         raise DomainError(f"n must be below 1/EPS = {1.0 / EPS:.4g} for quad_jn, got {n!r}")
-    return _refine_levels("exp", _power_terms(n), tol, *_JN_STOP[bisect_left(_JN_AT, n + 1)])
+    k, top = 0, 1.0
+    while top < n + 1:
+        top *= 2.0
+        k += 1
+    return _refine_levels("exp", _power_terms(n), tol, 2, _JN_RATE, k)

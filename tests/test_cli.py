@@ -337,6 +337,22 @@ def test_verify_impossible_tolerance_fails(capsys, monkeypatch):
     assert set(failed[0]) == {"name", "lhs", "rhs", "residual", "tolerance", "pass"}
 
 
+def test_verify_jn_records_catch_a_quad_jn_moved_by_1e_14(monkeypatch):
+    # quad_jn's estimates are tight enough that a value 1e-14 of itself off
+    # leaves its budget against the closed form at every n; with a loose
+    # estimate n = 7 to 19 once passed with that move
+    route = verify.quad_jn
+
+    def moved(n):
+        r = route(n)
+        return r._replace(value=r.value * (1.0 + 1e-14))
+
+    monkeypatch.setattr(verify, "quad_jn", moved)
+    records = [r for r in run_checks(only=["jn"]) if r.name.startswith("jn_closed_vs_quad[")]
+    assert [r.name for r in records] == [f"jn_closed_vs_quad[n={n}]" for n in range(21)]
+    assert not any(r.passed for r in records)
+
+
 @pytest.mark.parametrize("flag", ["closed-quad", "series", "kummer"])
 def test_verify_takes_no_tolerance_flag(capsys, flag):
     # every record's tolerance comes from its sides' estimates

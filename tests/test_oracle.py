@@ -273,18 +273,32 @@ def test_closed_takes_every_zero_angle():
         assert err <= ev.est_error <= ROUTES["closed"].f * max(err, EPS * float(abs(exact)))
 
 
+# est <= JN_F max(err, eps |J_n|) for quad_jn at tol <= 1e-12, the worst
+# over test_quad_jn_estimate_holds's powers, 6979 at n = 10**6, rounded up.
+# It was 1.1e4 (at n = 18) while quad_jn read scale 0 alone, with a stop
+# table whose rates slowed toward 0.78 as n grew.
+JN_F = 7e3
+
+
 @pytest.mark.parametrize("tol", [1e-3, 1e-9, 1e-12, 1e-15])
 @pytest.mark.parametrize("n", list(range(30)) + [34, 40, 100, 200, 1000, 10**5, 10**6,
-                                                 17782794, 10**11])
+                                                 17782794, 10**11]
+                         + [2**m + d for m in (20, 40, 51) for d in (-1, 0)])
 def test_quad_jn_estimate_holds(n, tol):
     # y^n amplifies the rounding of y = e^{-u} n-fold: with a floor of 2 EPS
     # per term alone, the estimate missed from n = 34 on, and at 10**5 and
     # 10**6 by a factor of up to 2.  The mass of the integrand sits at
     # u ~ 1/(n + 1): when the first levels were trusted, two of them could
     # step over it and agree, and at tol 1e-3 the estimate missed at
-    # n = 1000, 10**5, 17782794 (by 4.1e3) and 10**11 (by 144)
+    # n = 1000, 10**5, 17782794 (by 4.1e3) and 10**11 (by 144).  quad_jn
+    # reads scale k, the least with n + 1 <= 2^k: at n + 1 = 2^m and
+    # 2^m + 1 the scale steps from m to m + 1
     r = quad_jn(n, tol)
-    assert _error(r.value, jn_oracle(n)) <= r.est_error
+    exact = jn_oracle(n)
+    err = _error(r.value, exact)
+    assert err <= r.est_error
+    if tol <= 1e-12:
+        assert r.est_error <= JN_F * max(err, EPS * float(abs(exact)))
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-12, 1e-15])

@@ -238,8 +238,9 @@ def test_quad_jn_matches_closed(n):
 
 def test_quad_jn_domain():
     # a non-finite n once ran every level and raised NonConvergenceError (nan)
-    # or returned -2.2e-16 (inf)
-    for n in (-1, math.nan, math.inf, -math.inf):
+    # or returned -2.2e-16 (inf), and an int past the float range raised
+    # OverflowError
+    for n in (-1, math.nan, math.inf, -math.inf, 10**400):
         with pytest.raises(DomainError):
             quad_jn(n)
 
@@ -251,10 +252,14 @@ def test_quad_jn_domain():
         {"tol": -1e-12},
         {"tol": math.inf},
         {"tol": math.nan},
+        {"tol": 10**400},
     ],
 )
 def test_quadrature_refuses_a_bad_tol(kwargs):
-    # the tolerance is the quadrature's one setting, checked by every route
+    # the tolerance is the quadrature's one setting, checked by every route;
+    # an int past the float range once raised OverflowError
+    with pytest.raises(DomainError):
+        quad_jn(3, **kwargs)
     with pytest.raises(DomainError):
         quad_eval(Angle(1.0), **kwargs)
     with pytest.raises(DomainError):
@@ -413,39 +418,42 @@ def test_tan_rate_bounds_the_pole_distance():
 
 def _jn_peak_slope(n):
     """ds/dt = 1 + e^{-t}, s = ln u, at the peak of quad_jn's integrand at
-    power n, where e^{-t} = t + ln(n + 1): there v = e^{-t} solves
-    v e^v = n + 1, so ds/dt = 1 + W(n + 1), at 30 digits."""
+    power n on scale 0's map, where e^{-t} = t + ln(n + 1): there v = e^{-t}
+    solves v e^v = n + 1, so ds/dt = 1 + W(n + 1), at 30 digits.  At scale k
+    the peak of power n is that of power c - 1, c = (n + 1) 2^-k."""
     with mpmath.workdps(30):
         v = mpmath.lambertw(mpmath.mpf(n) + 1).real
         assert abs(mpmath.exp(-(v - mpmath.log(mpmath.mpf(n) + 1))) - v) < 1e-25 * v
         return float(1 + v)
 
 
-def test_jn_table_bounds_the_strip_distance(monkeypatch):
-    # entry k of _JN_STOP serves n + 1 <= e^k: its rate is e^{-pi^2/(2 + k)}
-    # rounded up to 4 significant digits, for d = (pi/2)/(2 + k)
+def test_jn_rate_bounds_the_strip_distance(monkeypatch):
+    # quad_jn's one rate is e^{-pi^2/2} rounded up to 4 significant digits,
+    # for d = pi/4
     with mpmath.workdps(30):
-        for k, (_, rate) in enumerate(quadrature._JN_STOP):
-            exact = float(mpmath.exp(-mpmath.pi ** 2 / (2 + k)))
-            assert exact <= rate <= exact * (1.0 + 1e-3)
-    # as quad_jn reads the table: at n + 1 = e^k, at 20 powers between
-    # each pair of neighbours, and up to 1/EPS, its d is at most the edge
-    # (pi/2)/(ds/dt) of the strip where its integrand decays, ds/dt at the
-    # peak below 2 + ln(n + 1), and its first level is the least L >= 2
-    # whose step 2^-L is at most 1/(2 + ln(n + 1)) at e^(2^L - 2)
+        exact = float(mpmath.exp(-mpmath.pi ** 2 / 2))
+    # as quad_jn reads quad's table: at n + 1 = 2^m and 2^m + 1, at 20 powers
+    # between each pair of neighbours, and up to 1/EPS, c = (n + 1) 2^-k lies
+    # in (1/2, 1], ds/dt at the peak is below 2, so the rate's d is at most
+    # pi/4, the edge (pi/2)/2 of the strip where its integrand decays, and the
+    # first level is 2
     stops = []
     monkeypatch.setattr(quadrature, "_refine_levels", lambda *args: stops.append(args[3:]))
-    tops = [math.exp(k) for k in range(len(quadrature._JN_STOP) - 1)] + [1.0 / EPS]
-    for k, top in enumerate(tops):
-        between = [tops[k - 1] * (top / tops[k - 1]) ** (i / 21) for i in range(1, 21)] if k else []
-        for n in [x - 1.0 for x in between + [top]]:
-            quad_jn(n)
-            level, rate = stops[-1]
-            slope = _jn_peak_slope(n)
-            assert slope < 2.0 + math.log1p(n)
-            assert _rate_distance(rate) <= 0.5 * math.pi / (2.0 + math.log1p(n))
-            assert n + 1 <= math.exp(2.0 ** level - 2.0)
-            assert level == 2 or n + 1 > math.exp(2.0 ** (level - 1) - 2.0)
+    tops = [2.0 ** m for m in range(52)] + [1.0 / EPS]
+    powers = [0.0]
+    for lo, top in zip(tops, tops[1:]):
+        powers += [lo] + [lo * (top / lo) ** (i / 21) - 1.0 for i in range(1, 21)] + [top - 1.0]
+    powers[-1] = math.nextafter(1.0 / EPS, 0.0)
+    for n in powers:
+        quad_jn(n)
+        level, rate, k = stops[-1]
+        c = (n + 1.0) * 0.5 ** k
+        assert 0.5 < c <= 1.0, n
+        assert _jn_peak_slope(c - 1.0) < 2.0
+        assert _rate_distance(rate) <= math.pi / 4
+        assert level == 2
+        assert rate == math.ceil(exact * 1e6) / 1e6
+    assert {k for _, _, k in stops} == set(range(53))
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -525,7 +533,12 @@ def test_quad_tan_stops_from_level_3():
 # 102, and both values moved by 1 ulp, their errors 3.4e-16 and 5.6e-15
 # under their estimates 2.7e-13 and 5.6e-14; every row at k = 0 kept its
 # bits.  The rows at +-(pi - 0.01), k = 6, and at DEEP_PHI, k = 9, came with
-# the scales.  Each value is within its est_error of the 40-digit oracle
+# the scales.  The jn rows at 7 and 20 were frozen again when quad_jn came to
+# read quad's table at the scale 2^-k, k = 3 and 5 there, and to stop on one
+# rate from level 2: their nodes fell from 126 to 93 and from 252 to 111, and
+# their estimates from 2.9e-13 to 6.9e-16 and in their last bits at 8.7e-16,
+# for errors of 3.6e-17 and 1.8e-17; both values kept their bits, and so did
+# the jn row at 0, k = 0.  Each value is within its est_error of the 40-digit oracle
 # (quad, quad-unit, quad-tan) or of the closed form (jn).  A result must not
 # depend on the state of the tables.
 DEEP_PHI = math.pi - 1.0001e-3  # just inside the guard band: the deepest tables
@@ -540,8 +553,8 @@ FROZEN_HEX = {
     ("quad-unit", -3.1): ("-0x1.e305697eb5a91p+6", "0x1.f6b426f85d176p-45", 225),
     ("quad-tan", None): ("-0x1.0ab184de2a327p-2", "0x1.6f3c2ad54a420p-52", 57),
     ("jn", 0): ("-0x1.2788cfc6fb619p-1", "0x1.0db82e6723350p-51", 63),
-    ("jn", 7): ("-0x1.540d57e5798f9p-2", "0x1.454bae00226a0p-43", 126),
-    ("jn", 20): ("-0x1.6134a88cbe4bdp-3", "0x1.f70ed52f00cb9p-51", 252),
+    ("jn", 7): ("-0x1.540d57e5798f9p-2", "0x1.8c46db0f05972p-51", 93),
+    ("jn", 20): ("-0x1.6134a88cbe4bdp-3", "0x1.f70ed52ef6ab5p-51", 111),
     ("quad", math.pi - 0.01): ("-0x1.6a02aad5127e6p+9", "0x1.774731142fcb1p-42", 116),
     ("quad", -(math.pi - 0.01)): ("-0x1.6a02aad5127e6p+9", "0x1.774731142fcb1p-42", 116),
     ("quad", DEEP_PHI): ("-0x1.531088b070866p+13", "0x1.5f3b287ab2720p-38", 132),
@@ -743,12 +756,14 @@ def test_result_does_not_depend_on_evaluation_order(empty_tables):
 def test_each_node_is_computed_once(empty_tables, node_calls, numerator_calls,
                                     envelope_calls):
     # each entry of each table is computed once, from one node-function
-    # call, and each strip's envelopes once, under the lock: quad at 2.9
-    # reads its table at scale 1, quad_jn at scale 0
+    # call, and each strip's envelopes once, under the lock: quad reads its
+    # table at scale 1 at 2.9 and at scale 0 at 0.5, quad_jn at scale 3 at
+    # n = 7, where n + 1 = 2^3
     quad_eval(Angle(2.9))
+    quad_eval(Angle(0.5))
     quad_unit_eval(Angle(2.9))
     quad_jn(7)
-    assert {k for table, k, _ in empty_tables if table == "exp"} == {0, 1}
+    assert {k for table, k, _ in empty_tables if table == "exp"} == {0, 1, 3}
     computed = len(node_calls)
     assert computed == _node_calls_behind(empty_tables) > 0
     numerators = _numerator_counts(numerator_calls)
@@ -764,10 +779,10 @@ def test_each_node_is_computed_once(empty_tables, node_calls, numerator_calls,
     assert len(node_calls) == computed
     assert _numerator_counts(numerator_calls) == numerators
     # deeper evaluations add only the strips of the levels and scales they
-    # reach: scale 9 at DEEP_PHI
+    # reach: scale 9 at DEEP_PHI, and quad_jn's scale 5 at n = 20
     quad_eval(Angle(DEEP_PHI))
     quad_jn(20)
-    assert {k for table, k, _ in empty_tables if table == "exp"} == {0, 1, 9}
+    assert {k for table, k, _ in empty_tables if table == "exp"} == {0, 1, 3, 5, 9}
     assert len(node_calls) == _node_calls_behind(empty_tables) > computed
     stored = _stored_numerators(empty_tables)
     assert stored["exp"] > numerators["exp"]
@@ -780,10 +795,11 @@ def test_warm_evaluations_compute_no_node(empty_tables, node_calls, numerator_ca
                                          monkeypatch):
     # once the tables hold the strips, a node costs one denominator and one
     # divide: no node function, no numerator, no log or exp.  quad reads its
-    # table at scale 9 at DEEP_PHI and at scale 0 at 0.5, where quad_jn's
-    # strips serve it
+    # table at scale 9 at DEEP_PHI and at scale 0 at 0.5, and quad_jn at
+    # scales 0, 2 and 5 at n = 0, 3 and 20
     routes = [partial(quad_eval, Angle(DEEP_PHI)), partial(quad_unit_eval, Angle(DEEP_PHI)),
-              quad_tan_form, partial(quad_jn, 20)]
+              quad_tan_form, partial(quad_eval, Angle(0.5)), partial(quad_jn, 3),
+              partial(quad_jn, 20)]
     for route in routes:
         route()
     node_calls.clear()
@@ -792,7 +808,7 @@ def test_warm_evaluations_compute_no_node(empty_tables, node_calls, numerator_ca
     logs = _CountingMath()
     monkeypatch.setattr(quadrature, "math", logs)
     nodes = 0
-    for route in routes + [partial(quad_eval, Angle(-DEEP_PHI)), partial(quad_eval, Angle(0.5)),
+    for route in routes + [partial(quad_eval, Angle(-DEEP_PHI)),
                            partial(quad_unit_eval, Angle(-2.0)),
                            partial(quad_unit_eval, Angle(-DEEP_PHI))]:
         nodes += route().nodes

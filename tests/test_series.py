@@ -102,8 +102,9 @@ def test_jn_closed_values():
 
 
 def test_jn_domain():
-    # j_n(nan) and j_n(inf) once returned nan
-    for n in (-1, math.nan, math.inf, -math.inf):
+    # j_n(nan) and j_n(inf) once returned nan, and an int past the float
+    # range raised OverflowError
+    for n in (-1, math.nan, math.inf, -math.inf, 10**400):
         with pytest.raises(DomainError):
             j_n(n)
 
@@ -339,9 +340,13 @@ def test_log_sine_sum_at_zero():
         {"tol": -math.inf},
         {"tol": math.inf},
         {"tol": math.nan},
+        {"tol": 10**400},
     ],
 )
 def test_evaluate_refuses_a_bad_tol(kwargs):
-    # the series route takes no tol, but evaluate checks a given one
+    # the series and closed routes take no tol, but evaluate checks a given
+    # one; an int past the float range once raised OverflowError
     with pytest.raises(DomainError):
         evaluate(Angle(1.0), "series", **kwargs)
+    with pytest.raises(DomainError):
+        evaluate(Angle(1.0), "closed", **kwargs)
